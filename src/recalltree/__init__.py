@@ -35,8 +35,8 @@ from .errors import (
     UntrainedModelError,
 )
 from .evaluation import Chi2Result, EvalReport, holdout_eval, n1_chi_squared, progressive_eval
-from .linear import ScorerKey, WeightStore, learn, margin, slot
-from .model_io import load_model, load_oaa, load_recall_tree, save_model
+from .linear import WeightStore
+from .model_io import load_model, save_model
 from .oaa import OaaModel
 from .synth import SynthSpec, generate_examples, synth_generate
 from .tree import (
@@ -72,7 +72,6 @@ __all__ = [
     "Prediction",
     "RecallTreeError",
     "RecallTreeModel",
-    "ScorerKey",
     "SparseExample",
     "SynthSpec",
     "TreeNode",
@@ -83,12 +82,8 @@ __all__ = [
     "format_example",
     "generate_examples",
     "holdout_eval",
-    "learn",
     "ledger_snapshot",
     "load_model",
-    "load_oaa",
-    "load_recall_tree",
-    "margin",
     "n1_chi_squared",
     "node_entropy",
     "parse_example",
@@ -101,7 +96,6 @@ __all__ = [
     "recall_lower_bound",
     "save_model",
     "scan_dataset",
-    "slot",
     "stream_dataset",
     "synth_generate",
     "update_candidates",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .data import read_examples, scan_dataset, stream_dataset
 from .diagnostics import ledger_snapshot
@@ -94,9 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--data", required=True,
                          help="input dataset; labels are parsed but ignored")
     predict.add_argument("--output", default=None, help="output file (default: stdout)")
-    predict.add_argument("--jobs", type=int, default=1,
-                         help="worker threads for frozen-model prediction; output order "
-                              "is unchanged")
     predict.set_defaults(func=cmd_predict)
 
     inspect = sub.add_parser("inspect", help="report per-node statistics and the entropy ledger")
@@ -182,11 +178,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     examples = read_examples(args.data)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            predictions = list(pool.map(model.predict, examples))
-    else:
-        predictions = [model.predict(x) for x in examples]
+    predictions = [model.predict(x) for x in examples]
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for p in predictions:

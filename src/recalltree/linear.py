@@ -5,90 +5,79 @@ whole model costs a fixed ``2 * 2^bits`` floats regardless of the number
 of classes or raw features.  Slots are assigned by the published
 splitmix64 finalizer applied to ``mix(index) ^ salt(role, id)``, truncated
 to the low ``bits`` bits; collisions within a store are accepted silently.
+
+There is one path for each job: ``mix64_array`` hashes, ``key_salt``
+derives scorer salts, ``slot_matrix`` assigns slots, and
+``WeightStore.batch_margins`` / ``WeightStore.batch_learn`` score and
+update one scorer (1-D slots) or many scorers of one example (2-D slots).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SparseExample
 from .errors import DomainError
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_ONE = np.uint64(1)
 
 ROLE_ROUTER = "router"
 ROLE_CLASS = "class"
-_ROLE_CODE = {ROLE_ROUTER: 0, ROLE_CLASS: 1}
+_ROLE_CODE = {ROLE_ROUTER: np.uint64(0), ROLE_CLASS: np.uint64(1)}
 
 MARGIN_CLAMP = 50.0
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer on a 64-bit unsigned integer (scalar)."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
-
-
-def mix64_array(a: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; input and output are uint64."""
-    x = a.astype(np.uint64, copy=True)
-    x += np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
-
-
-@dataclass(frozen=True)
-class ScorerKey:
-    """Names one binary scorer inside a shared store: a router (by node id)
-    or a class scorer (by class id)."""
-
-    role: str
-    id: int
-
-    def salt(self) -> int:
-        # splitmix64 is a bijection, so distinct (role, id) pairs get
-        # distinct salts.
-        return mix64((self.id << 1) | _ROLE_CODE[self.role])
-
-
-def key_salt(role: str, ident: int) -> np.uint64:
-    return np.uint64(mix64((ident << 1) | _ROLE_CODE[role]))
-
-
-def slot(key: ScorerKey, feature_index: int, bits: int) -> int:
-    """Deterministic slot of (key, feature) in a ``2^bits`` table."""
+def _check_bits(bits: int) -> None:
     if not 10 <= bits <= 30:
         raise DomainError(f"bits must be in [10, 30], got {bits}")
-    return mix64(mix64(feature_index) ^ key.salt()) & ((1 << bits) - 1)
 
 
-def slots_from_mixed(salt: np.uint64, mixed: np.ndarray, bits: int) -> np.ndarray:
-    """Slots for pre-mixed feature indices under one key salt."""
-    x = mixed ^ salt
-    x += np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
-    return (x & np.uint64((1 << bits) - 1)).astype(np.int64)
+def _finalize(x: np.ndarray) -> None:
+    """splitmix64 finalizer, in place on a uint64 array."""
+    x += _GOLDEN
+    x ^= x >> _S30
+    x *= _MIX1
+    x ^= x >> _S27
+    x *= _MIX2
+    x ^= x >> _S31
 
 
-def slot_matrix(salts: np.ndarray, mixed: np.ndarray, bits: int) -> np.ndarray:
-    """(len(salts), len(mixed)) slot table, one row per key salt."""
-    x = mixed[None, :] ^ salts[:, None]
-    x += np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
-    return (x & np.uint64((1 << bits) - 1)).astype(np.int64)
+def mix64_array(a) -> np.ndarray:
+    """splitmix64 finalizer, elementwise; the uint64 result has the shape
+    of ``a`` (an int gives a 0-d array)."""
+    # a fresh array of at least one dimension: array arithmetic wraps
+    # modulo 2^64 silently where numpy scalar arithmetic would warn
+    x = np.array(a, dtype=np.uint64, ndmin=1)
+    _finalize(x)
+    return x.reshape(np.shape(a))
+
+
+def key_salt(role: str, ids):
+    """Salt of the scorer(s) ``ids`` (an int or an integer array) of a role.
+
+    splitmix64 is a bijection, so distinct (role, id) pairs get distinct
+    salts.
+    """
+    return mix64_array((np.asarray(ids, dtype=np.uint64) << _ONE) | _ROLE_CODE[role])
+
+
+def slot_matrix(salts, mixed: np.ndarray, bits: int) -> np.ndarray:
+    """Slots of pre-mixed feature indices in a ``2^bits`` table.
+
+    A 0-d salt gives an ``(n,)`` row; ``(k,)`` salts give a ``(k, n)``
+    table, one row per scorer.
+    """
+    _check_bits(bits)
+    x = np.bitwise_xor.outer(salts, mixed)
+    _finalize(x)
+    x &= np.uint64((1 << bits) - 1)
+    return x.view(np.int64)
 
 
 class WeightStore:
@@ -100,8 +89,7 @@ class WeightStore:
     """
 
     def __init__(self, bits: int, learning_rate: float = 1.0, adaptive: bool = False):
-        if not 10 <= bits <= 30:
-            raise DomainError(f"bits must be in [10, 30], got {bits}")
+        _check_bits(bits)
         if not (np.isfinite(learning_rate) and learning_rate > 0):
             raise DomainError("learning_rate must be a positive finite real")
         self.bits = bits
@@ -113,78 +101,39 @@ class WeightStore:
     def size(self) -> int:
         return self.weights.size
 
-    def margin_at(self, slots: np.ndarray, values: np.ndarray) -> float:
-        return float(np.dot(self.weights[slots].astype(np.float64), values))
+    def batch_margins(self, slots: np.ndarray, values: np.ndarray):
+        """Sum of value * weight over an example's features; duplicates add.
 
-    def learn_at(self, slots: np.ndarray, values: np.ndarray, importance: float, label: int) -> None:
-        """One logistic SGD step on the scorer whose slots are given.
+        ``slots`` is ``(n_feats,)`` for one scorer (a float64 scalar comes
+        back) or ``(n_keys, n_feats)`` for many (one margin per row).
+        """
+        return self.weights[slots].astype(np.float64) @ values
 
-        The gradient scale uses the pre-update margin, clamped to
-        ±MARGIN_CLAMP before the sigmoid so weights stay finite.
+    def batch_learn(self, slots: np.ndarray, values: np.ndarray, labels,
+                    importance: float = 1.0) -> None:
+        """Importance-weighted logistic SGD step for the scorers of one example.
+
+        ``slots`` is ``(n_feats,)`` with one label of +1 or -1, or
+        ``(n_keys, n_feats)`` with one label per row.  All pre-update
+        margins are read first, clamped to ±MARGIN_CLAMP before the sigmoid
+        so weights stay finite, then every delta is applied, so the result
+        does not depend on scorer order except through float accumulation
+        at colliding slots.  ``importance == 0`` is a no-op.
         """
         if not math.isfinite(importance):
             raise DomainError(f"importance must be finite, got {importance}")
         if importance < 0:
             raise DomainError(f"importance must be non-negative, got {importance}")
+        if slots.ndim == 1 and labels not in (1, -1):
+            raise DomainError(f"label must be +1 or -1, got {labels}")
         if importance == 0.0 or slots.size == 0:
             return
-        m = self.margin_at(slots, values)
-        m = max(-MARGIN_CLAMP, min(MARGIN_CLAMP, m))
-        g = 1.0 / (1.0 + math.exp(label * m))  # sigmoid(-label * m)
-        deltas = (self.learning_rate * importance * label * g) * values
+        m = np.minimum(np.maximum(self.batch_margins(slots, values), -MARGIN_CLAMP), MARGIN_CLAMP)
+        g = 1.0 / (1.0 + np.exp(labels * m))  # sigmoid(-label * m)
         if self.adaptive:
-            grads = (importance * label * g) * values
-            np.add.at(self._grad_sq, slots, grads * grads)
-            deltas = (self.learning_rate * grads) / (np.sqrt(self._grad_sq[slots]) + 1e-12)
-        np.add.at(self.weights, slots, deltas.astype(np.float32))
-
-    def batch_margins(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Margins for many scorers at once; ``slots`` is (n_keys, n_feats)."""
-        return self.weights[slots].astype(np.float64) @ values
-
-    def batch_learn(self, slots: np.ndarray, values: np.ndarray, labels: np.ndarray,
-                    importance: float = 1.0) -> None:
-        """Logistic steps for many scorers of one example.
-
-        All pre-update margins are read first, then every delta is applied,
-        so the result does not depend on scorer order except through float
-        accumulation at colliding slots.
-        """
-        if importance == 0.0 or slots.size == 0:
-            return
-        m = np.clip(self.batch_margins(slots, values), -MARGIN_CLAMP, MARGIN_CLAMP)
-        g = 1.0 / (1.0 + np.exp(labels * m))
-        scale = self.learning_rate * importance * labels * g
-        deltas = scale[:, None] * values[None, :]
-        if self.adaptive:
-            grads = (importance * labels * g)[:, None] * values[None, :]
+            grads = (importance * labels * g)[..., None] * values
             np.add.at(self._grad_sq, slots.ravel(), (grads * grads).ravel())
             deltas = self.learning_rate * grads / (np.sqrt(self._grad_sq[slots]) + 1e-12)
+        else:
+            deltas = (self.learning_rate * importance * labels * g)[..., None] * values
         np.add.at(self.weights, slots.ravel(), deltas.ravel().astype(np.float32))
-
-
-def _example_slots(store: WeightStore, key: ScorerKey, x: SparseExample) -> np.ndarray:
-    mixed = mix64_array(x.indices.astype(np.uint64))
-    return slots_from_mixed(np.uint64(key.salt()), mixed, store.bits)
-
-
-def margin(store: WeightStore, key: ScorerKey, x: SparseExample) -> float:
-    """Sum of value * weight over the example's features; duplicates add."""
-    if x.indices.size == 0:
-        return 0.0
-    return store.margin_at(_example_slots(store, key, x), x.values)
-
-
-def learn(store: WeightStore, key: ScorerKey, x: SparseExample,
-          importance: float, label: int) -> None:
-    """Importance-weighted logistic update of one scorer on one example.
-
-    ``label`` is +1 or -1; ``importance == 0`` is a no-op.
-    """
-    if label not in (1, -1):
-        raise DomainError(f"label must be +1 or -1, got {label}")
-    if not math.isfinite(importance):
-        raise DomainError(f"importance must be finite, got {importance}")
-    if importance == 0.0 or x.indices.size == 0:
-        return
-    store.learn_at(_example_slots(store, key, x), x.values, importance, label)

@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from .errors import CorruptedModelError, ModelFormatError, ModelTypeError
-from .linear import ROLE_ROUTER, WeightStore, key_salt
+from .linear import WeightStore
 from .oaa import OaaModel
 from .tree import (
     ROUTER_SIGN_CORRECTED,
@@ -105,7 +105,6 @@ def _read_node(fh) -> TreeNode:
         right=None if right < 0 else right,
         hist=hist, total=total, sum_clog2=sum_clog2,
         candidates=candidates,
-        cand_total=sum(hist[c] for c in candidates),
     )
     return node
 
@@ -186,6 +185,21 @@ def _load_tree(fh) -> RecallTreeModel:
         for ref in (node.parent, node.left, node.right):
             if ref is not None and not 0 <= ref < node_count:
                 raise CorruptedModelError(f"node {i} references missing node {ref}")
+        if node.depth > max_depth:
+            raise CorruptedModelError(f"node {i} at depth {node.depth} exceeds max_depth {max_depth}")
+        if (node.left is None) != (node.right is None):
+            raise CorruptedModelError(f"node {i} has only one child")
+        # a child one level below the node it names as parent rules out
+        # cycles, so descent always ends
+        for child in (node.left, node.right):
+            if child is not None and (nodes[child].parent != i
+                                      or nodes[child].depth != node.depth + 1):
+                raise CorruptedModelError(f"node {i} links to node {child}, which is not its child")
+        if any(c not in node.hist for c in node.candidates):
+            raise CorruptedModelError(f"node {i} has a candidate missing from its histogram")
+        if node.hist and max(node.hist) >= num_classes:
+            raise CorruptedModelError(f"node {i} counts a class outside [0, {num_classes})")
+        node.cand_total = sum(node.hist[c] for c in node.candidates)
     if router_store.bits != class_store.bits:
         raise CorruptedModelError("router and class stores must share one bit width")
 
@@ -206,7 +220,6 @@ def _load_tree(fh) -> RecallTreeModel:
     model.router_store = router_store
     model.class_store = class_store
     model.examples_seen = examples_seen
-    model._router_salts = [key_salt(ROLE_ROUTER, i) for i in range(node_count)]
     return model
 
 
@@ -226,20 +239,3 @@ def load_model(path: str):
         tag = _check_header(fh)
         return _load_tree(fh) if tag == TYPE_RECALL_TREE else _load_oaa(fh)
 
-
-def load_recall_tree(path: str) -> RecallTreeModel:
-    """Load a tree model; a one-against-all file is a type error."""
-    with open(path, "rb") as fh:
-        tag = _check_header(fh)
-        if tag != TYPE_RECALL_TREE:
-            raise ModelTypeError("file holds a one-against-all model, not a recall tree")
-        return _load_tree(fh)
-
-
-def load_oaa(path: str) -> OaaModel:
-    """Load a one-against-all model; a tree file is a type error."""
-    with open(path, "rb") as fh:
-        tag = _check_header(fh)
-        if tag != TYPE_OAA:
-            raise ModelTypeError("file holds a recall tree, not a one-against-all model")
-        return _load_oaa(fh)

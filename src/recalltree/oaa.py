@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import SparseExample
 from .errors import DomainError, UntrainedModelError
-from .linear import WeightStore, mix64_array, slot_matrix
+from .linear import ROLE_CLASS, WeightStore, key_salt, mix64_array, slot_matrix
 from .tree import Prediction
 
 
@@ -22,8 +22,7 @@ class OaaModel:
             raise DomainError("num_classes must be >= 1")
         self.num_classes = num_classes
         self.class_store = WeightStore(bits, learning_rate, adaptive_lr)
-        ids = (np.arange(num_classes, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-        self._class_salts = mix64_array(ids)
+        self._class_salts = key_salt(ROLE_CLASS, np.arange(num_classes))
         self._labels = np.empty(num_classes, dtype=np.float64)
         self.examples_seen = 0
 
@@ -36,8 +35,7 @@ class OaaModel:
         return self.class_store.learning_rate
 
     def _slots(self, x: SparseExample) -> np.ndarray:
-        mixed = mix64_array(x.indices.astype(np.uint64))
-        return slot_matrix(self._class_salts, mixed, self.class_store.bits)
+        return slot_matrix(self._class_salts, mix64_array(x.indices), self.class_store.bits)
 
     def train_example(self, x: SparseExample) -> None:
         y = x.label

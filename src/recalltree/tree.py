@@ -26,15 +26,7 @@ import numpy as np
 
 from .data import SparseExample
 from .errors import DomainError, UntrainedModelError
-from .linear import (
-    ROLE_ROUTER,
-    WeightStore,
-    key_salt,
-    mix64,
-    mix64_array,
-    slot_matrix,
-    slots_from_mixed,
-)
+from .linear import ROLE_CLASS, ROLE_ROUTER, WeightStore, key_salt, mix64_array, slot_matrix
 
 _LOG2 = math.log2
 _NEG_INF = float("-inf")
@@ -244,9 +236,10 @@ class RecallTreeModel:
         self.class_store = WeightStore(self.params.bits, self.params.learning_rate,
                                        self.params.adaptive_lr)
         self.nodes: list[TreeNode] = [TreeNode(id=0, depth=0)]
-        self._router_salts: list[np.uint64] = [key_salt(ROLE_ROUTER, 0)]
-        ids = (np.arange(num_classes, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-        self._class_salts = mix64_array(ids)
+        # per node id: router salt and mixed path-feature index
+        self._router_salts: list[np.uint64] = []
+        self._path_mixed: list[np.uint64] = []
+        self._class_salts = key_salt(ROLE_CLASS, np.arange(num_classes))
         self.examples_seen = 0
 
     # -- structure ---------------------------------------------------------
@@ -268,33 +261,41 @@ class RecallTreeModel:
         nid = len(self.nodes)
         self.nodes.append(TreeNode(id=nid, depth=node.depth + 1, parent=node.id))
         self.nodes.append(TreeNode(id=nid + 1, depth=node.depth + 1, parent=node.id))
-        self._router_salts.append(key_salt(ROLE_ROUTER, nid))
-        self._router_salts.append(key_salt(ROLE_ROUTER, nid + 1))
         node.left = nid
         node.right = nid + 1
+        self._node_keys()
+
+    def _node_keys(self) -> None:
+        """Hash the router salt and path feature of every node that lacks
+        them: new children, or a node table put in place by a loader."""
+        ids = np.arange(len(self._router_salts), len(self.nodes), dtype=np.uint64)
+        self._router_salts += list(key_salt(ROLE_ROUTER, ids))
+        self._path_mixed += list(mix64_array(path_feature_index(ids, self.num_raw_features)))
 
     # -- feature plumbing ---------------------------------------------------
 
-    def _check_features(self, x: SparseExample) -> None:
+    def _buffers(self, x: SparseExample) -> tuple[np.ndarray, np.ndarray, int]:
+        """Check the example and return its mixed indices and values in
+        buffers with room for one path feature per level."""
         if x.indices.size and int(x.indices.max()) >= self.num_raw_features:
             raise DomainError(
                 f"feature index {int(x.indices.max())} outside the declared "
                 f"raw feature space of width {self.num_raw_features}"
             )
-
-    def _buffers(self, x: SparseExample) -> tuple[np.ndarray, np.ndarray, int]:
+        if len(self._router_salts) < len(self.nodes):
+            self._node_keys()
         nnz = x.indices.size
         cap = nnz + self.params.max_depth + 1
         mixed = np.empty(cap, dtype=np.uint64)
         values = np.empty(cap, dtype=np.float64)
         if nnz:
-            mixed[:nnz] = mix64_array(x.indices.astype(np.uint64))
+            mixed[:nnz] = mix64_array(x.indices)
             values[:nnz] = x.values
         return mixed, values, nnz
 
     def _append_path_feature(self, mixed: np.ndarray, values: np.ndarray,
                              n: int, node_id: int) -> int:
-        mixed[n] = mix64(path_feature_index(node_id, self.num_raw_features))
+        mixed[n] = self._path_mixed[node_id]
         values[n] = 1.0
         return n + 1
 
@@ -304,7 +305,7 @@ class RecallTreeModel:
                        y: int, importance: float) -> np.ndarray:
         """Entropy-objective router update; returns the router's slots so the
         caller can route with the post-update weights."""
-        slots = slots_from_mixed(self._router_salts[node.id], mixed, self.params.bits)
+        slots = slot_matrix(self._router_salts[node.id], mixed, self.params.bits)
         left = self.nodes[node.left]
         right = self.nodes[node.right]
         if node.total == 0:
@@ -325,7 +326,7 @@ class RecallTreeModel:
         label = -1 if delta > 0 else 1
         if self.params.router_sign == ROUTER_SIGN_PAPER_LITERAL:
             label = -label
-        self.router_store.learn_at(slots, values, importance * abs(delta), label)
+        self.router_store.batch_learn(slots, values, label, importance * abs(delta))
         return slots
 
     def _update_predictors(self, node: TreeNode, mixed: np.ndarray,
@@ -345,7 +346,6 @@ class RecallTreeModel:
         y = x.label
         if y >= self.num_classes:
             raise DomainError(f"label {y} out of range for {self.num_classes} classes")
-        self._check_features(x)
         mixed, values, n = self._buffers(x)
         params = self.params
 
@@ -355,7 +355,7 @@ class RecallTreeModel:
             if node.left is None:
                 self._materialize(node)
             slots = self._update_router(node, mixed[:n], values[:n], y, x.importance)
-            routed = self.router_store.margin_at(slots, values[:n])
+            routed = self.router_store.batch_margins(slots, values[:n])
             child = self.nodes[node.left if routed > 0 else node.right]
             update_candidates(child, y, params.num_candidates)
             if self.bound(node) > self.bound(child):
@@ -380,8 +380,8 @@ class RecallTreeModel:
         node = self.root
         router_evals = 0
         while node.depth < params.max_depth and node.left is not None:
-            slots = slots_from_mixed(self._router_salts[node.id], mixed[:n], params.bits)
-            routed = self.router_store.margin_at(slots, values[:n])
+            slots = slot_matrix(self._router_salts[node.id], mixed[:n], params.bits)
+            routed = self.router_store.batch_margins(slots, values[:n])
             router_evals += 1
             child = self.nodes[node.left if routed > 0 else node.right]
             if self.bound(node) > self.bound(child):
@@ -394,7 +394,6 @@ class RecallTreeModel:
     def predict_full(self, x: SparseExample) -> Prediction:
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        self._check_features(x)
         mixed, values, n = self._buffers(x)
         node, router_evals, n = self._descend(mixed, values, n)
         cands = node.candidates
@@ -417,7 +416,6 @@ class RecallTreeModel:
         """The node where a frozen descent stops for this example."""
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        self._check_features(x)
         mixed, values, n = self._buffers(x)
         node, _, _ = self._descend(mixed, values, n)
         return node

@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from recalltree.data import SparseExample
+from recalltree.linear import key_salt, mix64_array, slot_matrix
+
+
+def slot_of(role: str, ident: int, index: int, bits: int) -> int:
+    """Slot of raw feature ``index`` for one scorer in a ``2^bits`` store."""
+    return int(slot_matrix(key_salt(role, ident), mix64_array([index]), bits)[0])
 
 
 def quadrant_examples(n: int, seed: int, margin: float = 0.1, scale: float = 1.0):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from recalltree.data import SparseExample, stream_dataset
+from recalltree.data import stream_dataset
 from recalltree.diagnostics import (
     OracleSplitter,
     build_path_oaa,
@@ -20,7 +20,7 @@ from recalltree.diagnostics import (
     ledger_snapshot,
 )
 from recalltree.evaluation import holdout_eval, n1_chi_squared, progressive_eval
-from recalltree.linear import ScorerKey, WeightStore, key_salt, learn, mix64_array, slots_from_mixed
+from recalltree.linear import WeightStore, key_salt, mix64_array, slot_matrix
 from recalltree.model_io import save_model
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width, synth_generate
@@ -329,19 +329,17 @@ def test_c10_gradient_check():
     for _ in range(20):
         store = WeightStore(bits=12)
         store.weights = rng.normal(0, 0.3, size=store.size()).astype(np.float32)
-        key = ScorerKey("class", int(rng.integers(0, 100)))
+        key = int(rng.integers(0, 100))
         nnz = int(rng.integers(1, 30))
         idx = rng.integers(0, 10_000, size=nnz)
         vals = rng.uniform(-2, 2, size=nnz)
-        x = SparseExample(0, idx, vals)
         label = int(rng.choice([-1, 1]))
         importance = float(rng.uniform(0.05, 4.0))
 
-        mixed = mix64_array(idx.astype(np.uint64))
-        slots = slots_from_mixed(key_salt("class", key.id), mixed, 12)
+        slots = slot_matrix(key_salt("class", key), mix64_array(idx), 12)
         replica = store.weights.astype(np.float64).copy()
         before = store.weights.copy()
-        learn(store, key, x, importance, label)
+        store.batch_learn(slots, vals, label, importance)
         applied = store.weights.astype(np.float64) - before.astype(np.float64)
 
         def loss(w):

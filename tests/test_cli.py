@@ -96,17 +96,6 @@ class TestPredict:
         assert len(lines) == 3000
         assert all(0 <= int(v) < 8 for v in lines)
 
-    def test_jobs_flag_preserves_output(self, workdir, tmp_path, capsys):
-        root, data = workdir
-        _, model_path = train_model(root, data, "jobs.bin")
-        capsys.readouterr()
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert main(["predict", "--model", str(model_path), "--data", str(data),
-                     "--output", str(a)]) == EX_OK
-        assert main(["predict", "--model", str(model_path), "--data", str(data),
-                     "--output", str(b), "--jobs", "3"]) == EX_OK
-        assert a.read_bytes() == b.read_bytes()
-
     def test_empty_input_gives_empty_output(self, workdir, tmp_path, capsys):
         root, data = workdir
         _, model_path = train_model(root, data, "empty.bin")

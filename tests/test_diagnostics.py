@@ -12,9 +12,10 @@ from recalltree.diagnostics import (
     plurality_predict,
 )
 from recalltree.errors import DomainError, UntrainedModelError
-from recalltree.linear import ScorerKey, slot
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import Hyperparams, RecallTreeModel, update_candidates
+
+from conftest import slot_of
 
 LN2 = math.log(2.0)
 
@@ -32,8 +33,8 @@ def depth1_pure_model():
         update_candidates(left, 0, 1)
         update_candidates(right, 1, 1)
     w = model.router_store.weights
-    w[slot(ScorerKey("router", 0), 0, 14)] = 1.0   # feature 0 routes left
-    w[slot(ScorerKey("router", 0), 1, 14)] = -1.0  # feature 1 routes right
+    w[slot_of("router", 0, 0, 14)] = 1.0   # feature 0 routes left
+    w[slot_of("router", 0, 1, 14)] = -1.0  # feature 1 routes right
     model.examples_seen = 100
     return model
 

@@ -7,48 +7,67 @@ from hypothesis import strategies as st
 
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError
-from recalltree.linear import (
-    ScorerKey,
-    WeightStore,
-    key_salt,
-    learn,
-    margin,
-    mix64,
-    mix64_array,
-    slot,
-    slot_matrix,
-    slots_from_mixed,
-)
+from recalltree.linear import WeightStore, key_salt, mix64_array, slot_matrix
 
-KEY = ScorerKey("class", 3)
+from conftest import slot_of
+
+KEY = ("class", 3)
 
 # sigma(0.5) = 0.6224593312018546, so two unit-importance steps from a
 # fresh store land at 0.5 - sigma(0.5)
 TWO_STEP_WEIGHT = -0.1224593312018546
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(x: int) -> int:
+    """Reference splitmix64 finalizer in pure Python (the published one)."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def reference_slot(role: str, ident: int, index: int, bits: int) -> int:
+    salt = mix64((ident << 1) | {"router": 0, "class": 1}[role])
+    return mix64(mix64(index) ^ salt) & ((1 << bits) - 1)
 
 
 def unit_example(index: int) -> SparseExample:
     return SparseExample.from_pairs(0, [(index, 1.0)])
 
 
+def example_slots(x: SparseExample, bits: int, key=KEY) -> np.ndarray:
+    return slot_matrix(key_salt(*key), mix64_array(x.indices), bits)
+
+
+def margin(store: WeightStore, x: SparseExample, key=KEY) -> float:
+    return store.batch_margins(example_slots(x, store.bits, key), x.values)
+
+
+def learn(store: WeightStore, x: SparseExample, importance: float, label: int, key=KEY) -> None:
+    store.batch_learn(example_slots(x, store.bits, key), x.values, label, importance)
+
+
 class TestSlot:
     def test_deterministic(self):
-        assert slot(KEY, 12345, 18) == slot(KEY, 12345, 18)
+        assert slot_of(*KEY, 12345, 18) == slot_of(*KEY, 12345, 18)
 
     def test_range(self):
         rng = np.random.default_rng(0)
-        for idx in rng.integers(0, 2**40, size=100_000):
-            s = slot(KEY, int(idx), 10)
-            assert 0 <= s < 1024
+        idx = rng.integers(0, 2**40, size=100_000)
+        s = slot_matrix(key_salt(*KEY), mix64_array(idx), 10)
+        assert s.shape == (100_000,)
+        assert ((0 <= s) & (s < 1024)).all()
 
     def test_distinct_roles_hash_apart(self):
-        a = slot(ScorerKey("router", 5), 7, 20)
-        b = slot(ScorerKey("class", 5), 7, 20)
+        a = slot_of("router", 5, 7, 20)
+        b = slot_of("class", 5, 7, 20)
         assert a != b  # not guaranteed in general, but these must differ here
 
     def test_bits_out_of_range(self):
         with pytest.raises(DomainError):
-            slot(KEY, 1, 9)
+            slot_matrix(key_salt(*KEY), mix64_array([1]), 9)
 
     def test_scalar_and_vector_mix_agree(self):
         rng = np.random.default_rng(1)
@@ -59,16 +78,33 @@ class TestSlot:
 
     def test_slot_paths_agree(self):
         mixed = mix64_array(np.array([12345], dtype=np.uint64))
-        s_direct = slot(KEY, 12345, 20)
-        s_vector = int(slots_from_mixed(key_salt("class", 3), mixed, 20)[0])
-        s_matrix = int(slot_matrix(np.array([key_salt("class", 3)]), mixed, 20)[0, 0])
+        s_direct = reference_slot(*KEY, 12345, 20)
+        s_vector = int(slot_matrix(key_salt(*KEY), mixed, 20)[0])
+        s_matrix = int(slot_matrix(key_salt("class", np.array([3])), mixed, 20)[0, 0])
         assert s_direct == s_vector == s_matrix
+
+    def test_known_answers(self):
+        # pinned so that no refactor silently re-keys saved models
+        assert mix64(0) == 0xE220A8397B1DCDAF
+        assert int(mix64_array(0)) == 0xE220A8397B1DCDAF
+        for role, ident, index, bits, expected in [("class", 3, 12345, 20, 20523),
+                                                   ("router", 0, 0, 14, 3503),
+                                                   ("router", 5, 7, 24, 10912980)]:
+            assert reference_slot(role, ident, index, bits) == expected
+            assert slot_of(role, ident, index, bits) == expected
+
+    def test_salts_of_many_ids_match_one_by_one(self):
+        ids = np.arange(50)
+        for role in ("router", "class"):
+            salts = key_salt(role, ids)
+            assert [int(key_salt(role, i)) for i in range(50)] == [int(v) for v in salts]
+            assert int(salts[7]) == mix64((7 << 1) | (role == "class"))
 
     def test_chi_square_uniformity(self):
         # 10^6 distinct inputs into 2^10 buckets: at least 99% of buckets
         # within +-10% of the expected mass
         mixed = mix64_array(np.arange(10**6, dtype=np.uint64))
-        slots = slots_from_mixed(key_salt("class", 0), mixed, 10)
+        slots = slot_matrix(key_salt("class", 0), mixed, 10)
         counts = np.bincount(slots, minlength=1024)
         expected = 10**6 / 1024
         within = np.mean((counts >= 0.9 * expected) & (counts <= 1.1 * expected))
@@ -78,22 +114,22 @@ class TestSlot:
 class TestMargin:
     def test_fresh_store_is_zero(self):
         store = WeightStore(bits=12)
-        assert margin(store, KEY, unit_example(5)) == 0.0
+        assert margin(store, unit_example(5)) == 0.0
 
     def test_single_term(self):
         store = WeightStore(bits=12)
-        store.weights[slot(KEY, 5, 12)] = 2.0
-        assert margin(store, KEY, unit_example(5)) == pytest.approx(2.0)
+        store.weights[slot_of(*KEY, 5, 12)] = 2.0
+        assert margin(store, unit_example(5)) == pytest.approx(2.0)
 
     def test_duplicate_indices_add(self):
         store = WeightStore(bits=12)
-        store.weights[slot(KEY, 5, 12)] = 0.5
+        store.weights[slot_of(*KEY, 5, 12)] = 0.5
         x = SparseExample.from_pairs(0, [(5, 1.0), (5, 1.0)])
-        assert margin(store, KEY, x) == pytest.approx(1.0)
+        assert margin(store, x) == pytest.approx(1.0)
 
     def test_empty_features(self):
         store = WeightStore(bits=12)
-        assert margin(store, KEY, SparseExample.from_pairs(0, [])) == 0.0
+        assert margin(store, SparseExample.from_pairs(0, [])) == 0.0
 
     def test_linearity_on_disjoint_slots(self):
         store = WeightStore(bits=14)
@@ -101,50 +137,50 @@ class TestMargin:
         store.weights = rng.normal(size=store.size()).astype(np.float32)
         a = [(1, 0.5), (2, -1.5)]
         b = [(3, 2.0), (4, 0.25)]
-        slots = {slot(KEY, i, 14) for i, _ in a + b}
+        slots = {slot_of(*KEY, i, 14) for i, _ in a + b}
         assert len(slots) == 4  # this seed collides on none of them
-        m_ab = margin(store, KEY, SparseExample.from_pairs(0, a + b))
-        m_a = margin(store, KEY, SparseExample.from_pairs(0, a))
-        m_b = margin(store, KEY, SparseExample.from_pairs(0, b))
+        m_ab = margin(store, SparseExample.from_pairs(0, a + b))
+        m_a = margin(store, SparseExample.from_pairs(0, a))
+        m_b = margin(store, SparseExample.from_pairs(0, b))
         assert m_ab == pytest.approx(m_a + m_b, abs=1e-12)
 
 
 class TestLearn:
     def test_first_step_is_half(self):
         store = WeightStore(bits=12)
-        learn(store, KEY, unit_example(5), 1.0, +1)
-        assert store.weights[slot(KEY, 5, 12)] == pytest.approx(0.5)
+        learn(store, unit_example(5), 1.0, +1)
+        assert store.weights[slot_of(*KEY, 5, 12)] == pytest.approx(0.5)
 
     def test_zero_importance_is_noop(self):
         store = WeightStore(bits=12)
-        learn(store, KEY, unit_example(5), 1.0, +1)
+        learn(store, unit_example(5), 1.0, +1)
         before = store.weights.tobytes()
-        learn(store, KEY, unit_example(5), 0.0, -1)
+        learn(store, unit_example(5), 0.0, -1)
         assert store.weights.tobytes() == before
 
     def test_two_opposite_steps(self):
         store = WeightStore(bits=12)
         x = unit_example(5)
-        learn(store, KEY, x, 1.0, +1)
-        learn(store, KEY, x, 1.0, -1)
-        assert store.weights[slot(KEY, 5, 12)] == pytest.approx(TWO_STEP_WEIGHT, abs=1e-6)
+        learn(store, x, 1.0, +1)
+        learn(store, x, 1.0, -1)
+        assert store.weights[slot_of(*KEY, 5, 12)] == pytest.approx(TWO_STEP_WEIGHT, abs=1e-6)
 
     def test_nonfinite_importance_rejected(self):
         store = WeightStore(bits=12)
         with pytest.raises(DomainError):
-            learn(store, KEY, unit_example(5), float("nan"), +1)
+            learn(store, unit_example(5), float("nan"), +1)
         with pytest.raises(DomainError):
-            learn(store, KEY, unit_example(5), float("inf"), +1)
+            learn(store, unit_example(5), float("inf"), +1)
 
     def test_negative_importance_rejected(self):
         store = WeightStore(bits=12)
         with pytest.raises(DomainError):
-            learn(store, KEY, unit_example(5), -1.0, +1)
+            learn(store, unit_example(5), -1.0, +1)
 
     def test_bad_label_rejected(self):
         store = WeightStore(bits=12)
         with pytest.raises(DomainError):
-            learn(store, KEY, unit_example(5), 1.0, 0)
+            learn(store, unit_example(5), 1.0, 0)
 
     @given(label=st.sampled_from([-1, 1]),
            importance=st.floats(0.01, 5.0),
@@ -154,10 +190,10 @@ class TestLearn:
     def test_margin_moves_toward_label(self, label, importance, value, start):
         store = WeightStore(bits=12)
         x = SparseExample.from_pairs(0, [(9, value)])
-        store.weights[slot(KEY, 9, 12)] = start
-        before = margin(store, KEY, x)
-        learn(store, KEY, x, importance, label)
-        after = margin(store, KEY, x)
+        store.weights[slot_of(*KEY, 9, 12)] = start
+        before = margin(store, x)
+        learn(store, x, importance, label)
+        after = margin(store, x)
         assert (after - before) * label > 0
 
     def test_gradient_matches_finite_differences(self):
@@ -168,7 +204,7 @@ class TestLearn:
         for _ in range(20):
             store = WeightStore(bits=12)
             store.weights = rng.normal(0, 0.3, size=store.size()).astype(np.float32)
-            key = ScorerKey("class", int(rng.integers(0, 50)))
+            key = ("class", int(rng.integers(0, 50)))
             nnz = int(rng.integers(1, 25))
             idx = rng.integers(0, 5000, size=nnz)
             vals = rng.uniform(-2, 2, size=nnz)
@@ -176,11 +212,10 @@ class TestLearn:
             label = int(rng.choice([-1, 1]))
             importance = float(rng.uniform(0.1, 3.0))
 
-            mixed = mix64_array(idx.astype(np.uint64))
-            slots = slots_from_mixed(key_salt("class", key.id), mixed, 12)
+            slots = example_slots(x, 12, key)
             w64 = store.weights.astype(np.float64).copy()
             before = store.weights.copy()
-            learn(store, key, x, importance, label)
+            learn(store, x, importance, label, key)
             applied = store.weights.astype(np.float64) - before.astype(np.float64)
 
             def loss(w):
@@ -205,19 +240,17 @@ class TestBatchOps:
         idx = np.array([3, 8, 8, 100])
         vals = np.array([1.0, -0.5, 0.25, 2.0])
         x = SparseExample(0, idx, vals)
-        keys = [ScorerKey("class", i) for i in range(6)]
-        mixed = mix64_array(idx.astype(np.uint64))
-        salts = np.array([key_salt("class", i) for i in range(6)])
-        batched = store.batch_margins(slot_matrix(salts, mixed, 14), vals)
-        for i, key in enumerate(keys):
-            assert batched[i] == pytest.approx(margin(store, key, x), abs=1e-9)
+        batched = store.batch_margins(slot_matrix(key_salt("class", np.arange(6)),
+                                                  mix64_array(idx), 14), vals)
+        assert batched.shape == (6,)
+        for i in range(6):
+            assert batched[i] == pytest.approx(margin(store, x, ("class", i)), abs=1e-9)
 
     def test_batch_learn_matches_sequential_when_slots_disjoint(self):
+        # a k-row step equals k one-row steps when no two rows share a slot
         idx = np.array([11, 222])
         vals = np.array([1.0, -0.75])
-        mixed = mix64_array(idx.astype(np.uint64))
-        salts = np.array([key_salt("class", i) for i in range(4)])
-        slots = slot_matrix(salts, mixed, 14)
+        slots = slot_matrix(key_salt("class", np.arange(4)), mix64_array(idx), 14)
         assert len(set(slots.ravel().tolist())) == slots.size  # disjoint here
 
         batch_store = WeightStore(bits=14)
@@ -226,7 +259,7 @@ class TestBatchOps:
 
         seq_store = WeightStore(bits=14)
         for row, lab in zip(slots, labels):
-            seq_store.learn_at(row, vals, 1.0, int(lab))
+            seq_store.batch_learn(row, vals, int(lab), importance=1.0)
         assert np.array_equal(batch_store.weights, seq_store.weights)
 
 
@@ -235,13 +268,13 @@ class TestAdaptive:
         # AdaGrad-style: the first touch of a slot steps by ~lr regardless
         # of how small the importance is
         store = WeightStore(bits=12, learning_rate=0.25, adaptive=True)
-        learn(store, KEY, unit_example(5), 1e-6, +1)
-        assert store.weights[slot(KEY, 5, 12)] == pytest.approx(0.25, rel=1e-4)
+        learn(store, unit_example(5), 1e-6, +1)
+        assert store.weights[slot_of(*KEY, 5, 12)] == pytest.approx(0.25, rel=1e-4)
 
     def test_plain_step_scales_with_importance(self):
         store = WeightStore(bits=12, learning_rate=0.25, adaptive=False)
-        learn(store, KEY, unit_example(5), 1e-6, +1)
-        assert store.weights[slot(KEY, 5, 12)] == pytest.approx(0.25 * 1e-6 * 0.5, rel=1e-3)
+        learn(store, unit_example(5), 1e-6, +1)
+        assert store.weights[slot_of(*KEY, 5, 12)] == pytest.approx(0.25 * 1e-6 * 0.5, rel=1e-3)
 
 
 class TestWeightStoreValidation:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from recalltree.errors import CorruptedModelError, ModelFormatError, ModelTypeError
-from recalltree.model_io import load_model, load_oaa, load_recall_tree, save_model
+from recalltree.cli import EX_FORMAT, main
+from recalltree.model_io import load_model, save_model
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import Hyperparams, RecallTreeModel
@@ -34,7 +35,8 @@ class TestRoundTrip:
         tree, _, _ = trained
         path = tmp_path / "tree.bin"
         save_model(tree, str(path))
-        loaded = load_recall_tree(str(path))
+        loaded = load_model(str(path))
+        assert isinstance(loaded, RecallTreeModel)
         assert loaded.params == tree.params
         assert loaded.num_raw_features == tree.num_raw_features
         assert loaded.examples_seen == tree.examples_seen
@@ -53,7 +55,8 @@ class TestRoundTrip:
         _, oaa, data = trained
         path = tmp_path / "oaa.bin"
         save_model(oaa, str(path))
-        loaded = load_oaa(str(path))
+        loaded = load_model(str(path))
+        assert isinstance(loaded, OaaModel)
         assert loaded.num_classes == 12
         for x in data[3000:3500]:
             assert loaded.predict(x) == oaa.predict(x)
@@ -115,21 +118,59 @@ class TestFormatErrors:
             load_model(str(path))
 
 
-class TestTypeTags:
-    def test_oaa_file_into_tree_loader(self, trained, tmp_path):
-        _, oaa, _ = trained
-        path = tmp_path / "oaa.bin"
-        save_model(oaa, str(path))
-        with pytest.raises(ModelTypeError):
-            load_recall_tree(str(path))
+class TestCorruptNodeTables:
+    """Each file is a valid model with one node-table invariant broken."""
 
-    def test_tree_file_into_oaa_loader(self, trained, tmp_path):
-        tree, _, _ = trained
+    def _broken_file(self, trained, tmp_path, breaks) -> str:
         path = tmp_path / "tree.bin"
-        save_model(tree, str(path))
-        with pytest.raises(ModelTypeError):
-            load_oaa(str(path))
+        save_model(trained[0], str(path))
+        model = load_model(str(path))
+        breaks(model)
+        save_model(model, str(path))
+        return str(path)
 
+    def test_candidate_missing_from_histogram(self, trained, tmp_path, capsys):
+        def breaks(model):
+            node = next(n for n in model.nodes if n.candidates)
+            del node.hist[node.candidates[-1]]
+
+        path = self._broken_file(trained, tmp_path, breaks)
+        with pytest.raises(CorruptedModelError):
+            load_model(path)
+        assert main(["inspect", "--model", path]) == EX_FORMAT
+        assert "candidate missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("root_names_leaf_as_parent", [False, True])
+    def test_child_pointer_back_to_root(self, trained, tmp_path, root_names_leaf_as_parent):
+        # a childless node above the depth cap links back to the root, a
+        # cycle that descent would follow forever; when the root also names
+        # that node as its parent, only the depth rule catches it
+        def breaks(model):
+            leaf = next(n for n in model.nodes
+                        if n.left is None and 0 < n.depth < model.params.max_depth)
+            leaf.left = leaf.right = 0
+            if root_names_leaf_as_parent:
+                model.root.parent = leaf.id
+
+        with pytest.raises(CorruptedModelError):
+            load_model(self._broken_file(trained, tmp_path, breaks))
+
+    @pytest.mark.parametrize("invariant", ["depth_cap", "one_child", "class_range"])
+    def test_other_broken_invariants(self, trained, tmp_path, invariant):
+        def breaks(model):
+            node = model.nodes[-1]
+            if invariant == "depth_cap":
+                node.depth = model.params.max_depth + 1
+            elif invariant == "one_child":
+                model.root.right = None
+            else:
+                node.hist[model.num_classes] = 1
+
+        with pytest.raises(CorruptedModelError):
+            load_model(self._broken_file(trained, tmp_path, breaks))
+
+
+class TestTypeTags:
     def test_generic_loader_dispatches_on_tag(self, trained, tmp_path):
         tree, oaa, _ = trained
         tp, op = tmp_path / "t.bin", tmp_path / "o.bin"

@@ -3,12 +3,11 @@ import pytest
 
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
-from recalltree.linear import ScorerKey, slot
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import Hyperparams, RecallTreeModel
 
-from conftest import accuracy, quadrant_examples
+from conftest import accuracy, quadrant_examples, slot_of
 
 
 class TestTraining:
@@ -16,8 +15,8 @@ class TestTraining:
         model = OaaModel(2, bits=14)
         model.train_example(SparseExample.from_pairs(1, [(3, 1.0)]))
         w = model.class_store.weights
-        assert w[slot(ScorerKey("class", 1), 3, 14)] == pytest.approx(0.5)
-        assert w[slot(ScorerKey("class", 0), 3, 14)] == pytest.approx(-0.5)
+        assert w[slot_of("class", 1, 3, 14)] == pytest.approx(0.5)
+        assert w[slot_of("class", 0, 3, 14)] == pytest.approx(-0.5)
         assert np.count_nonzero(w) == 2
 
     def test_single_class_degenerate(self):
@@ -45,7 +44,7 @@ class TestPrediction:
     def test_hand_set_weights_pick_the_favored_class(self):
         model = OaaModel(6, bits=14)
         model.examples_seen = 1
-        model.class_store.weights[slot(ScorerKey("class", 3), 2, 14)] = 5.0
+        model.class_store.weights[slot_of("class", 3, 2, 14)] = 5.0
         assert model.predict(SparseExample.from_pairs(0, [(2, 1.0)])) == 3
 
     def test_scored_classes_is_always_k(self):

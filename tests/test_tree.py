@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
-from recalltree.linear import ScorerKey, mix64_array, slot
+from recalltree.linear import mix64_array
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import (
     ROUTER_SIGN_PAPER_LITERAL,
@@ -21,7 +21,7 @@ from recalltree.tree import (
     update_candidates,
 )
 
-from conftest import accuracy, quadrant_examples
+from conftest import accuracy, quadrant_examples, slot_of
 
 
 def make_node(counts: dict[int, int], num_candidates: int) -> TreeNode:
@@ -150,8 +150,7 @@ class TestUpdateRouter:
         return model
 
     def _router_weight(self, model, feature_index):
-        return float(model.router_store.weights[slot(ScorerKey("router", 0),
-                                                     feature_index, 16)])
+        return float(model.router_store.weights[slot_of("router", 0, feature_index, 16)])
 
     def _run_update(self, model, y):
         x = SparseExample.from_pairs(y, [(1, 1.0)])
@@ -253,7 +252,7 @@ class TestTrainExample:
         # features of the traversed nodes 2, 4, 6
         expected = {}
         for idx, val in [(0, 1.0), (2, 0.5), (4 + 2, 1.0), (4 + 4, 1.0), (4 + 6, 1.0)]:
-            expected[slot(ScorerKey("class", 5), idx, 16)] = 0.5 * val
+            expected[slot_of("class", 5, idx, 16)] = 0.5 * val
         nonzero = np.nonzero(model.class_store.weights)[0]
         assert set(nonzero.tolist()) == set(expected)
         for s, v in expected.items():
