@@ -178,11 +178,11 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     examples = read_examples(args.data)
-    predictions = [model.predict(x) for x in examples]
+    predictions = model.predict_batch(examples)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for p in predictions:
-            out.write(f"{p}\n")
+            out.write(f"{p.label}\n")
     finally:
         if args.output:
             out.close()

@@ -90,10 +90,8 @@ def ledger_snapshot(model: RecallTreeModel, examples: list[SparseExample]) -> En
         raise DomainError("ledger snapshot needs a non-empty dataset")
     by_node: dict[int, dict[int, int]] = {}
     marginal: dict[int, int] = {}
-    for x in examples:
-        node = model.halting_node(x)
-        by_node.setdefault(node.id, {})
-        counts = by_node[node.id]
+    for x, p in zip(examples, model.predict_batch(examples)):
+        counts = by_node.setdefault(p.node_id, {})
         counts[x.label] = counts.get(x.label, 0) + 1
         marginal[x.label] = marginal.get(x.label, 0) + 1
 

@@ -70,11 +70,13 @@ def key_salt(role: str, ids):
 def slot_matrix(salts, mixed: np.ndarray, bits: int) -> np.ndarray:
     """Slots of pre-mixed feature indices in a ``2^bits`` table.
 
-    A 0-d salt gives an ``(n,)`` row; ``(k,)`` salts give a ``(k, n)``
-    table, one row per scorer.
+    ``salts[..., None]`` broadcasts against ``mixed``: a 0-d salt gives an
+    ``(n,)`` row, ``(k,)`` salts give a ``(k, n)`` table (one row per
+    scorer), and ``(rows, k)`` salts with ``(rows, 1, n)`` features give a
+    ``(rows, k, n)`` stack, one table per example.
     """
     _check_bits(bits)
-    x = np.bitwise_xor.outer(salts, mixed)
+    x = np.asarray(salts, dtype=np.uint64)[..., None] ^ mixed
     _finalize(x)
     x &= np.uint64((1 << bits) - 1)
     return x.view(np.int64)
@@ -105,7 +107,11 @@ class WeightStore:
         """Sum of value * weight over an example's features; duplicates add.
 
         ``slots`` is ``(n_feats,)`` for one scorer (a float64 scalar comes
-        back) or ``(n_keys, n_feats)`` for many (one margin per row).
+        back) or ``(n_keys, n_feats)`` for many (one margin per row).  A
+        stack of examples passes ``(rows, n_keys, n_feats)`` slots with
+        ``(rows, n_feats, 1)`` values and gets ``(rows, n_keys, 1)``
+        margins: matmul runs the same BLAS dot or matrix-vector product on
+        each example as on it alone, so stacking changes no bit.
         """
         return self.weights[slots].astype(np.float64) @ values
 

@@ -6,10 +6,12 @@ One container for both model types::
 
 The tree payload carries the hyperparameters, the node table (histograms
 as sorted (class, count) pairs plus the ranked candidate list), and the
-two weight stores; the one-against-all payload carries its class store
-only.  Integers are little-endian fixed width; weight arrays are raw
-little-endian float32.  Hyperparameter reals are stored as float64 so a
-loaded model reproduces the original's predictions bit for bit.
+two weight stores; the one-against-all payload carries its flags byte and
+its class store.  Version 1 files, whose one-against-all payload has no
+flags byte, still load, as plain SGD.  Integers are little-endian fixed
+width; weight arrays are raw little-endian float32.  Hyperparameter reals
+are stored as float64 so a loaded model reproduces the original's
+predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .tree import (
 )
 
 MAGIC = b"RCLT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 TYPE_RECALL_TREE = 1
 TYPE_OAA = 2
 
@@ -43,7 +45,8 @@ _FLAG_ADAPTIVE_LR = 4
 def _write_store(fh, store: WeightStore) -> None:
     fh.write(struct.pack("<Bd", store.bits, store.learning_rate))
     fh.write(struct.pack("<Q", store.weights.size))
-    fh.write(store.weights.astype("<f4", copy=False).tobytes())
+    # the array's own buffer: no copy on a little-endian host
+    fh.write(store.weights.astype("<f4", copy=False).data)
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -63,8 +66,12 @@ def _read_store(fh, adaptive: bool) -> WeightStore:
     if length != 1 << bits:
         raise CorruptedModelError(f"weight array length {length} does not match bits={bits}")
     store = WeightStore(bits, lr, adaptive)
-    raw = _read_exact(fh, 4 * length)
-    store.weights = np.frombuffer(raw, dtype="<f4").astype(np.float32).copy()
+    weights = np.empty(length, dtype="<f4")
+    got = fh.readinto(weights.data.cast("B"))
+    if got != 4 * length:
+        raise CorruptedModelError(f"model file truncated: wanted {4 * length} bytes, got {got}")
+    # the file's array itself on a little-endian host
+    store.weights = weights.astype(np.float32, copy=False)
     return store
 
 
@@ -122,7 +129,8 @@ def save_model(model, path: str) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<BB", FORMAT_VERSION, tag))
         if tag == TYPE_OAA:
-            fh.write(struct.pack("<IQ", model.num_classes, model.examples_seen))
+            flags = _FLAG_ADAPTIVE_LR if model.class_store.adaptive else 0
+            fh.write(struct.pack("<IQB", model.num_classes, model.examples_seen, flags))
             _write_store(fh, model.class_store)
             return
         p = model.params
@@ -151,16 +159,16 @@ def save_model(model, path: str) -> None:
         _write_store(fh, model.class_store)
 
 
-def _check_header(fh) -> int:
+def _check_header(fh) -> tuple[int, int]:
     magic = _read_exact(fh, 4)
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     version, tag = _read_struct(fh, "<BB")
-    if version != FORMAT_VERSION:
+    if not 1 <= version <= FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
     if tag not in (TYPE_RECALL_TREE, TYPE_OAA):
         raise ModelFormatError(f"unknown model type tag {tag}")
-    return tag
+    return version, tag
 
 
 def _expect_eof(fh) -> None:
@@ -223,11 +231,13 @@ def _load_tree(fh) -> RecallTreeModel:
     return model
 
 
-def _load_oaa(fh) -> OaaModel:
+def _load_oaa(fh, version: int) -> OaaModel:
     num_classes, examples_seen = _read_struct(fh, "<IQ")
-    store = _read_store(fh, adaptive=False)
+    (flags,) = _read_struct(fh, "<B") if version >= 2 else (0,)
+    adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
+    store = _read_store(fh, adaptive)
     _expect_eof(fh)
-    model = OaaModel(num_classes, store.bits, store.learning_rate)
+    model = OaaModel(num_classes, store.bits, store.learning_rate, adaptive)
     model.class_store = store
     model.examples_seen = examples_seen
     return model
@@ -236,6 +246,6 @@ def _load_oaa(fh) -> OaaModel:
 def load_model(path: str):
     """Load whichever model type the file holds."""
     with open(path, "rb") as fh:
-        tag = _check_header(fh)
-        return _load_tree(fh) if tag == TYPE_RECALL_TREE else _load_oaa(fh)
+        version, tag = _check_header(fh)
+        return _load_tree(fh) if tag == TYPE_RECALL_TREE else _load_oaa(fh, version)
 

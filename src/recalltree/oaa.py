@@ -63,5 +63,8 @@ class OaaModel:
     def predict(self, x: SparseExample) -> int:
         return self.predict_full(x).label
 
+    def predict_batch(self, examples: list[SparseExample]) -> list[Prediction]:
+        return [self.predict_full(x) for x in examples]
+
     def margins(self, x: SparseExample) -> np.ndarray:
         return self.class_store.batch_margins(self._slots(x), x.values)

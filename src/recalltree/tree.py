@@ -34,6 +34,11 @@ _NEG_INF = float("-inf")
 # Entropy differences below this are treated as zero: no router update.
 MIN_ROUTER_IMPORTANCE = 1e-12
 
+# Examples per block of ``predict_batch``.  The block bounds the transient
+# (rows, k, n) candidate stacks; on a K=4096 tree (2-vCPU Xeon) the time per
+# example hardly changed from 64 to 1,000 rows.
+BATCH_ROWS = 256
+
 ROUTER_SIGN_CORRECTED = "corrected"
 ROUTER_SIGN_PAPER_LITERAL = "literal"
 _ROUTER_SIGNS = (ROUTER_SIGN_CORRECTED, ROUTER_SIGN_PAPER_LITERAL)
@@ -147,7 +152,8 @@ def update_candidates(node: TreeNode, label: int, num_candidates: int) -> None:
     """Count ``label`` at the node and restore the top-F candidate list.
 
     A single increment can only promote one class, so the ordered list is
-    repaired in O(F) without a full re-sort.
+    repaired in O(F) without a full re-sort, and ``cand_total`` changes only
+    by the counts that entered or left the list.
     """
     c = node.hist.get(label, 0)
     node.hist[label] = c + 1
@@ -157,19 +163,20 @@ def update_candidates(node: TreeNode, label: int, num_candidates: int) -> None:
     cands = node.candidates
     if label in cands:
         i = cands.index(label)
+        node.cand_total += 1
     elif len(cands) < num_candidates:
         cands.append(label)
         i = len(cands) - 1
+        node.cand_total += c + 1
     elif _beats(node, label, cands[-1]):
+        node.cand_total += c + 1 - node.hist[cands[-1]]
         cands[-1] = label
         i = len(cands) - 1
     else:
-        node.cand_total = sum(node.hist[c] for c in cands)
         return
     while i > 0 and _beats(node, cands[i], cands[i - 1]):
         cands[i], cands[i - 1] = cands[i - 1], cands[i]
         i -= 1
-    node.cand_total = sum(node.hist[c] for c in cands)
 
 
 def recall_lower_bound(node: TreeNode, depth_penalty: float, multiplier: float) -> float:
@@ -274,14 +281,17 @@ class RecallTreeModel:
 
     # -- feature plumbing ---------------------------------------------------
 
+    def _check_indices(self, indices: np.ndarray) -> None:
+        if indices.size and int(indices.max()) >= self.num_raw_features:
+            raise DomainError(
+                f"feature index {int(indices.max())} outside the declared "
+                f"raw feature space of width {self.num_raw_features}"
+            )
+
     def _buffers(self, x: SparseExample) -> tuple[np.ndarray, np.ndarray, int]:
         """Check the example and return its mixed indices and values in
         buffers with room for one path feature per level."""
-        if x.indices.size and int(x.indices.max()) >= self.num_raw_features:
-            raise DomainError(
-                f"feature index {int(x.indices.max())} outside the declared "
-                f"raw feature space of width {self.num_raw_features}"
-            )
+        self._check_indices(x.indices)
         if len(self._router_salts) < len(self.nodes):
             self._node_keys()
         nnz = x.indices.size
@@ -411,6 +421,94 @@ class RecallTreeModel:
 
     def predict(self, x: SparseExample) -> int:
         return self.predict_full(x).label
+
+    def predict_batch(self, examples: list[SparseExample]) -> list[Prediction]:
+        """``[self.predict_full(x) for x in examples]``, bit for bit, with the
+        descent and the candidate scoring done for many examples at once.
+
+        Examples go in blocks of ``BATCH_ROWS``.  Within a block the rows of
+        one raw length descend together, level by level, with one
+        ``slot_matrix`` and one ``batch_margins`` call per level; the rows
+        that halt at one node are then scored as one ``(rows, k, n)`` stack.
+        Every row's margins come from the same BLAS product, over the same
+        features in the same order, as in ``predict_full``.
+        """
+        if not examples:
+            return []
+        if self.examples_seen == 0:
+            raise UntrainedModelError("model has seen no training examples")
+        if len(self._router_salts) < len(self.nodes):
+            self._node_keys()
+        # the live node table as arrays, rebuilt on every call so that
+        # training between calls needs no invalidation
+        nodes = self.nodes
+        table = (
+            np.array(self._router_salts, dtype=np.uint64),
+            np.array(self._path_mixed, dtype=np.uint64),
+            np.array([-1 if n.left is None else n.left for n in nodes]),
+            np.array([-1 if n.right is None else n.right for n in nodes]),
+            np.array([n.depth < self.params.max_depth and n.left is not None for n in nodes]),
+            np.array([self.bound(n) for n in nodes]),
+        )
+        out: list[Prediction] = []
+        for start in range(0, len(examples), BATCH_ROWS):
+            out += self._predict_block(examples[start:start + BATCH_ROWS], table)
+        return out
+
+    def _predict_block(self, block: list[SparseExample], table) -> list[Prediction]:
+        router_salts, path_mixed, left, right, descends, bounds = table
+        params = self.params
+        preds: list[Prediction] = [None] * len(block)
+        lengths = np.array([x.indices.size for x in block])
+        for nnz in np.unique(lengths).tolist():
+            rows = np.flatnonzero(lengths == nnz)
+            cap = nnz + params.max_depth  # one path feature per level below the root
+            mixed = np.empty((rows.size, cap), dtype=np.uint64)
+            values = np.empty((rows.size, cap), dtype=np.float64)
+            if nnz:
+                indices = np.stack([block[i].indices for i in rows])
+                self._check_indices(indices)
+                mixed[:, :nnz] = mix64_array(indices)
+                values[:, :nnz] = np.stack([block[i].values for i in rows])
+
+            # descend: ``live`` holds the rows still routing, all at one depth
+            node = np.zeros(rows.size, dtype=np.int64)
+            router_evals = np.zeros(rows.size, dtype=np.int64)
+            live = np.flatnonzero(descends[node])
+            n = nnz
+            while live.size:
+                at = node[live]
+                slots = slot_matrix(router_salts[at, None], mixed[live, None, :n], params.bits)
+                routed = self.router_store.batch_margins(slots, values[live, :n, None])[:, 0, 0]
+                router_evals[live] += 1
+                child = np.where(routed > 0, left[at], right[at])
+                moves = ~(bounds[at] > bounds[child])
+                live = live[moves]
+                node[live] = child[moves]
+                if params.path_features:
+                    mixed[live, n] = path_mixed[node[live]]
+                    values[live, n] = 1.0
+                    n += 1
+                live = live[descends[node[live]]]
+
+            for nid in np.unique(node).tolist():
+                halted = np.flatnonzero(node == nid)
+                halt = self.nodes[nid]
+                ids = sorted(halt.candidates)
+                if ids:
+                    width = nnz + halt.depth if params.path_features else nnz
+                    slots = slot_matrix(self._class_salts[np.array(ids, dtype=np.int64)],
+                                        mixed[halted, None, :width], params.bits)
+                    margins = self.class_store.batch_margins(
+                        slots, values[halted, :width, None])[..., 0]
+                    # first maximum per row: ties to the smaller class id
+                    labels = np.array(ids)[np.argmax(margins, axis=1)].tolist()
+                else:
+                    labels = [0] * halted.size
+                for i, label, evals in zip(rows[halted].tolist(), labels,
+                                           router_evals[halted].tolist()):
+                    preds[i] = Prediction(label, len(ids), evals, nid, halt.depth)
+        return preds
 
     def halting_node(self, x: SparseExample) -> TreeNode:
         """The node where a frozen descent stops for this example."""

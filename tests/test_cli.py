@@ -10,7 +10,8 @@ from recalltree.cli import (
     build_parser,
     main,
 )
-from recalltree.model_io import save_model
+from recalltree.data import read_examples
+from recalltree.model_io import load_model, save_model
 from recalltree.tree import Hyperparams, RecallTreeModel
 
 
@@ -95,6 +96,8 @@ class TestPredict:
         lines = out_path.read_text().splitlines()
         assert len(lines) == 3000
         assert all(0 <= int(v) < 8 for v in lines)
+        model = load_model(str(model_path))
+        assert [int(v) for v in lines] == [model.predict(x) for x in read_examples(str(data))]
 
     def test_empty_input_gives_empty_output(self, workdir, tmp_path, capsys):
         root, data = workdir

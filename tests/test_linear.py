@@ -246,6 +246,26 @@ class TestBatchOps:
         for i in range(6):
             assert batched[i] == pytest.approx(margin(store, x, ("class", i)), abs=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 24])
+    @pytest.mark.parametrize("n", [0, 1, 7, 33])
+    def test_stacked_examples_match_one_by_one_bit_for_bit(self, k, n):
+        store = WeightStore(bits=14)
+        rng = np.random.default_rng(k * 100 + n)
+        store.weights = rng.normal(size=store.size()).astype(np.float32)
+        rows = 9
+        salts = key_salt("class", rng.integers(0, 50, size=(rows, k)))
+        mixed = mix64_array(rng.integers(0, 1000, size=(rows, n)))
+        vals = rng.normal(size=(rows, n))
+        slots = slot_matrix(salts, mixed[:, None, :], 14)
+        assert slots.shape == (rows, k, n)
+        stacked = store.batch_margins(slots, vals[..., None])[..., 0]
+        for r in range(rows):
+            one = slot_matrix(salts[r], mixed[r], 14)
+            assert np.array_equal(slots[r], one)
+            assert np.array_equal(stacked[r], store.batch_margins(one, vals[r]))
+            if k == 1:  # a router: one 1-D dot per example
+                assert stacked[r, 0] == store.batch_margins(one[0], vals[r])
+
     def test_batch_learn_matches_sequential_when_slots_disjoint(self):
         # a k-row step equals k one-row steps when no two rows share a slot
         idx = np.array([11, 222])

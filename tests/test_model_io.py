@@ -61,6 +61,22 @@ class TestRoundTrip:
         for x in data[3000:3500]:
             assert loaded.predict(x) == oaa.predict(x)
 
+    def test_oaa_adaptive_flag_survives_round_trip(self, trained, tmp_path):
+        _, _, data = trained
+        for adaptive in (False, True):
+            oaa = OaaModel(12, bits=14, adaptive_lr=adaptive).train(data[:200])
+            path = tmp_path / "oaa.bin"
+            save_model(oaa, str(path))
+            assert load_model(str(path)).class_store.adaptive is adaptive
+
+    def test_stores_are_raw_little_endian_float32(self, trained, tmp_path):
+        tree, oaa, _ = trained
+        for model in (tree, oaa):
+            path = tmp_path / "model.bin"
+            save_model(model, str(path))
+            raw = model.class_store.weights.astype("<f4").tobytes()
+            assert path.read_bytes().endswith(raw)
+
     def test_save_is_deterministic_for_identical_training(self, tmp_path):
         spec = SynthSpec("voronoi", num_classes=8, dimensions=4, num_examples=2000,
                          noise=0.2, seed=5)
@@ -111,11 +127,52 @@ class TestFormatErrors:
         with pytest.raises(CorruptedModelError):
             load_model(str(path))
 
+    def test_store_short_by_one_byte_is_a_corruption_error(self, trained, tmp_path):
+        tree, oaa, _ = trained
+        for model in (tree, oaa):
+            path = tmp_path / "model.bin"
+            save_model(model, str(path))
+            # the class store is the last section of both payloads
+            path.write_bytes(path.read_bytes()[:-1])
+            with pytest.raises(CorruptedModelError, match="truncated"):
+                load_model(str(path))
+
     def test_trailing_bytes_are_a_corruption_error(self, trained, tmp_path):
         blob, path = self._tree_bytes(trained, tmp_path)
         path.write_bytes(bytes(blob) + b"\x00")
         with pytest.raises(CorruptedModelError):
             load_model(str(path))
+
+
+class TestVersionOne:
+    """Format version 1 files load; they differ from version 2 only in the
+    version byte and, for one-against-all, in lacking the flags byte."""
+
+    def test_tree(self, trained, tmp_path):
+        tree, _, data = trained
+        path = tmp_path / "tree.bin"
+        save_model(tree, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[4] = 1
+        path.write_bytes(bytes(blob))
+        loaded = load_model(str(path))
+        assert loaded.params == tree.params
+        assert np.array_equal(loaded.class_store.weights, tree.class_store.weights)
+        assert [loaded.predict(x) for x in data[3000:3300]] == \
+            [tree.predict(x) for x in data[3000:3300]]
+
+    def test_oaa_loads_as_plain_sgd(self, trained, tmp_path):
+        _, _, data = trained
+        oaa = OaaModel(12, bits=14, adaptive_lr=True).train(data[:200])
+        path = tmp_path / "oaa.bin"
+        save_model(oaa, str(path))
+        blob = path.read_bytes()
+        # magic, version, tag, then <IQ> and the flags byte at offset 18
+        path.write_bytes(blob[:4] + b"\x01" + blob[5:18] + blob[19:])
+        loaded = load_model(str(path))
+        assert loaded.class_store.adaptive is False
+        assert loaded.examples_seen == 200
+        assert np.array_equal(loaded.class_store.weights, oaa.class_store.weights)
 
 
 class TestCorruptNodeTables:

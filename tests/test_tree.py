@@ -366,6 +366,19 @@ class TestInvariants:
             brute = [c for c, _ in sorted(node.hist.items(), key=lambda kv: (-kv[1], kv[0]))]
             assert node.candidates == brute[:F]
 
+    @given(st.lists(st.integers(0, 11), min_size=1, max_size=120), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_cand_total_tracks_candidates_under_random_labels(self, labels, num_candidates):
+        model = RecallTreeModel(12, 3, Hyperparams(max_depth=3, num_candidates=num_candidates,
+                                                   bits=10))
+        for i, y in enumerate(labels):
+            model.train_example(SparseExample.from_pairs(y, [(y % 3, 1.0), (i % 3, -0.5)]))
+            for node in model.nodes:
+                assert node.cand_total == sum(node.hist[c] for c in node.candidates)
+        for node in model.nodes:
+            brute = [c for c, _ in sorted(node.hist.items(), key=lambda kv: (-kv[1], kv[0]))]
+            assert node.candidates == brute[:num_candidates]
+
     def test_depth_cap(self):
         model, data = self._trained()
         assert all(n.depth <= model.params.max_depth for n in model.nodes)
