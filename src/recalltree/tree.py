@@ -494,15 +494,15 @@ class RecallTreeModel:
             for nid in np.unique(node).tolist():
                 halted = np.flatnonzero(node == nid)
                 halt = self.nodes[nid]
-                ids = sorted(halt.candidates)
-                if ids:
+                ids = np.array(sorted(halt.candidates), dtype=np.int64)
+                if ids.size:
                     width = nnz + halt.depth if params.path_features else nnz
-                    slots = slot_matrix(self._class_salts[np.array(ids, dtype=np.int64)],
-                                        mixed[halted, None, :width], params.bits)
+                    slots = slot_matrix(self._class_salts[ids], mixed[halted, None, :width],
+                                        params.bits)
                     margins = self.class_store.batch_margins(
                         slots, values[halted, :width, None])[..., 0]
                     # first maximum per row: ties to the smaller class id
-                    labels = np.array(ids)[np.argmax(margins, axis=1)].tolist()
+                    labels = ids[np.argmax(margins, axis=1)].tolist()
                 else:
                     labels = [0] * halted.size
                 for i, label, evals in zip(rows[halted].tolist(), labels,
