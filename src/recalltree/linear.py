@@ -70,13 +70,15 @@ def key_salt(role: str, ids):
 def slot_matrix(salts, mixed: np.ndarray, bits: int) -> np.ndarray:
     """Slots of pre-mixed feature indices in a ``2^bits`` table.
 
-    ``salts[..., None]`` broadcasts against ``mixed``: a 0-d salt gives an
-    ``(n,)`` row, ``(k,)`` salts give a ``(k, n)`` table (one row per
-    scorer), and ``(rows, k)`` salts with ``(rows, 1, n)`` features give a
-    ``(rows, k, n)`` stack, one table per example.
+    ``salts`` is uint64 as ``key_salt`` gives it (a 0-d array, an
+    ``np.uint64`` scalar or an array), and ``salts[..., None]`` broadcasts
+    against ``mixed``: a 0-d salt gives an ``(n,)`` row, ``(k,)`` salts give
+    a ``(k, n)`` table (one row per scorer), and ``(rows, k)`` salts with
+    ``(rows, 1, n)`` features give a ``(rows, k, n)`` stack, one table per
+    example.
     """
     _check_bits(bits)
-    x = np.asarray(salts, dtype=np.uint64)[..., None] ^ mixed
+    x = salts[..., None] ^ mixed
     _finalize(x)
     x &= np.uint64((1 << bits) - 1)
     return x.view(np.int64)

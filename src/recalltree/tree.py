@@ -34,10 +34,17 @@ _NEG_INF = float("-inf")
 # Entropy differences below this are treated as zero: no router update.
 MIN_ROUTER_IMPORTANCE = 1e-12
 
-# Examples per block of ``predict_batch``.  The block bounds the transient
+# Rows per block of ``predict_batch``.  The block bounds the transient
 # (rows, k, n) candidate stacks; on a K=4096 tree (2-vCPU Xeon) the time per
 # example hardly changed from 64 to 1,000 rows.
 BATCH_ROWS = 256
+
+# ``predict_batch`` descends the rows of one raw length together and pays a
+# fixed numpy cost per level, however few rows there are.  Lengths shared by
+# fewer rows than this go through ``predict_full`` instead: on K=64, 1024 and
+# 4096 trees (2-vCPU Xeon) a batch of 3 rows cost about as much as 3 calls to
+# ``predict_full``, and a batch of 4 about 0.85 as much.
+MIN_BATCH_ROWS = 4
 
 ROUTER_SIGN_CORRECTED = "corrected"
 ROUTER_SIGN_PAPER_LITERAL = "literal"
@@ -426,12 +433,15 @@ class RecallTreeModel:
         """``[self.predict_full(x) for x in examples]``, bit for bit, with the
         descent and the candidate scoring done for many examples at once.
 
-        Examples go in blocks of ``BATCH_ROWS``.  Within a block the rows of
-        one raw length descend together, level by level, with one
-        ``slot_matrix`` and one ``batch_margins`` call per level; the rows
-        that halt at one node are then scored as one ``(rows, k, n)`` stack.
-        Every row's margins come from the same BLAS product, over the same
-        features in the same order, as in ``predict_full``.
+        The rows of one raw length, wherever they sit in ``examples``,
+        descend together in blocks of ``BATCH_ROWS``, level by level, with
+        one ``slot_matrix`` and one ``batch_margins`` call per level; the
+        rows of a block that halt at one node are then scored as one
+        ``(rows, k, n)`` stack.  Every row's margins come from the same BLAS
+        product, over the same features in the same order, as in
+        ``predict_full``.  So the speed-up depends on many rows sharing a
+        length; a length with fewer than ``MIN_BATCH_ROWS`` rows goes
+        through ``predict_full``.
         """
         if not examples:
             return []
@@ -450,64 +460,73 @@ class RecallTreeModel:
             np.array([n.depth < self.params.max_depth and n.left is not None for n in nodes]),
             np.array([self.bound(n) for n in nodes]),
         )
-        out: list[Prediction] = []
-        for start in range(0, len(examples), BATCH_ROWS):
-            out += self._predict_block(examples[start:start + BATCH_ROWS], table)
-        return out
+        preds: list[Prediction] = [None] * len(examples)
+        lengths = np.array([x.indices.size for x in examples])
+        order = np.argsort(lengths, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+            if group.size < MIN_BATCH_ROWS:
+                for i in group.tolist():
+                    preds[i] = self.predict_full(examples[i])
+                continue
+            for start in range(0, group.size, BATCH_ROWS):
+                block = group[start:start + BATCH_ROWS].tolist()
+                found = self._predict_block([examples[i] for i in block], table)
+                for i, p in zip(block, found):
+                    preds[i] = p
+        return preds
 
     def _predict_block(self, block: list[SparseExample], table) -> list[Prediction]:
+        """Predictions for examples that all have the same raw length."""
         router_salts, path_mixed, left, right, descends, bounds = table
         params = self.params
+        nnz = block[0].indices.size
+        cap = nnz + params.max_depth  # one path feature per level below the root
+        mixed = np.empty((len(block), cap), dtype=np.uint64)
+        values = np.empty((len(block), cap), dtype=np.float64)
+        if nnz:
+            indices = np.stack([x.indices for x in block])
+            self._check_indices(indices)
+            mixed[:, :nnz] = mix64_array(indices)
+            values[:, :nnz] = np.stack([x.values for x in block])
+
+        # descend: ``live`` holds the rows still routing, all at one depth
+        node = np.zeros(len(block), dtype=np.int64)
+        router_evals = np.zeros(len(block), dtype=np.int64)
+        live = np.flatnonzero(descends[node])
+        n = nnz
+        while live.size:
+            at = node[live]
+            slots = slot_matrix(router_salts[at, None], mixed[live, None, :n], params.bits)
+            routed = self.router_store.batch_margins(slots, values[live, :n, None])[:, 0, 0]
+            router_evals[live] += 1
+            child = np.where(routed > 0, left[at], right[at])
+            moves = ~(bounds[at] > bounds[child])
+            live = live[moves]
+            node[live] = child[moves]
+            if params.path_features:
+                mixed[live, n] = path_mixed[node[live]]
+                values[live, n] = 1.0
+                n += 1
+            live = live[descends[node[live]]]
+
         preds: list[Prediction] = [None] * len(block)
-        lengths = np.array([x.indices.size for x in block])
-        for nnz in np.unique(lengths).tolist():
-            rows = np.flatnonzero(lengths == nnz)
-            cap = nnz + params.max_depth  # one path feature per level below the root
-            mixed = np.empty((rows.size, cap), dtype=np.uint64)
-            values = np.empty((rows.size, cap), dtype=np.float64)
-            if nnz:
-                indices = np.stack([block[i].indices for i in rows])
-                self._check_indices(indices)
-                mixed[:, :nnz] = mix64_array(indices)
-                values[:, :nnz] = np.stack([block[i].values for i in rows])
-
-            # descend: ``live`` holds the rows still routing, all at one depth
-            node = np.zeros(rows.size, dtype=np.int64)
-            router_evals = np.zeros(rows.size, dtype=np.int64)
-            live = np.flatnonzero(descends[node])
-            n = nnz
-            while live.size:
-                at = node[live]
-                slots = slot_matrix(router_salts[at, None], mixed[live, None, :n], params.bits)
-                routed = self.router_store.batch_margins(slots, values[live, :n, None])[:, 0, 0]
-                router_evals[live] += 1
-                child = np.where(routed > 0, left[at], right[at])
-                moves = ~(bounds[at] > bounds[child])
-                live = live[moves]
-                node[live] = child[moves]
-                if params.path_features:
-                    mixed[live, n] = path_mixed[node[live]]
-                    values[live, n] = 1.0
-                    n += 1
-                live = live[descends[node[live]]]
-
-            for nid in np.unique(node).tolist():
-                halted = np.flatnonzero(node == nid)
-                halt = self.nodes[nid]
-                ids = np.array(sorted(halt.candidates), dtype=np.int64)
-                if ids.size:
-                    width = nnz + halt.depth if params.path_features else nnz
-                    slots = slot_matrix(self._class_salts[ids], mixed[halted, None, :width],
-                                        params.bits)
-                    margins = self.class_store.batch_margins(
-                        slots, values[halted, :width, None])[..., 0]
-                    # first maximum per row: ties to the smaller class id
-                    labels = ids[np.argmax(margins, axis=1)].tolist()
-                else:
-                    labels = [0] * halted.size
-                for i, label, evals in zip(rows[halted].tolist(), labels,
-                                           router_evals[halted].tolist()):
-                    preds[i] = Prediction(label, len(ids), evals, nid, halt.depth)
+        for nid in np.unique(node).tolist():
+            halted = np.flatnonzero(node == nid)
+            halt = self.nodes[nid]
+            ids = np.array(sorted(halt.candidates), dtype=np.int64)
+            if ids.size:
+                width = nnz + halt.depth if params.path_features else nnz
+                slots = slot_matrix(self._class_salts[ids], mixed[halted, None, :width],
+                                    params.bits)
+                margins = self.class_store.batch_margins(
+                    slots, values[halted, :width, None])[..., 0]
+                # first maximum per row: ties to the smaller class id
+                labels = ids[np.argmax(margins, axis=1)].tolist()
+            else:
+                labels = [0] * halted.size
+            for i, label, evals in zip(halted.tolist(), labels,
+                                       router_evals[halted].tolist()):
+                preds[i] = Prediction(label, len(ids), evals, nid, halt.depth)
         return preds
 
     def halting_node(self, x: SparseExample) -> TreeNode:

@@ -11,7 +11,7 @@ from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
 from recalltree.model_io import load_model, save_model
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import BATCH_ROWS, Hyperparams, RecallTreeModel
+from recalltree.tree import BATCH_ROWS, MIN_BATCH_ROWS, Hyperparams, RecallTreeModel
 
 SPEC = SynthSpec("hierarchical-clusters", num_classes=32, dimensions=5,
                  num_examples=3000, noise=0.05, seed=11)
@@ -68,10 +68,17 @@ def test_batch_equals_per_example(models, name, pairs):
 def test_batch_spanning_blocks_equals_per_example(models, name):
     trained, held = models
     rng = np.random.default_rng(5)
-    # held-out rows cut to random lengths, over more than two blocks
-    examples = [SparseExample(x.label, x.indices[:k], x.values[:k])
-                for x, k in zip(held, rng.integers(0, WIDTH + 1, size=len(held)))]
-    assert len(examples) > 2 * BATCH_ROWS
+    # held-out rows, half of them cut to random lengths, so that the
+    # full-length rows fill more than one block; three rows have lengths no
+    # other row has (duplicate indices), so go one by one
+    cuts = np.where(rng.random(len(held)) < 0.5, WIDTH, rng.integers(0, WIDTH, size=len(held)))
+    examples = [SparseExample(x.label, x.indices[:k], x.values[:k]) for x, k in zip(held, cuts)]
+    for extra in range(1, 4):
+        x = held[extra]
+        examples.insert(100 * extra, SparseExample(
+            x.label, np.tile(x.indices, extra + 1), np.tile(x.values, extra + 1)))
+    lengths = np.unique([x.indices.size for x in examples], return_counts=True)[1]
+    assert lengths.max() > BATCH_ROWS and (lengths < MIN_BATCH_ROWS).sum() == 3
     batch = trained[name].predict_batch(examples)
     assert batch == per_example(trained[name], examples)
     if name == "default":
