@@ -14,6 +14,7 @@ they contribute additively when an example is scored.  Files ending in
 from __future__ import annotations
 
 import gzip
+import math
 import re
 from dataclasses import dataclass
 from typing import IO, Iterator
@@ -39,11 +40,11 @@ class SparseExample:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.indices.shape != self.values.shape:
             raise DomainError("indices and values must have equal length")
-        if self.indices.size and int(self.indices.min()) < 0:
+        if self.indices.size and self.indices.min() < 0:
             raise DomainError("feature indices must be non-negative")
-        if self.values.size and not np.all(np.isfinite(self.values)):
+        if self.values.size and not np.isfinite(self.values).all():
             raise DomainError("feature values must be finite")
-        if not (np.isfinite(self.importance) and self.importance > 0):
+        if not (math.isfinite(self.importance) and self.importance > 0):
             raise DomainError("importance must be a positive finite real")
         if self.label < 0:
             raise DomainError(f"label must be non-negative, got {self.label}")
@@ -83,6 +84,27 @@ def parse_example(line: str, *, line_number: int | None = None) -> SparseExample
     Raises :class:`ParseError` naming the line/column of a malformed token
     and :class:`DomainError` for a negative label.
     """
+    # Fast path: whitespace split, one partition per token, and the
+    # example's constructor as the only validation.  Any failure re-parses
+    # the line with _parse_located, which names the offending token.
+    # str.split() and the \S+ regex cut every line into the same tokens.
+    try:
+        label, *tokens = line.split()
+        indices = []
+        values = []
+        for token in tokens:
+            idx, _, val = token.partition(":")
+            indices.append(int(idx))
+            values.append(float(val))
+        return SparseExample(int(label), np.array(indices, dtype=np.int64),
+                             np.array(values, dtype=np.float64))
+    except (ValueError, OverflowError):
+        pass
+    return _parse_located(line, line_number)
+
+
+def _parse_located(line: str, line_number: int | None) -> SparseExample:
+    """Token-by-token parse that raises at the first malformed token."""
     tokens = _TOKEN.finditer(line)
     first = next(tokens, None)
     if first is None:
@@ -115,7 +137,7 @@ def parse_example(line: str, *, line_number: int | None = None) -> SparseExample
             val = float(val_s)
         except ValueError:
             raise ParseError(f"feature value must be a real, got {val_s!r}", line=line_number, column=col) from None
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise ParseError(f"feature value must be finite, got {val_s!r}", line=line_number, column=col)
         indices.append(idx)
         values.append(val)

@@ -93,27 +93,56 @@ def _write_node(fh, node: TreeNode) -> None:
         fh.write(struct.pack("<I", cls))
 
 
-def _read_node(fh) -> TreeNode:
-    nid, parent, left, right, depth, total = _read_struct(fh, "<IiiiHQ")
-    (hist_len,) = _read_struct(fh, "<I")
-    hist: dict[int, int] = {}
+# one histogram entry as written by _write_node: (class, count)
+_HIST_ENTRY = np.dtype([("cls", "<u4"), ("count", "<u8")])
+
+
+def _read_node(fh, num_classes: int, num_candidates: int) -> TreeNode:
+    """Read one node and check its histogram and candidate list.
+
+    Both counts are bounded by K and F from the tree header before their
+    block is read, so a damaged count cannot ask for a larger read.
+    """
+    nid, parent, left, right, depth, total, hist_len = _read_struct(fh, "<IiiiHQI")
+    if hist_len > num_classes:
+        raise CorruptedModelError(f"node {nid} has {hist_len} histogram entries for {num_classes} classes")
+    hist = np.frombuffer(_read_exact(fh, _HIST_ENTRY.itemsize * hist_len), dtype=_HIST_ENTRY)
+    (cand_len,) = _read_struct(fh, "<I")
+    if cand_len > num_candidates:
+        raise CorruptedModelError(f"node {nid} has {cand_len} candidates, more than F={num_candidates}")
+    candidates = np.frombuffer(_read_exact(fh, 4 * cand_len), dtype="<u4")
+
+    classes, counts = hist["cls"], hist["count"]
+    if hist_len and (classes[-1] >= num_classes or (classes[1:] <= classes[:-1]).any()):
+        raise CorruptedModelError(
+            f"node {nid} histogram classes must ascend within [0, {num_classes})")
+    # the top-F under the tie rule: larger count first, then smaller class id
+    top = classes[np.lexsort((classes, ~counts))[:num_candidates]]
+    if not np.array_equal(candidates, top):
+        if not np.isin(candidates, classes).all():
+            raise CorruptedModelError(f"node {nid} has a candidate missing from its histogram")
+        raise CorruptedModelError(
+            f"node {nid} candidates are not its top-{num_candidates} classes in ranked order")
+
+    count_list = counts.tolist()
+    if total != sum(count_list):
+        raise CorruptedModelError(f"node {nid} total {total} is not the sum of its histogram")
+    # summed one count at a time in file order, as training accumulates it
     sum_clog2 = 0.0
-    for _ in range(hist_len):
-        cls, count = _read_struct(fh, "<IQ")
-        hist[cls] = count
+    for count in count_list:
         if count:
             sum_clog2 += count * math.log2(count)
-    (cand_len,) = _read_struct(fh, "<I")
-    candidates = [_read_struct(fh, "<I")[0] for _ in range(cand_len)]
-    node = TreeNode(
+    hist_dict = dict(zip(classes.tolist(), count_list))
+    candidate_list = candidates.tolist()
+    return TreeNode(
         id=nid, depth=depth,
         parent=None if parent < 0 else parent,
         left=None if left < 0 else left,
         right=None if right < 0 else right,
-        hist=hist, total=total, sum_clog2=sum_clog2,
-        candidates=candidates,
+        hist=hist_dict, total=total, sum_clog2=sum_clog2,
+        candidates=candidate_list,
+        cand_total=sum(hist_dict[c] for c in candidate_list),
     )
-    return node
 
 
 def save_model(model, path: str) -> None:
@@ -179,7 +208,7 @@ def _expect_eof(fh) -> None:
 def _load_tree(fh) -> RecallTreeModel:
     (num_classes, max_depth, num_candidates, depth_penalty, multiplier,
      flags, num_raw_features, examples_seen, node_count) = _read_struct(fh, "<IHIddBQQI")
-    nodes = [_read_node(fh) for _ in range(node_count)]
+    nodes = [_read_node(fh, num_classes, num_candidates) for _ in range(node_count)]
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
     router_store = _read_store(fh, adaptive)
     class_store = _read_store(fh, adaptive)
@@ -203,11 +232,6 @@ def _load_tree(fh) -> RecallTreeModel:
             if child is not None and (nodes[child].parent != i
                                       or nodes[child].depth != node.depth + 1):
                 raise CorruptedModelError(f"node {i} links to node {child}, which is not its child")
-        if any(c not in node.hist for c in node.candidates):
-            raise CorruptedModelError(f"node {i} has a candidate missing from its histogram")
-        if node.hist and max(node.hist) >= num_classes:
-            raise CorruptedModelError(f"node {i} counts a class outside [0, {num_classes})")
-        node.cand_total = sum(node.hist[c] for c in node.candidates)
     if router_store.bits != class_store.bits:
         raise CorruptedModelError("router and class stores must share one bit width")
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recalltree.data import (
+    _TOKEN,
     SparseExample,
+    _parse_located,
     format_example,
     parse_example,
     read_examples,
@@ -60,6 +62,58 @@ class TestParseExample:
         ex = parse_example("  4   1:2.5   9:1  ")
         assert ex.label == 4
         assert ex.features() == [(1, 2.5), (9, 1.0)]
+
+
+_SEPARATORS = [" ", "  ", "\t", "\x1c", "\x85", "\xa0", "\u3000"]
+_MALFORMED = ["1:2:3", ":5", "7:", "x:1", "-1:2", "3:inf", "3:nan", "+4:1", "1_0:2",
+              "١٢:٣.5", "१:2", "3:٤", "8", "",
+              "99999999999999999999:1", "-99999999999999999999:1", "2:1e999"]
+_LABELS = ["0", "3", "-1", "x", "+3", "1_0", "١", "1.5", "99999999999999999999"]
+
+
+def _pair():
+    return st.builds(lambda i, v: f"{i}:{v!r}",
+                     st.integers(0, 10**6),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _lines(draw):
+    seps = st.sampled_from(_SEPARATORS)
+    if draw(st.integers(0, 9)) == 0:
+        return "".join(draw(st.lists(seps, max_size=3)))
+    tokens = [draw(st.sampled_from(_LABELS) | st.integers(0, 50).map(str))]
+    tokens += draw(st.lists(_pair() | st.sampled_from(_MALFORMED), max_size=8))
+    line = draw(st.sampled_from(["", " "]))
+    for token in tokens:
+        line += token + draw(seps)
+    return line
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line, line_number=7)
+    except Exception as err:  # the exception itself is what is compared
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+class TestFastPathMatchesLocatedParse:
+    """parse_example's split-based fast path gives the example, or the
+    error with its line and column, that the token-by-token parse gives."""
+
+    @given(_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_same_example_or_same_error(self, line):
+        assert _outcome(parse_example, line) == _outcome(_parse_located, line)
+
+    @pytest.mark.parametrize("line", ["", " \t", "\x85", "-1 x:1", "1 -3:1 x", "4 2:1e999",
+                                      "1 99999999999999999999:1"])
+    def test_edge_lines(self, line):
+        assert _outcome(parse_example, line) == _outcome(_parse_located, line)
+
+    def test_split_and_token_regex_agree_on_every_code_point(self):
+        text = "a".join(map(chr, range(0x110000)))
+        assert text.split() == _TOKEN.findall(text)
 
 
 class TestRoundTrip:

@@ -1,3 +1,6 @@
+import struct
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,12 @@ from recalltree.model_io import load_model, save_model
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import Hyperparams, RecallTreeModel
+
+
+# the first node record starts after the magic, the version and type bytes
+# and the tree header; its histogram length follows its six link fields
+_FIRST_NODE = 4 + struct.calcsize("<BB") + struct.calcsize("<IHIddBQQI")
+_ROOT_HIST_LEN = _FIRST_NODE + struct.calcsize("<IiiiHQ")
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +28,13 @@ def trained():
     tree = RecallTreeModel(12, width, params).train(data[:3000])
     oaa = OaaModel(12, bits=14).train(data[:3000])
     return tree, oaa, data
+
+
+@pytest.fixture(scope="module")
+def small_f(trained):
+    """A tree with F=3, so its upper nodes hold classes that are not candidates."""
+    params = Hyperparams.defaults(12, bits=12, num_candidates=3)
+    return RecallTreeModel(12, trained[0].num_raw_features, params).train(trained[2][:500])
 
 
 class TestRoundTrip:
@@ -225,6 +241,101 @@ class TestCorruptNodeTables:
 
         with pytest.raises(CorruptedModelError):
             load_model(self._broken_file(trained, tmp_path, breaks))
+
+    # hand-set histogram at one node of the F=3 tree: the loader accepts
+    # exactly the top-3 classes in ranked order (larger count first, then
+    # smaller class id) and a total equal to the histogram's sum
+    HIST = {0: 4, 1: 3, 2: 2, 5: 2, 7: 1}
+
+    def _load_with(self, model, tmp_path, hist, candidates, total=None):
+        node = model.nodes[-1]
+        saved = (node.hist, node.candidates, node.total)
+        node.hist, node.candidates = dict(hist), list(candidates)
+        node.total = sum(hist.values()) if total is None else total
+        path = tmp_path / "tree.bin"
+        try:
+            save_model(model, str(path))
+        finally:
+            node.hist, node.candidates, node.total = saved
+        return load_model(str(path))
+
+    def test_trainer_keeps_fewer_candidates_than_classes(self, small_f):
+        assert len(small_f.root.hist) > 3 and len(small_f.root.candidates) == 3
+
+    def test_top_f_in_ranked_order_loads(self, small_f, tmp_path):
+        node = self._load_with(small_f, tmp_path, self.HIST, [0, 1, 2]).nodes[-1]
+        assert (node.hist, node.candidates, node.total, node.cand_total) == \
+            (self.HIST, [0, 1, 2], 12, 9)
+
+    def test_fewer_classes_than_f_loads(self, small_f, tmp_path):
+        node = self._load_with(small_f, tmp_path, {4: 1, 9: 6}, [9, 4]).nodes[-1]
+        assert node.candidates == [9, 4]
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_total_off_by_one(self, small_f, tmp_path, delta):
+        with pytest.raises(CorruptedModelError, match="sum of its histogram"):
+            self._load_with(small_f, tmp_path, self.HIST, [0, 1, 2], total=12 + delta)
+
+    def test_non_candidate_out_counts_the_last_candidate(self, small_f, tmp_path):
+        with pytest.raises(CorruptedModelError, match="top-3"):
+            self._load_with(small_f, tmp_path, {**self.HIST, 5: 3}, [0, 1, 2])
+
+    @pytest.mark.parametrize("candidates", [
+        [0, 1, 5],      # the tie between 2 and 5 broken toward the larger id
+        [0, 2, 1],      # the right classes in the wrong order
+        [1, 0, 2],      # the same, at the top
+        [0, 1],         # one short of F
+        [0, 1, 2, 5],   # more than F
+        [0, 0, 1],      # a repeated class
+    ])
+    def test_candidates_not_the_ranked_top_f(self, small_f, tmp_path, candidates):
+        with pytest.raises(CorruptedModelError, match="candidates"):
+            self._load_with(small_f, tmp_path, self.HIST, candidates)
+
+
+class TestNodeRecordBytes:
+    """Byte-level damage to the root's record.  Its counts are bounded by
+    the tree header before the block they describe is read."""
+
+    def _root_bytes(self, trained, tmp_path):
+        path = tmp_path / "tree.bin"
+        save_model(trained[0], str(path))
+        blob = bytearray(path.read_bytes())
+        (hist_len,) = struct.unpack_from("<I", blob, _ROOT_HIST_LEN)
+        assert hist_len == 12  # the root has seen every class
+        return blob, path, hist_len
+
+    def test_huge_histogram_length_is_rejected_before_reading(self, trained, tmp_path):
+        blob, path, _ = self._root_bytes(trained, tmp_path)
+        struct.pack_into("<I", blob, _ROOT_HIST_LEN, 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        start = time.perf_counter()
+        with pytest.raises(CorruptedModelError, match="histogram entries"):
+            load_model(str(path))
+        assert time.perf_counter() - start < 5.0
+
+    def test_candidate_count_above_f_is_rejected_before_reading(self, trained, tmp_path):
+        blob, path, hist_len = self._root_bytes(trained, tmp_path)
+        cand_len_at = _ROOT_HIST_LEN + 4 + 12 * hist_len
+        assert struct.unpack_from("<I", blob, cand_len_at) == (12,)
+        struct.pack_into("<I", blob, cand_len_at, 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptedModelError, match="candidates, more than F"):
+            load_model(str(path))
+
+    def test_histogram_classes_out_of_order(self, trained, tmp_path):
+        blob, path, _ = self._root_bytes(trained, tmp_path)
+        first = _ROOT_HIST_LEN + 4
+        blob[first:first + 24] = blob[first + 12:first + 24] + blob[first:first + 12]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptedModelError, match="must ascend"):
+            load_model(str(path))
+
+    def test_file_cut_inside_a_histogram_block(self, trained, tmp_path):
+        blob, path, hist_len = self._root_bytes(trained, tmp_path)
+        path.write_bytes(bytes(blob[:_ROOT_HIST_LEN + 4 + 12 * (hist_len // 2) + 5]))
+        with pytest.raises(CorruptedModelError, match="truncated"):
+            load_model(str(path))
 
 
 class TestTypeTags:

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
 from recalltree.linear import mix64_array
+from recalltree.model_io import load_model, save_model
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import (
     ROUTER_SIGN_PAPER_LITERAL,
@@ -378,6 +382,16 @@ class TestInvariants:
         for node in model.nodes:
             brute = [c for c, _ in sorted(node.hist.items(), key=lambda kv: (-kv[1], kv[0]))]
             assert node.candidates == brute[:num_candidates]
+        # the loader checks the same invariants, so every trained tree loads
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "tree.bin")
+            save_model(model, path)
+            loaded = load_model(path)
+        for a, b in zip(loaded.nodes, model.nodes, strict=True):
+            assert (a.hist, a.total, a.candidates, a.cand_total) == \
+                (b.hist, b.total, b.candidates, b.cand_total)
+            # training updates the sum one count at a time; loading re-sums it
+            assert a.sum_clog2 == pytest.approx(b.sum_clog2, abs=1e-9)
 
     def test_depth_cap(self):
         model, data = self._trained()
