@@ -88,8 +88,9 @@ class WeightStore:
     """A dense ``2^bits`` float32 table of weights shared by many scorers.
 
     ``adaptive`` turns on an AdaGrad-style per-slot accumulator; it is off
-    by default so runs are exactly reproducible, and the accumulator is
-    transient (not persisted with the model).
+    by default so runs are exactly reproducible.  Saved models keep the
+    accumulator (format version 3), so training resumed after a load takes
+    the same steps.
     """
 
     def __init__(self, bits: int, learning_rate: float = 1.0, adaptive: bool = False):

@@ -5,23 +5,40 @@ One container for both model types::
     magic "RCLT" | version u8 | model-type u8 | payload
 
 The tree payload carries the hyperparameters, the node table (histograms
-as sorted (class, count) pairs plus the ranked candidate list), and the
-two weight stores; the one-against-all payload carries its flags byte and
-its class store.  Version 1 files, whose one-against-all payload has no
-flags byte, still load, as plain SGD.  Integers are little-endian fixed
-width; weight arrays are raw little-endian float32.  Hyperparameter reals
-are stored as float64 so a loaded model reproduces the original's
+as sorted (class, count) pairs, the ranked candidate list and, since
+version 3, the node's trained ``sum_clog2``), and the two weight stores; the one-against-all payload carries its flags byte and
+its class store.  Integers are little-endian fixed width.  Hyperparameter
+reals are stored as float64 so a loaded model reproduces the original's
 predictions bit for bit.
+
+A weight store is ``bits u8 | learning_rate f8 | count u64`` and then
+whichever of two bodies is fewer bytes:
+
+* dense, ``count == 2^bits``: the raw little-endian float32 weights and,
+  for an AdaGrad store, the raw float64 accumulators;
+* sparse, ``count < 2^bits``: ``count`` strictly ascending u32 slots, the
+  float32 weights at those slots and, for an AdaGrad store, the float64
+  accumulators at those slots.  The listed slots are those whose weight or
+  accumulator has a nonzero bit pattern, so -0.0 and NaN round-trip.
+
+Version 3 added the sparse body and the accumulators; version 2 added the
+one-against-all flags byte.  Version 1 and 2 files still load: their
+stores are dense and carry no accumulators, so AdaGrad state starts from
+zero, and a version 1 one-against-all model loads as plain SGD.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import secrets
 import struct
+import sys
 
 import numpy as np
 
-from .errors import CorruptedModelError, ModelFormatError, ModelTypeError
+from .errors import CorruptedModelError, DomainError, ModelFormatError, ModelTypeError
 from .linear import WeightStore
 from .oaa import OaaModel
 from .tree import (
@@ -33,7 +50,7 @@ from .tree import (
 )
 
 MAGIC = b"RCLT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 TYPE_RECALL_TREE = 1
 TYPE_OAA = 2
 
@@ -41,12 +58,51 @@ _FLAG_PATH_FEATURES = 1
 _FLAG_ROUTER_CORRECTED = 2
 _FLAG_ADAPTIVE_LR = 4
 
+_STORE_HEADER = "<BdQ"
+# slots per step of the writer's nonzero scan
+_SCAN_CHUNK = 1 << 18
+
+
+def _sparse_slots(arrays: list[np.ndarray], limit: int) -> np.ndarray | None:
+    """Ascending slots where any of ``arrays`` has a nonzero bit pattern, or
+    None if there are more than ``limit`` of them.
+
+    Scans a chunk of slots at a time, so each bool mask stays small (a
+    whole-table mask of a 2^24 store is 16 MiB), and counts before it lists,
+    so a dense store never builds its slot list.  Listing the nonzeros of a
+    bool mask is about 3x faster than listing those of the uint32 view.
+    """
+    views = [a.view(f"u{a.itemsize}") for a in arrays]
+
+    def masks():
+        for start in range(0, views[0].size, _SCAN_CHUNK):
+            mask = views[0][start:start + _SCAN_CHUNK] != 0
+            for view in views[1:]:
+                mask |= view[start:start + _SCAN_CHUNK] != 0
+            yield start, mask
+
+    if sum(np.count_nonzero(mask) for _, mask in masks()) > limit:
+        return None
+    return np.concatenate([(np.flatnonzero(mask) + start).astype("<u4") for start, mask in masks()])
+
 
 def _write_store(fh, store: WeightStore) -> None:
-    fh.write(struct.pack("<Bd", store.bits, store.learning_rate))
-    fh.write(struct.pack("<Q", store.weights.size))
-    # the array's own buffer: no copy on a little-endian host
-    fh.write(store.weights.astype("<f4", copy=False).data)
+    arrays = [store.weights, store._grad_sq] if store.adaptive else [store.weights]
+    # little-endian views: the arrays' own buffers on a little-endian host
+    arrays = [a.astype(a.dtype.newbyteorder("<"), copy=False) for a in arrays]
+    slot_bytes = sum(a.itemsize for a in arrays)
+    size = store.weights.size
+    # sparse only when strictly fewer bytes: (4 + slot_bytes) * count < slot_bytes * size
+    slots = _sparse_slots(arrays, (slot_bytes * size - 1) // (4 + slot_bytes))
+    if slots is not None:
+        fh.write(struct.pack(_STORE_HEADER, store.bits, store.learning_rate, slots.size))
+        fh.write(slots.data)
+        for a in arrays:
+            fh.write(a[slots].data)
+    else:
+        fh.write(struct.pack(_STORE_HEADER, store.bits, store.learning_rate, size))
+        for a in arrays:
+            fh.write(a.data)
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -60,18 +116,51 @@ def _read_struct(fh, fmt: str):
     return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
 
 
-def _read_store(fh, adaptive: bool) -> WeightStore:
-    bits, lr = _read_struct(fh, "<Bd")
-    (length,) = _read_struct(fh, "<Q")
-    if length != 1 << bits:
-        raise CorruptedModelError(f"weight array length {length} does not match bits={bits}")
-    store = WeightStore(bits, lr, adaptive)
-    weights = np.empty(length, dtype="<f4")
-    got = fh.readinto(weights.data.cast("B"))
-    if got != 4 * length:
-        raise CorruptedModelError(f"model file truncated: wanted {4 * length} bytes, got {got}")
-    # the file's array itself on a little-endian host
-    store.weights = weights.astype(np.float32, copy=False)
+def _read_into(fh, out: np.ndarray) -> None:
+    """Fill ``out`` from the file's little-endian bytes."""
+    got = fh.readinto(out.data.cast("B"))
+    if got != out.nbytes:
+        raise CorruptedModelError(f"model file truncated: wanted {out.nbytes} bytes, got {got}")
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
+
+
+def _read_store(fh, adaptive: bool, version: int) -> WeightStore:
+    """Read one weight store; ``adaptive`` comes from the payload's flags.
+
+    The body's length follows from the header, and it is checked against
+    the bytes left in the file before any table is allocated or read.
+    """
+    bits, lr, count = _read_struct(fh, _STORE_HEADER)
+    size = 1 << bits
+    accumulators = adaptive and version >= 3
+    slot_bytes = 12 if accumulators else 4
+    if count == size:
+        need = slot_bytes * count
+    elif version >= 3 and count < size:
+        need = (4 + slot_bytes) * count
+    else:
+        raise CorruptedModelError(f"weight store lists {count} slots for bits={bits}")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if need > left:
+        raise CorruptedModelError(
+            f"model file truncated: weight store needs {need} bytes, {left} are left")
+    try:
+        store = WeightStore(bits, lr, adaptive)
+    except DomainError as exc:
+        raise CorruptedModelError(f"bad weight store header: {exc}") from exc
+    arrays = [store.weights, store._grad_sq] if accumulators else [store.weights]
+    if count == size:
+        for a in arrays:
+            _read_into(fh, a)
+        return store
+    slots = np.frombuffer(_read_exact(fh, 4 * count), dtype="<u4")
+    if count and (slots[-1] >= size or (slots[1:] <= slots[:-1]).any()):
+        raise CorruptedModelError(f"weight store slots must ascend within [0, 2^{bits})")
+    # scattered into the store's own zero tables: no second 2^bits array
+    for a in arrays:
+        a[slots] = np.frombuffer(_read_exact(fh, a.itemsize * count),
+                                 dtype=a.dtype.newbyteorder("<"))
     return store
 
 
@@ -91,13 +180,14 @@ def _write_node(fh, node: TreeNode) -> None:
     fh.write(struct.pack("<I", len(node.candidates)))
     for cls in node.candidates:
         fh.write(struct.pack("<I", cls))
+    fh.write(struct.pack("<d", node.sum_clog2))
 
 
 # one histogram entry as written by _write_node: (class, count)
 _HIST_ENTRY = np.dtype([("cls", "<u4"), ("count", "<u8")])
 
 
-def _read_node(fh, num_classes: int, num_candidates: int) -> TreeNode:
+def _read_node(fh, num_classes: int, num_candidates: int, version: int) -> TreeNode:
     """Read one node and check its histogram and candidate list.
 
     Both counts are bounded by K and F from the tree header before their
@@ -111,6 +201,7 @@ def _read_node(fh, num_classes: int, num_candidates: int) -> TreeNode:
     if cand_len > num_candidates:
         raise CorruptedModelError(f"node {nid} has {cand_len} candidates, more than F={num_candidates}")
     candidates = np.frombuffer(_read_exact(fh, 4 * cand_len), dtype="<u4")
+    (stored_clog2,) = _read_struct(fh, "<d") if version >= 3 else (None,)
 
     classes, counts = hist["cls"], hist["count"]
     if hist_len and (classes[-1] >= num_classes or (classes[1:] <= classes[:-1]).any()):
@@ -127,11 +218,18 @@ def _read_node(fh, num_classes: int, num_candidates: int) -> TreeNode:
     count_list = counts.tolist()
     if total != sum(count_list):
         raise CorruptedModelError(f"node {nid} total {total} is not the sum of its histogram")
-    # summed one count at a time in file order, as training accumulates it
+    # summed one count at a time in file order, as versions 1 and 2 load it
     sum_clog2 = 0.0
     for count in count_list:
         if count:
             sum_clog2 += count * math.log2(count)
+    if stored_clog2 is not None:
+        # training sums it one increment at a time, in another order, so the
+        # two differ in the last bits; continued training must start from
+        # the stored value to match training without a break
+        if not math.isclose(stored_clog2, sum_clog2, rel_tol=1e-6):
+            raise CorruptedModelError(f"node {nid} sum_clog2 does not match its histogram")
+        sum_clog2 = stored_clog2
     hist_dict = dict(zip(classes.tolist(), count_list))
     candidate_list = candidates.tolist()
     return TreeNode(
@@ -145,8 +243,47 @@ def _read_node(fh, num_classes: int, num_candidates: int) -> TreeNode:
     )
 
 
+def _write_model(fh, model, tag: int) -> None:
+    fh.write(MAGIC)
+    fh.write(struct.pack("<BB", FORMAT_VERSION, tag))
+    if tag == TYPE_OAA:
+        flags = _FLAG_ADAPTIVE_LR if model.class_store.adaptive else 0
+        fh.write(struct.pack("<IQB", model.num_classes, model.examples_seen, flags))
+        _write_store(fh, model.class_store)
+        return
+    p = model.params
+    flags = 0
+    if p.path_features:
+        flags |= _FLAG_PATH_FEATURES
+    if p.router_sign == ROUTER_SIGN_CORRECTED:
+        flags |= _FLAG_ROUTER_CORRECTED
+    if p.adaptive_lr:
+        flags |= _FLAG_ADAPTIVE_LR
+    fh.write(struct.pack(
+        "<IHIddBQQI",
+        model.num_classes,
+        p.max_depth,
+        p.num_candidates,
+        p.depth_penalty,
+        p.bernstein_multiplier,
+        flags,
+        model.num_raw_features,
+        model.examples_seen,
+        len(model.nodes),
+    ))
+    for node in model.nodes:
+        _write_node(fh, node)
+    _write_store(fh, model.router_store)
+    _write_store(fh, model.class_store)
+
+
 def save_model(model, path: str) -> None:
-    """Serialize a tree or one-against-all model."""
+    """Serialize a tree or one-against-all model.
+
+    The bytes go to a new file in ``path``'s directory, which is synced and
+    then renamed over ``path``, so a save that fails or is cut short leaves
+    the previous file whole.
+    """
     if isinstance(model, RecallTreeModel):
         tag = TYPE_RECALL_TREE
     elif isinstance(model, OaaModel):
@@ -154,38 +291,20 @@ def save_model(model, path: str) -> None:
     else:
         raise ModelTypeError(f"cannot serialize a {type(model).__name__}")
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<BB", FORMAT_VERSION, tag))
-        if tag == TYPE_OAA:
-            flags = _FLAG_ADAPTIVE_LR if model.class_store.adaptive else 0
-            fh.write(struct.pack("<IQB", model.num_classes, model.examples_seen, flags))
-            _write_store(fh, model.class_store)
-            return
-        p = model.params
-        flags = 0
-        if p.path_features:
-            flags |= _FLAG_PATH_FEATURES
-        if p.router_sign == ROUTER_SIGN_CORRECTED:
-            flags |= _FLAG_ROUTER_CORRECTED
-        if p.adaptive_lr:
-            flags |= _FLAG_ADAPTIVE_LR
-        fh.write(struct.pack(
-            "<IHIddBQQI",
-            model.num_classes,
-            p.max_depth,
-            p.num_candidates,
-            p.depth_penalty,
-            p.bernstein_multiplier,
-            flags,
-            model.num_raw_features,
-            model.examples_seen,
-            len(model.nodes),
-        ))
-        for node in model.nodes:
-            _write_node(fh, node)
-        _write_store(fh, model.router_store)
-        _write_store(fh, model.class_store)
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(8)}.tmp")
+    # 0o666 less the umask, the mode open(path, "wb") gives a new file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            _write_model(fh, model, tag)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _check_header(fh) -> tuple[int, int]:
@@ -205,13 +324,13 @@ def _expect_eof(fh) -> None:
         raise CorruptedModelError("trailing bytes after model payload")
 
 
-def _load_tree(fh) -> RecallTreeModel:
+def _load_tree(fh, version: int) -> RecallTreeModel:
     (num_classes, max_depth, num_candidates, depth_penalty, multiplier,
      flags, num_raw_features, examples_seen, node_count) = _read_struct(fh, "<IHIddBQQI")
-    nodes = [_read_node(fh, num_classes, num_candidates) for _ in range(node_count)]
+    nodes = [_read_node(fh, num_classes, num_candidates, version) for _ in range(node_count)]
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
-    router_store = _read_store(fh, adaptive)
-    class_store = _read_store(fh, adaptive)
+    router_store = _read_store(fh, adaptive, version)
+    class_store = _read_store(fh, adaptive, version)
     _expect_eof(fh)
 
     if not nodes or nodes[0].id != 0:
@@ -235,19 +354,25 @@ def _load_tree(fh) -> RecallTreeModel:
     if router_store.bits != class_store.bits:
         raise CorruptedModelError("router and class stores must share one bit width")
 
-    params = Hyperparams(
-        max_depth=max_depth,
-        num_candidates=num_candidates,
-        depth_penalty=depth_penalty,
-        bits=class_store.bits,
-        learning_rate=class_store.learning_rate,
-        path_features=bool(flags & _FLAG_PATH_FEATURES),
-        bernstein_multiplier=multiplier,
-        router_sign=ROUTER_SIGN_CORRECTED if flags & _FLAG_ROUTER_CORRECTED
-        else ROUTER_SIGN_PAPER_LITERAL,
-        adaptive_lr=adaptive,
-    )
-    model = RecallTreeModel(num_classes, num_raw_features, params)
+    # Hyperparams accepts a NaN depth penalty; every other bad field raises
+    if math.isnan(depth_penalty):
+        raise CorruptedModelError("bad tree header: depth_penalty is NaN")
+    try:
+        params = Hyperparams(
+            max_depth=max_depth,
+            num_candidates=num_candidates,
+            depth_penalty=depth_penalty,
+            bits=class_store.bits,
+            learning_rate=class_store.learning_rate,
+            path_features=bool(flags & _FLAG_PATH_FEATURES),
+            bernstein_multiplier=multiplier,
+            router_sign=ROUTER_SIGN_CORRECTED if flags & _FLAG_ROUTER_CORRECTED
+            else ROUTER_SIGN_PAPER_LITERAL,
+            adaptive_lr=adaptive,
+        )
+        model = RecallTreeModel(num_classes, num_raw_features, params)
+    except DomainError as exc:
+        raise CorruptedModelError(f"bad tree header: {exc}") from exc
     model.nodes = nodes
     model.router_store = router_store
     model.class_store = class_store
@@ -259,9 +384,12 @@ def _load_oaa(fh, version: int) -> OaaModel:
     num_classes, examples_seen = _read_struct(fh, "<IQ")
     (flags,) = _read_struct(fh, "<B") if version >= 2 else (0,)
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
-    store = _read_store(fh, adaptive)
+    store = _read_store(fh, adaptive, version)
     _expect_eof(fh)
-    model = OaaModel(num_classes, store.bits, store.learning_rate, adaptive)
+    try:
+        model = OaaModel(num_classes, store.bits, store.learning_rate, adaptive)
+    except DomainError as exc:
+        raise CorruptedModelError(f"bad one-against-all header: {exc}") from exc
     model.class_store = store
     model.examples_seen = examples_seen
     return model
@@ -271,5 +399,5 @@ def load_model(path: str):
     """Load whichever model type the file holds."""
     with open(path, "rb") as fh:
         version, tag = _check_header(fh)
-        return _load_tree(fh) if tag == TYPE_RECALL_TREE else _load_oaa(fh, version)
+        return _load_tree(fh, version) if tag == TYPE_RECALL_TREE else _load_oaa(fh, version)
 

@@ -1,21 +1,94 @@
+import math
+import os
 import struct
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recalltree import model_io
 from recalltree.errors import CorruptedModelError, ModelFormatError, ModelTypeError
 from recalltree.cli import EX_FORMAT, main
 from recalltree.model_io import load_model, save_model
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import Hyperparams, RecallTreeModel
+from recalltree.tree import ROUTER_SIGN_CORRECTED, Hyperparams, RecallTreeModel
 
 
 # the first node record starts after the magic, the version and type bytes
 # and the tree header; its histogram length follows its six link fields
-_FIRST_NODE = 4 + struct.calcsize("<BB") + struct.calcsize("<IHIddBQQI")
+_TREE_HEADER = "<IHIddBQQI"
+_FIRST_NODE = 4 + struct.calcsize("<BB") + struct.calcsize(_TREE_HEADER)
 _ROOT_HIST_LEN = _FIRST_NODE + struct.calcsize("<IiiiHQ")
+# a one-against-all file: magic, version, tag, <IQ>, the flags byte, the store
+_OAA_STORE = 4 + 2 + struct.calcsize("<IQ") + 1
+_STORE_HEADER = "<BdQ"
+
+
+def store_offsets(blob: bytes) -> list[int]:
+    """Offsets of the weight-store headers in a version 3 file.
+
+    Walks the payload by the documented layout and checks that the last
+    store ends the file.
+    """
+    if blob[5] == model_io.TYPE_OAA:
+        pos, flags, stores = _OAA_STORE, blob[_OAA_STORE - 1], 1
+    else:
+        header = struct.unpack_from(_TREE_HEADER, blob, 6)
+        pos, flags, stores = _FIRST_NODE, header[5], 2
+        for _ in range(header[-1]):
+            pos += struct.calcsize("<IiiiHQ")
+            (hist_len,) = struct.unpack_from("<I", blob, pos)
+            pos += 4 + 12 * hist_len
+            (cand_len,) = struct.unpack_from("<I", blob, pos)
+            pos += 4 + 4 * cand_len + 8  # the candidates, then sum_clog2
+    slot_bytes = 12 if flags & 4 else 4
+    offsets = []
+    for _ in range(stores):
+        offsets.append(pos)
+        bits, _, count = struct.unpack_from(_STORE_HEADER, blob, pos)
+        pos += struct.calcsize(_STORE_HEADER)
+        pos += slot_bytes * count if count == 1 << bits else (4 + slot_bytes) * count
+    assert pos == len(blob)
+    return offsets
+
+
+def write_old_version(model, path, version: int) -> None:
+    """Write ``model`` in the version 1 or 2 layout: every store is dense
+    float32 with no AdaGrad accumulators, and only version 2 has the
+    one-against-all flags byte."""
+    def store(s):
+        return struct.pack(_STORE_HEADER, s.bits, s.learning_rate, s.weights.size) + \
+            s.weights.astype("<f4").tobytes()
+
+    if isinstance(model, OaaModel):
+        out = [b"RCLT", struct.pack("<BBIQ", version, model_io.TYPE_OAA,
+                                    model.num_classes, model.examples_seen)]
+        if version >= 2:
+            out.append(bytes([4 if model.class_store.adaptive else 0]))
+        out.append(store(model.class_store))
+    else:
+        p = model.params
+        flags = 1 * p.path_features + 2 * (p.router_sign == ROUTER_SIGN_CORRECTED) + 4 * p.adaptive_lr
+        out = [b"RCLT", struct.pack("<BB" + _TREE_HEADER[1:], version, model_io.TYPE_RECALL_TREE,
+                                    model.num_classes, p.max_depth, p.num_candidates,
+                                    p.depth_penalty, p.bernstein_multiplier, flags,
+                                    model.num_raw_features, model.examples_seen, len(model.nodes))]
+        for n in model.nodes:
+            links = [-1 if v is None else v for v in (n.parent, n.left, n.right)]
+            out.append(struct.pack("<IiiiHQI", n.id, *links, n.depth, n.total, len(n.hist)))
+            out += [struct.pack("<IQ", c, n.hist[c]) for c in sorted(n.hist)]
+            out.append(struct.pack("<I", len(n.candidates)))
+            out += [struct.pack("<I", c) for c in n.candidates]
+        out += [store(model.router_store), store(model.class_store)]
+    path.write_bytes(b"".join(out))
+
+
+def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit patterns, so -0.0 and NaN compare as stored."""
+    return a.dtype == b.dtype and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +101,32 @@ def trained():
     tree = RecallTreeModel(12, width, params).train(data[:3000])
     oaa = OaaModel(12, bits=14).train(data[:3000])
     return tree, oaa, data
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """Small version 3 files with sparse and dense stores, with and without
+    AdaGrad accumulators: a tree whose router store is sparse and whose
+    class store is dense, and two one-against-all models, one of each."""
+    def data(k, dims):
+        spec = SynthSpec("voronoi", num_classes=k, dimensions=dims, num_examples=400,
+                         noise=0.2, seed=3)
+        return raw_feature_width(spec), generate_examples(spec)
+
+    width, wide = data(64, 30)
+    _, narrow = data(12, 6)
+    models = {
+        "tree": RecallTreeModel(64, width, Hyperparams.defaults(64, bits=10, adaptive_lr=True))
+        .train(wide),
+        "oaa_dense": OaaModel(64, bits=10).train(wide),
+        "oaa_sparse": OaaModel(12, bits=10, adaptive_lr=True).train(narrow),
+    }
+    root = tmp_path_factory.mktemp("small")
+    files = {}
+    for name, model in models.items():
+        save_model(model, str(root / name))
+        files[name] = (root / name).read_bytes()
+    return models, files
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +184,78 @@ class TestRoundTrip:
             save_model(oaa, str(path))
             assert load_model(str(path)).class_store.adaptive is adaptive
 
-    def test_stores_are_raw_little_endian_float32(self, trained, tmp_path):
-        tree, oaa, _ = trained
-        for model in (tree, oaa):
-            path = tmp_path / "model.bin"
-            save_model(model, str(path))
-            raw = model.class_store.weights.astype("<f4").tobytes()
-            assert path.read_bytes().endswith(raw)
+    def test_stores_are_raw_little_endian_float32(self, small_files):
+        # a plain store with at least half its slots nonzero is the raw array
+        models, files = small_files
+        weights = models["oaa_dense"].class_store.weights
+        assert 2 * np.count_nonzero(weights) >= weights.size
+        blob = files["oaa_dense"]
+        (offset,) = store_offsets(blob)
+        assert struct.unpack_from(_STORE_HEADER, blob, offset)[2] == weights.size
+        assert blob[offset + struct.calcsize(_STORE_HEADER):] == weights.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_a_tie_in_bytes_is_written_dense(self, tmp_path, adaptive):
+        # half the slots (a quarter left empty with accumulators) make the
+        # sparse body exactly as long as the dense one
+        oaa = OaaModel(2, bits=10, adaptive_lr=adaptive)
+        filled = 768 if adaptive else 512
+        oaa.class_store.weights[:filled] = 1.0
+        path = tmp_path / "oaa.bin"
+        save_model(oaa, str(path))
+        blob = path.read_bytes()
+        assert struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE)[2] == 1024
+        assert blob[_OAA_STORE + struct.calcsize(_STORE_HEADER):][:4096] == \
+            oaa.class_store.weights.astype("<f4").tobytes()
+
+    def test_sparse_store_lists_ascending_slots_and_their_float32_bits(self, trained, tmp_path):
+        _, oaa, _ = trained
+        weights = oaa.class_store.weights
+        slots = np.flatnonzero(weights)
+        assert 0 < 2 * slots.size < weights.size
+        path = tmp_path / "oaa.bin"
+        save_model(oaa, str(path))
+        blob = path.read_bytes()
+        (offset,) = store_offsets(blob)
+        body = offset + struct.calcsize(_STORE_HEADER)
+        assert struct.unpack_from(_STORE_HEADER, blob, offset) == (14, oaa.learning_rate, slots.size)
+        assert blob[body:] == slots.astype("<u4").tobytes() + weights[slots].astype("<f4").tobytes()
+
+    def test_adagrad_store_appends_its_accumulators(self, small_files):
+        models, files = small_files
+        bodies = set()
+        for name, model in models.items():
+            stores = [model.class_store] if name.startswith("oaa") else \
+                [model.router_store, model.class_store]
+            for store, offset in zip(stores, store_offsets(files[name])):
+                body = offset + struct.calcsize(_STORE_HEADER)
+                count = struct.unpack_from(_STORE_HEADER, files[name], offset)[2]
+                arrays = [store.weights.astype("<f4")]
+                if store.adaptive:
+                    arrays.append(store._grad_sq.astype("<f8"))
+                if count < store.size():
+                    slots = np.flatnonzero(np.logical_or.reduce(
+                        [a.view(f"u{a.itemsize}") != 0 for a in arrays]))
+                    assert count == slots.size
+                    expected = slots.astype("<u4").tobytes() + \
+                        b"".join(a[slots].tobytes() for a in arrays)
+                else:
+                    expected = b"".join(a.tobytes() for a in arrays)
+                assert files[name][body:body + len(expected)] == expected
+                bodies.add((store.adaptive, count < store.size()))
+        # (adaptive, sparse): both bodies with accumulators, a dense one without
+        assert bodies == {(True, True), (True, False), (False, False)}
+
+    def test_negative_zero_and_nan_round_trip_bit_for_bit(self, trained, tmp_path):
+        _, _, data = trained
+        oaa = OaaModel(12, bits=12, adaptive_lr=True).train(data[:50])
+        oaa.class_store.weights[[3, 7]] = [-0.0, np.nan]
+        oaa.class_store._grad_sq[[5, 9]] = [-0.0, np.nan]
+        path = tmp_path / "oaa.bin"
+        save_model(oaa, str(path))
+        loaded = load_model(str(path)).class_store
+        assert bit_equal(loaded.weights, oaa.class_store.weights)
+        assert bit_equal(loaded._grad_sq, oaa.class_store._grad_sq)
 
     def test_save_is_deterministic_for_identical_training(self, tmp_path):
         spec = SynthSpec("voronoi", num_classes=8, dimensions=4, num_examples=2000,
@@ -161,16 +325,13 @@ class TestFormatErrors:
 
 
 class TestVersionOne:
-    """Format version 1 files load; they differ from version 2 only in the
-    version byte and, for one-against-all, in lacking the flags byte."""
+    """Format version 1 files load: dense stores with no accumulators, and
+    no flags byte in a one-against-all payload."""
 
     def test_tree(self, trained, tmp_path):
         tree, _, data = trained
         path = tmp_path / "tree.bin"
-        save_model(tree, str(path))
-        blob = bytearray(path.read_bytes())
-        blob[4] = 1
-        path.write_bytes(bytes(blob))
+        write_old_version(tree, path, 1)
         loaded = load_model(str(path))
         assert loaded.params == tree.params
         assert np.array_equal(loaded.class_store.weights, tree.class_store.weights)
@@ -181,14 +342,43 @@ class TestVersionOne:
         _, _, data = trained
         oaa = OaaModel(12, bits=14, adaptive_lr=True).train(data[:200])
         path = tmp_path / "oaa.bin"
-        save_model(oaa, str(path))
-        blob = path.read_bytes()
-        # magic, version, tag, then <IQ> and the flags byte at offset 18
-        path.write_bytes(blob[:4] + b"\x01" + blob[5:18] + blob[19:])
+        write_old_version(oaa, path, 1)
         loaded = load_model(str(path))
         assert loaded.class_store.adaptive is False
         assert loaded.examples_seen == 200
         assert np.array_equal(loaded.class_store.weights, oaa.class_store.weights)
+
+
+class TestVersionTwo:
+    """Format version 2 files load with their AdaGrad flag and zero
+    accumulators; their stores must be dense."""
+
+    @pytest.mark.parametrize("kind", ["tree", "oaa"])
+    def test_adagrad_model_loads_with_zero_accumulators(self, trained, tmp_path, kind):
+        tree, _, data = trained
+        model = tree if kind == "tree" else OaaModel(12, bits=14, adaptive_lr=True).train(data[:200])
+        path = tmp_path / "model.bin"
+        write_old_version(model, path, 2)
+        loaded = load_model(str(path))
+        stores = ["class_store"] + (["router_store"] if kind == "tree" else [])
+        for name in stores:
+            store, original = getattr(loaded, name), getattr(model, name)
+            assert store.adaptive is True
+            assert bit_equal(store.weights, original.weights)
+            assert not store._grad_sq.any()
+        assert [loaded.predict(x) for x in data[3000:3300]] == \
+            [model.predict(x) for x in data[3000:3300]]
+
+    def test_sparse_count_is_corrupt(self, trained, tmp_path):
+        _, oaa, _ = trained
+        path = tmp_path / "oaa.bin"
+        save_model(oaa, str(path))
+        blob = bytearray(path.read_bytes())
+        assert struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE)[2] < 1 << 14
+        blob[4] = 2
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptedModelError, match="lists .* slots for bits=14"):
+            load_model(str(path))
 
 
 class TestCorruptNodeTables:
@@ -249,14 +439,15 @@ class TestCorruptNodeTables:
 
     def _load_with(self, model, tmp_path, hist, candidates, total=None):
         node = model.nodes[-1]
-        saved = (node.hist, node.candidates, node.total)
+        saved = (node.hist, node.candidates, node.total, node.sum_clog2)
         node.hist, node.candidates = dict(hist), list(candidates)
         node.total = sum(hist.values()) if total is None else total
+        node.sum_clog2 = sum(c * math.log2(c) for c in hist.values())
         path = tmp_path / "tree.bin"
         try:
             save_model(model, str(path))
         finally:
-            node.hist, node.candidates, node.total = saved
+            node.hist, node.candidates, node.total, node.sum_clog2 = saved
         return load_model(str(path))
 
     def test_trainer_keeps_fewer_candidates_than_classes(self, small_f):
@@ -331,6 +522,17 @@ class TestNodeRecordBytes:
         with pytest.raises(CorruptedModelError, match="must ascend"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "doubled"])
+    def test_sum_clog2_that_does_not_match_the_histogram(self, trained, tmp_path, value):
+        blob, path, hist_len = self._root_bytes(trained, tmp_path)
+        at = _ROOT_HIST_LEN + 4 + 12 * hist_len + 4 + 4 * 12
+        (stored,) = struct.unpack_from("<d", blob, at)
+        assert stored == trained[0].root.sum_clog2 > 0
+        struct.pack_into("<d", blob, at, 2 * stored if value == "doubled" else value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptedModelError, match="sum_clog2"):
+            load_model(str(path))
+
     def test_file_cut_inside_a_histogram_block(self, trained, tmp_path):
         blob, path, hist_len = self._root_bytes(trained, tmp_path)
         path.write_bytes(bytes(blob[:_ROOT_HIST_LEN + 4 + 12 * (hist_len // 2) + 5]))
@@ -350,3 +552,208 @@ class TestTypeTags:
     def test_unserializable_object_rejected(self, tmp_path):
         with pytest.raises(ModelTypeError):
             save_model(object(), str(tmp_path / "x.bin"))
+
+
+class TestResume:
+    """Training N examples, saving, loading and training M more equals
+    training N + M examples without a break, AdaGrad state included."""
+
+    @pytest.mark.parametrize("kind", ["tree", "oaa"])
+    def test_adagrad_resume_is_bit_identical(self, trained, tmp_path, kind):
+        _, _, data = trained
+        first, rest = data[:700], data[700:1400]
+
+        def fresh():
+            if kind == "tree":
+                return RecallTreeModel(12, trained[0].num_raw_features,
+                                       Hyperparams.defaults(12, bits=14, adaptive_lr=True))
+            return OaaModel(12, bits=14, adaptive_lr=True)
+
+        whole = fresh().train(first + rest)
+        path = tmp_path / "model.bin"
+        save_model(fresh().train(first), str(path))
+        resumed = load_model(str(path)).train(rest)
+
+        stores = ["class_store"] + (["router_store"] if kind == "tree" else [])
+        for name in stores:
+            a, b = getattr(resumed, name), getattr(whole, name)
+            assert a.adaptive and b.adaptive
+            assert bit_equal(a.weights, b.weights)
+            assert bit_equal(a._grad_sq, b._grad_sq)
+        assert resumed.examples_seen == whole.examples_seen == 1400
+        if kind == "tree":
+            assert [(n.parent, n.left, n.right, n.hist, n.candidates) for n in resumed.nodes] == \
+                [(n.parent, n.left, n.right, n.hist, n.candidates) for n in whole.nodes]
+
+
+class TestAtomicSave:
+    def test_failed_save_leaves_the_old_file_and_no_temporary(self, trained, tmp_path,
+                                                              monkeypatch):
+        tree, oaa, _ = trained
+        path = tmp_path / "model.bin"
+        save_model(oaa, str(path))
+        before = path.read_bytes()
+
+        def disk_full(fh, store):
+            fh.write(b"part of a store")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(model_io, "_write_store", disk_full)
+        for model in (tree, oaa):
+            with pytest.raises(OSError, match="No space"):
+                save_model(model, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.bin"]
+
+    def test_model_saves_back_to_the_path_it_was_loaded_from(self, trained, tmp_path):
+        tree, _, data = trained
+        path = tmp_path / "tree.bin"
+        save_model(tree, str(path))
+        before = path.read_bytes()
+        loaded = load_model(str(path))
+        save_model(loaded, str(path))
+        assert path.read_bytes() == before
+        loaded.train(data[3000:3100])
+        save_model(loaded, str(path))
+        assert bit_equal(load_model(str(path)).class_store.weights, loaded.class_store.weights)
+        assert os.listdir(tmp_path) == ["tree.bin"]
+
+    def test_mode_is_what_open_gives_a_new_file(self, trained, tmp_path):
+        _, oaa, _ = trained
+        reference = tmp_path / "reference"
+        with open(reference, "wb"):
+            pass
+        save_model(oaa, str(tmp_path / "oaa.bin"))
+        assert os.stat(tmp_path / "oaa.bin").st_mode == os.stat(reference).st_mode
+
+
+class TestHeaderFields:
+    """A bad header field is a CorruptedModelError (CLI exit 4), whichever
+    field it is; counts are bounded before a body is read."""
+
+    def _expect_corrupt(self, blob, tmp_path, match):
+        path = tmp_path / "model.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptedModelError, match=match):
+            load_model(str(path))
+        assert main(["inspect", "--model", str(path)]) == EX_FORMAT
+
+    def _oaa_blob(self, trained, tmp_path):
+        path = tmp_path / "oaa.bin"
+        save_model(trained[1], str(path))
+        return bytearray(path.read_bytes())
+
+    def _tree_blob(self, model, tmp_path):
+        path = tmp_path / "tree.bin"
+        save_model(model, str(path))
+        return bytearray(path.read_bytes())
+
+    @pytest.mark.parametrize("kind", ["oaa", "tree"])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_learning_rate(self, trained, tmp_path, kind, lr):
+        blob = self._oaa_blob(trained, tmp_path) if kind == "oaa" else \
+            self._tree_blob(trained[0], tmp_path)
+        for offset in store_offsets(bytes(blob)):
+            struct.pack_into("<d", blob, offset + 1, lr)
+        self._expect_corrupt(blob, tmp_path, "learning_rate")
+
+    @pytest.mark.parametrize("bits", [9, 31, 255])
+    def test_bits_outside_the_legal_range(self, trained, tmp_path, bits):
+        blob = self._oaa_blob(trained, tmp_path)
+        blob[_OAA_STORE] = bits
+        self._expect_corrupt(blob, tmp_path, "bits")
+
+    def test_zero_candidates(self, tmp_path):
+        untrained = RecallTreeModel(12, 7, Hyperparams.defaults(12, bits=10))
+        blob = self._tree_blob(untrained, tmp_path)
+        struct.pack_into("<I", blob, 6 + struct.calcsize("<IH"), 0)
+        self._expect_corrupt(blob, tmp_path, "num_candidates")
+
+    @pytest.mark.parametrize("penalty", [-1.0, float("nan")])
+    def test_bad_depth_penalty(self, trained, tmp_path, penalty):
+        blob = self._tree_blob(trained[0], tmp_path)
+        struct.pack_into("<d", blob, 6 + struct.calcsize("<IHI"), penalty)
+        self._expect_corrupt(blob, tmp_path, "depth_penalty")
+
+    @pytest.mark.parametrize("multiplier", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_bernstein_multiplier(self, trained, tmp_path, multiplier):
+        blob = self._tree_blob(trained[0], tmp_path)
+        struct.pack_into("<d", blob, 6 + struct.calcsize("<IHId"), multiplier)
+        self._expect_corrupt(blob, tmp_path, "bernstein_multiplier")
+
+    def test_count_above_the_table_size(self, trained, tmp_path):
+        blob = self._oaa_blob(trained, tmp_path)
+        struct.pack_into("<Q", blob, _OAA_STORE + 9, (1 << 14) + 1)
+        self._expect_corrupt(blob, tmp_path, "lists 16385 slots for bits=14")
+
+    def test_count_beyond_the_file_is_rejected_before_reading(self, trained, tmp_path):
+        # a sparse count just under a legal 2^30 table would ask for 8 GiB
+        blob = self._oaa_blob(trained, tmp_path)
+        blob[_OAA_STORE] = 30
+        struct.pack_into("<Q", blob, _OAA_STORE + 9, (1 << 30) - 1)
+        started = time.perf_counter()
+        self._expect_corrupt(blob, tmp_path, "needs 8589934584 bytes, .* are left")
+        assert time.perf_counter() - started < 5
+
+    def _slots_at(self, blob):
+        count = struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE)[2]
+        start = _OAA_STORE + struct.calcsize(_STORE_HEADER)
+        return start, count
+
+    def test_slots_out_of_order(self, trained, tmp_path):
+        blob = self._oaa_blob(trained, tmp_path)
+        start, _ = self._slots_at(blob)
+        blob[start:start + 8] = blob[start + 4:start + 8] + blob[start:start + 4]
+        self._expect_corrupt(blob, tmp_path, "must ascend")
+
+    def test_repeated_slot(self, trained, tmp_path):
+        blob = self._oaa_blob(trained, tmp_path)
+        start, _ = self._slots_at(blob)
+        blob[start + 4:start + 8] = blob[start:start + 4]
+        self._expect_corrupt(blob, tmp_path, "must ascend")
+
+    def test_slot_beyond_the_table(self, trained, tmp_path):
+        blob = self._oaa_blob(trained, tmp_path)
+        start, count = self._slots_at(blob)
+        struct.pack_into("<I", blob, start + 4 * (count - 1), 1 << 14)
+        self._expect_corrupt(blob, tmp_path, "must ascend")
+
+    def test_class_count_of_zero(self, trained, tmp_path):
+        blob = self._oaa_blob(trained, tmp_path)
+        struct.pack_into("<I", blob, 6, 0)
+        self._expect_corrupt(blob, tmp_path, "num_classes")
+
+
+class TestFuzz:
+    """Cut short or with one byte changed, a valid file loads or raises a
+    ModelFormatError, quickly.
+
+    Two kinds of byte are left unchanged, because a change there yields a
+    legal file whose in-memory model is huge: a store's ``bits`` byte (a
+    2^30 table) and the top two bytes of the class count (up to 2^32
+    class salts, 32 GiB).
+    """
+
+    def _flippable(self, blob: bytes) -> list[int]:
+        skip = set(store_offsets(blob)) | {8, 9}
+        return [i for i in range(len(blob)) if i not in skip]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_truncations_and_byte_flips(self, small_files, tmp_path_factory, data):
+        _, files = small_files
+        name = data.draw(st.sampled_from(sorted(files)))
+        blob = bytearray(files[name])
+        if data.draw(st.booleans()):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            at = data.draw(st.sampled_from(self._flippable(bytes(blob))))
+            blob[at] ^= data.draw(st.integers(1, 255))
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(bytes(blob))
+        started = time.perf_counter()
+        try:
+            load_model(str(path))
+        except ModelFormatError:
+            pass
+        assert time.perf_counter() - started < 1.0
