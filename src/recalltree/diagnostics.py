@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .data import SparseExample
 from .errors import DomainError, UntrainedModelError
-from .tree import RecallTreeModel, TreeNode, plurality_label
+from .tree import RecallTreeModel, TreeNode, plurality_label, ranked_classes
 
 
 def _entropy_nats(counts) -> float:
@@ -104,8 +104,8 @@ def ledger_snapshot(model: RecallTreeModel, examples: list[SparseExample]) -> En
         count = sum(counts.values())
         fraction = count / total
         entropy = _entropy_nats(counts.values())
-        plurality, top = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-        err = 1.0 - top / count
+        plurality = int(ranked_classes(list(counts), list(counts.values()), 1)[0])
+        err = 1.0 - counts[plurality] / count
         records.append(LedgerRecord(
             node_id=node_id, depth=model.nodes[node_id].depth, count=count,
             fraction=fraction, entropy_nats=entropy, plurality=plurality,
@@ -166,20 +166,13 @@ class OracleSplitter:
             {c: w / total for c, w in sorted(class_weights.items()) if w > 0}
         ]
         self.min_advantage = min_advantage
-        self.marginal_entropy = self._leaf_entropy(self._leaves[0])
+        self.marginal_entropy = _entropy_nats(self._leaves[0].values())
         self.advantages: list[AdvantageRecord] = []
         self.history: list[SplitterState] = [self._state()]
 
     @staticmethod
     def _leaf_fraction(leaf: dict[int, float]) -> float:
         return sum(leaf.values())
-
-    @staticmethod
-    def _leaf_entropy(leaf: dict[int, float]) -> float:
-        f = sum(leaf.values())
-        if f == 0:
-            return 0.0
-        return sum((w / f) * math.log(f / w) for w in leaf.values() if w)
 
     def _state(self) -> SplitterState:
         eps = 0.0
@@ -190,7 +183,7 @@ class OracleSplitter:
                 continue
             top = max(leaf.values())
             eps += f - top
-            weighted += f * self._leaf_entropy(leaf)
+            weighted += f * _entropy_nats(leaf.values())
         return SplitterState(splits=len(self.advantages), error_rate=eps,
                              weighted_entropy=weighted)
 
@@ -218,9 +211,9 @@ class OracleSplitter:
         f_l = self._leaf_fraction(left)
         f_r = self._leaf_fraction(right)
         advantage = (
-            self._leaf_entropy(leaf)
-            - (f_l / f_n) * self._leaf_entropy(left)
-            - (f_r / f_n) * self._leaf_entropy(right)
+            _entropy_nats(leaf.values())
+            - (f_l / f_n) * _entropy_nats(left.values())
+            - (f_r / f_n) * _entropy_nats(right.values())
         )
         if self.min_advantage is not None and advantage < self.min_advantage:
             raise DomainError(

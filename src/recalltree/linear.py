@@ -103,9 +103,6 @@ class WeightStore:
         self.weights = np.zeros(1 << bits, dtype=np.float32)
         self._grad_sq = np.zeros(1 << bits, dtype=np.float64) if adaptive else None
 
-    def size(self) -> int:
-        return self.weights.size
-
     def batch_margins(self, slots: np.ndarray, values: np.ndarray):
         """Sum of value * weight over an example's features; duplicates add.
 

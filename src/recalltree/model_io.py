@@ -47,6 +47,8 @@ from .tree import (
     Hyperparams,
     RecallTreeModel,
     TreeNode,
+    check_num_classes,
+    ranked_classes,
 )
 
 MAGIC = b"RCLT"
@@ -58,6 +60,16 @@ _FLAG_PATH_FEATURES = 1
 _FLAG_ROUTER_CORRECTED = 2
 _FLAG_ADAPTIVE_LR = 4
 
+# the fields, in file order; the writer and the reader share each format
+_VERSION_AND_TYPE = "<BB"
+_TREE_HEADER = "<IHIddBQQI"  # K, max_depth, F, penalty, multiplier, flags, width, examples, nodes
+_OAA_HEADER = "<IQ"  # K, examples seen; then, since version 2, the flags
+_FLAGS = "<B"
+_NODE_HEADER = "<IiiiHQI"  # id, parent, left, right, depth, total, histogram length
+_HIST_ENTRY = np.dtype([("cls", "<u4"), ("count", "<u8")])
+_CAND_COUNT = "<I"
+_CANDIDATE = np.dtype("<u4")
+_SUM_CLOG2 = "<d"  # since version 3
 _STORE_HEADER = "<BdQ"
 # slots per step of the writer's nonzero scan
 _SCAN_CHUNK = 1 << 18
@@ -105,11 +117,35 @@ def _write_store(fh, store: WeightStore) -> None:
             fh.write(a.data)
 
 
+@contextlib.contextmanager
+def _corrupt_if_rejected(what: str):
+    """A header the model constructors reject makes the file corrupt."""
+    try:
+        yield
+    except DomainError as exc:
+        raise CorruptedModelError(f"bad {what}: {exc}") from exc
+
+
+def _check_left(fh, need: int, what: str) -> None:
+    """Raise unless ``need`` bytes are left in the file, so that no damaged
+    count asks ``read`` for more than the file holds."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if need > left:
+        raise CorruptedModelError(f"model file truncated: {what} needs {need} bytes, {left} are left")
+
+
 def _read_exact(fh, n: int) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
         raise CorruptedModelError(f"model file truncated: wanted {n} bytes, got {len(buf)}")
     return buf
+
+
+def _read_array(fh, dtype: np.dtype, n: int, what: str) -> np.ndarray:
+    """``n`` items of ``dtype``, checked against the bytes left in the
+    file before they are read."""
+    _check_left(fh, dtype.itemsize * n, what)
+    return np.frombuffer(_read_exact(fh, dtype.itemsize * n), dtype=dtype)
 
 
 def _read_struct(fh, fmt: str):
@@ -141,14 +177,9 @@ def _read_store(fh, adaptive: bool, version: int) -> WeightStore:
         need = (4 + slot_bytes) * count
     else:
         raise CorruptedModelError(f"weight store lists {count} slots for bits={bits}")
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if need > left:
-        raise CorruptedModelError(
-            f"model file truncated: weight store needs {need} bytes, {left} are left")
-    try:
+    _check_left(fh, need, "weight store")
+    with _corrupt_if_rejected("weight store header"):
         store = WeightStore(bits, lr, adaptive)
-    except DomainError as exc:
-        raise CorruptedModelError(f"bad weight store header: {exc}") from exc
     arrays = [store.weights, store._grad_sq] if accumulators else [store.weights]
     if count == size:
         for a in arrays:
@@ -165,51 +196,36 @@ def _read_store(fh, adaptive: bool, version: int) -> WeightStore:
 
 
 def _write_node(fh, node: TreeNode) -> None:
-    fh.write(struct.pack(
-        "<IiiiHQ",
-        node.id,
-        -1 if node.parent is None else node.parent,
-        -1 if node.left is None else node.left,
-        -1 if node.right is None else node.right,
-        node.depth,
-        node.total,
-    ))
-    fh.write(struct.pack("<I", len(node.hist)))
-    for cls in sorted(node.hist):
-        fh.write(struct.pack("<IQ", cls, node.hist[cls]))
-    fh.write(struct.pack("<I", len(node.candidates)))
-    for cls in node.candidates:
-        fh.write(struct.pack("<I", cls))
-    fh.write(struct.pack("<d", node.sum_clog2))
-
-
-# one histogram entry as written by _write_node: (class, count)
-_HIST_ENTRY = np.dtype([("cls", "<u4"), ("count", "<u8")])
+    links = [-1 if v is None else v for v in (node.parent, node.left, node.right)]
+    fh.write(struct.pack(_NODE_HEADER, node.id, *links, node.depth, node.total, len(node.hist)))
+    fh.write(np.array(sorted(node.hist.items()), dtype=_HIST_ENTRY).data)
+    fh.write(struct.pack(_CAND_COUNT, len(node.candidates)))
+    fh.write(np.array(node.candidates, dtype=_CANDIDATE).data)
+    fh.write(struct.pack(_SUM_CLOG2, node.sum_clog2))
 
 
 def _read_node(fh, num_classes: int, num_candidates: int, version: int) -> TreeNode:
     """Read one node and check its histogram and candidate list.
 
-    Both counts are bounded by K and F from the tree header before their
-    block is read, so a damaged count cannot ask for a larger read.
+    Both counts are bounded by K and F from the tree header, and their
+    block by the bytes left in the file, before the block is read, so a
+    damaged count cannot ask for a larger read.
     """
-    nid, parent, left, right, depth, total, hist_len = _read_struct(fh, "<IiiiHQI")
+    nid, parent, left, right, depth, total, hist_len = _read_struct(fh, _NODE_HEADER)
     if hist_len > num_classes:
         raise CorruptedModelError(f"node {nid} has {hist_len} histogram entries for {num_classes} classes")
-    hist = np.frombuffer(_read_exact(fh, _HIST_ENTRY.itemsize * hist_len), dtype=_HIST_ENTRY)
-    (cand_len,) = _read_struct(fh, "<I")
+    hist = _read_array(fh, _HIST_ENTRY, hist_len, "histogram")
+    (cand_len,) = _read_struct(fh, _CAND_COUNT)
     if cand_len > num_candidates:
         raise CorruptedModelError(f"node {nid} has {cand_len} candidates, more than F={num_candidates}")
-    candidates = np.frombuffer(_read_exact(fh, 4 * cand_len), dtype="<u4")
-    (stored_clog2,) = _read_struct(fh, "<d") if version >= 3 else (None,)
+    candidates = _read_array(fh, _CANDIDATE, cand_len, "candidate list")
+    (stored_clog2,) = _read_struct(fh, _SUM_CLOG2) if version >= 3 else (None,)
 
     classes, counts = hist["cls"], hist["count"]
     if hist_len and (classes[-1] >= num_classes or (classes[1:] <= classes[:-1]).any()):
         raise CorruptedModelError(
             f"node {nid} histogram classes must ascend within [0, {num_classes})")
-    # the top-F under the tie rule: larger count first, then smaller class id
-    top = classes[np.lexsort((classes, ~counts))[:num_candidates]]
-    if not np.array_equal(candidates, top):
+    if not np.array_equal(candidates, ranked_classes(classes, counts, num_candidates)):
         if not np.isin(candidates, classes).all():
             raise CorruptedModelError(f"node {nid} has a candidate missing from its histogram")
         raise CorruptedModelError(
@@ -245,10 +261,11 @@ def _read_node(fh, num_classes: int, num_candidates: int, version: int) -> TreeN
 
 def _write_model(fh, model, tag: int) -> None:
     fh.write(MAGIC)
-    fh.write(struct.pack("<BB", FORMAT_VERSION, tag))
+    fh.write(struct.pack(_VERSION_AND_TYPE, FORMAT_VERSION, tag))
     if tag == TYPE_OAA:
         flags = _FLAG_ADAPTIVE_LR if model.class_store.adaptive else 0
-        fh.write(struct.pack("<IQB", model.num_classes, model.examples_seen, flags))
+        fh.write(struct.pack(_OAA_HEADER, model.num_classes, model.examples_seen))
+        fh.write(struct.pack(_FLAGS, flags))
         _write_store(fh, model.class_store)
         return
     p = model.params
@@ -260,7 +277,7 @@ def _write_model(fh, model, tag: int) -> None:
     if p.adaptive_lr:
         flags |= _FLAG_ADAPTIVE_LR
     fh.write(struct.pack(
-        "<IHIddBQQI",
+        _TREE_HEADER,
         model.num_classes,
         p.max_depth,
         p.num_candidates,
@@ -282,7 +299,7 @@ def save_model(model, path: str) -> None:
 
     The bytes go to a new file in ``path``'s directory, which is synced and
     then renamed over ``path``, so a save that fails or is cut short leaves
-    the previous file whole.
+    the previous file whole.  The directory is synced after the rename.
     """
     if isinstance(model, RecallTreeModel):
         tag = TYPE_RECALL_TREE
@@ -305,13 +322,18 @@ def save_model(model, path: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(head, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _check_header(fh) -> tuple[int, int]:
     magic = _read_exact(fh, 4)
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version, tag = _read_struct(fh, "<BB")
+    version, tag = _read_struct(fh, _VERSION_AND_TYPE)
     if not 1 <= version <= FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
     if tag not in (TYPE_RECALL_TREE, TYPE_OAA):
@@ -326,7 +348,9 @@ def _expect_eof(fh) -> None:
 
 def _load_tree(fh, version: int) -> RecallTreeModel:
     (num_classes, max_depth, num_candidates, depth_penalty, multiplier,
-     flags, num_raw_features, examples_seen, node_count) = _read_struct(fh, "<IHIddBQQI")
+     flags, num_raw_features, examples_seen, node_count) = _read_struct(fh, _TREE_HEADER)
+    with _corrupt_if_rejected("tree header"):
+        check_num_classes(num_classes)
     nodes = [_read_node(fh, num_classes, num_candidates, version) for _ in range(node_count)]
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
     router_store = _read_store(fh, adaptive, version)
@@ -354,10 +378,7 @@ def _load_tree(fh, version: int) -> RecallTreeModel:
     if router_store.bits != class_store.bits:
         raise CorruptedModelError("router and class stores must share one bit width")
 
-    # Hyperparams accepts a NaN depth penalty; every other bad field raises
-    if math.isnan(depth_penalty):
-        raise CorruptedModelError("bad tree header: depth_penalty is NaN")
-    try:
+    with _corrupt_if_rejected("tree header"):
         params = Hyperparams(
             max_depth=max_depth,
             num_candidates=num_candidates,
@@ -371,8 +392,6 @@ def _load_tree(fh, version: int) -> RecallTreeModel:
             adaptive_lr=adaptive,
         )
         model = RecallTreeModel(num_classes, num_raw_features, params)
-    except DomainError as exc:
-        raise CorruptedModelError(f"bad tree header: {exc}") from exc
     model.nodes = nodes
     model.router_store = router_store
     model.class_store = class_store
@@ -381,15 +400,15 @@ def _load_tree(fh, version: int) -> RecallTreeModel:
 
 
 def _load_oaa(fh, version: int) -> OaaModel:
-    num_classes, examples_seen = _read_struct(fh, "<IQ")
-    (flags,) = _read_struct(fh, "<B") if version >= 2 else (0,)
+    num_classes, examples_seen = _read_struct(fh, _OAA_HEADER)
+    with _corrupt_if_rejected("one-against-all header"):
+        check_num_classes(num_classes)
+    (flags,) = _read_struct(fh, _FLAGS) if version >= 2 else (0,)
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
     store = _read_store(fh, adaptive, version)
     _expect_eof(fh)
-    try:
+    with _corrupt_if_rejected("one-against-all header"):
         model = OaaModel(num_classes, store.bits, store.learning_rate, adaptive)
-    except DomainError as exc:
-        raise CorruptedModelError(f"bad one-against-all header: {exc}") from exc
     model.class_store = store
     model.examples_seen = examples_seen
     return model

@@ -10,7 +10,7 @@ import numpy as np
 from .data import SparseExample
 from .errors import DomainError, UntrainedModelError
 from .linear import ROLE_CLASS, WeightStore, key_salt, mix64_array, slot_matrix
-from .tree import Prediction
+from .tree import Prediction, check_num_classes
 
 
 class OaaModel:
@@ -18,8 +18,7 @@ class OaaModel:
 
     def __init__(self, num_classes: int, bits: int = 24, learning_rate: float = 1.0,
                  adaptive_lr: bool = False):
-        if num_classes < 1:
-            raise DomainError("num_classes must be >= 1")
+        check_num_classes(num_classes)
         self.num_classes = num_classes
         self.class_store = WeightStore(bits, learning_rate, adaptive_lr)
         self._class_salts = key_salt(ROLE_CLASS, np.arange(num_classes))
@@ -65,6 +64,3 @@ class OaaModel:
 
     def predict_batch(self, examples: list[SparseExample]) -> list[Prediction]:
         return [self.predict_full(x) for x in examples]
-
-    def margins(self, x: SparseExample) -> np.ndarray:
-        return self.class_store.batch_margins(self._slots(x), x.values)

@@ -46,9 +46,20 @@ BATCH_ROWS = 256
 # ``predict_full``, and a batch of 4 about 0.85 as much.
 MIN_BATCH_ROWS = 4
 
+# The model file stores the depth cap in 16 bits and F in 32.  A model
+# hashes one salt per class when built, so K is bounded too.
+MAX_DEPTH = (1 << 16) - 1
+MAX_CANDIDATES = (1 << 32) - 1
+MAX_CLASSES = 1 << 20
+
 ROUTER_SIGN_CORRECTED = "corrected"
 ROUTER_SIGN_PAPER_LITERAL = "literal"
 _ROUTER_SIGNS = (ROUTER_SIGN_CORRECTED, ROUTER_SIGN_PAPER_LITERAL)
+
+
+def check_num_classes(num_classes: int) -> None:
+    if not 1 <= num_classes <= MAX_CLASSES:
+        raise DomainError(f"num_classes must be in [1, {MAX_CLASSES}], got {num_classes}")
 
 
 def ceil_log2(n: int) -> int:
@@ -75,11 +86,11 @@ class Hyperparams:
     adaptive_lr: bool = False
 
     def __post_init__(self):
-        if self.max_depth < 0:
-            raise DomainError("max_depth must be >= 0")
-        if self.num_candidates < 1:
-            raise DomainError("num_candidates must be >= 1")
-        if self.depth_penalty < 0:
+        if not 0 <= self.max_depth <= MAX_DEPTH:
+            raise DomainError(f"max_depth must be in [0, {MAX_DEPTH}]")
+        if not 1 <= self.num_candidates <= MAX_CANDIDATES:
+            raise DomainError(f"num_candidates must be in [1, {MAX_CANDIDATES}]")
+        if not self.depth_penalty >= 0:  # NaN fails too
             raise DomainError("depth_penalty must be >= 0")
         if not 10 <= self.bits <= 30:
             raise DomainError("bits must be in [10, 30]")
@@ -125,10 +136,6 @@ class TreeNode:
         node that fall in the current top-F."""
         return self.cand_total / self.total if self.total else 0.0
 
-    @property
-    def has_children(self) -> bool:
-        return self.left is not None
-
 
 def node_entropy(node: TreeNode, extra: int | None = None) -> float:
     """Empirical label entropy at a node, in bits.
@@ -149,8 +156,15 @@ def node_entropy(node: TreeNode, extra: int | None = None) -> float:
     return h if h > 0.0 else 0.0
 
 
+def ranked_classes(classes, counts, limit: int) -> np.ndarray:
+    """The first ``limit`` of ``classes`` in candidate order: larger count
+    first, ties to the smaller class id.  ``counts`` are integers."""
+    classes = np.asarray(classes)
+    return classes[np.lexsort((classes, ~np.asarray(counts)))[:limit]]
+
+
 def _beats(node: TreeNode, a: int, b: int) -> bool:
-    # candidate ordering: larger count first, ties to the smaller class id
+    # ``ranked_classes``' order, one pair at a time
     ca, cb = node.hist[a], node.hist[b]
     return ca > cb or (ca == cb and a < b)
 
@@ -208,7 +222,7 @@ def plurality_label(node: TreeNode) -> int:
     """Most frequent label at the node, ties to the smaller class id."""
     if not node.hist:
         raise DomainError(f"node {node.id} has an empty histogram")
-    return max(node.hist.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    return int(ranked_classes(list(node.hist), list(node.hist.values()), 1)[0])
 
 
 def path_feature_index(node_id: int, num_raw_features: int) -> int:
@@ -238,8 +252,7 @@ class RecallTreeModel:
 
     def __init__(self, num_classes: int, num_raw_features: int,
                  params: Hyperparams | None = None):
-        if num_classes < 1:
-            raise DomainError("num_classes must be >= 1")
+        check_num_classes(num_classes)
         if num_raw_features < 0:
             raise DomainError("num_raw_features must be >= 0")
         self.num_classes = num_classes
@@ -263,7 +276,9 @@ class RecallTreeModel:
         return self.nodes[0]
 
     def is_leaf(self, node: TreeNode) -> bool:
-        return node.left is None or node.depth >= self.params.max_depth
+        # no node at the depth cap has children (training makes none, the
+        # loader rejects them); descent makes the same test inline
+        return node.left is None
 
     def bound(self, node: TreeNode) -> float:
         return recall_lower_bound(node, self.params.depth_penalty,
@@ -346,17 +361,20 @@ class RecallTreeModel:
         self.router_store.batch_learn(slots, values, label, importance * abs(delta))
         return slots
 
+    def _candidate_keys(self, node: TreeNode) -> tuple[np.ndarray, np.ndarray]:
+        """The node's candidate ids in ascending order and their class salts."""
+        ids = np.array(sorted(node.candidates), dtype=np.int64)
+        return ids, self._class_salts[ids]
+
     def _update_predictors(self, node: TreeNode, mixed: np.ndarray,
                            values: np.ndarray, y: int, importance: float) -> None:
         """One-against-all step restricted to the node's candidates; no
         update at all when the true label is not among them."""
-        cands = node.candidates
-        if y not in cands:
+        if y not in node.candidates:
             return
-        ids = sorted(cands)
-        slots = slot_matrix(self._class_salts[np.array(ids, dtype=np.int64)],
-                            mixed, self.params.bits)
-        labels = np.where(np.array(ids) == y, 1.0, -1.0)
+        ids, salts = self._candidate_keys(node)
+        slots = slot_matrix(salts, mixed, self.params.bits)
+        labels = np.where(ids == y, 1.0, -1.0)
         self.class_store.batch_learn(slots, values, labels, importance)
 
     def train_example(self, x: SparseExample) -> None:
@@ -396,7 +414,7 @@ class RecallTreeModel:
         params = self.params
         node = self.root
         router_evals = 0
-        while node.depth < params.max_depth and node.left is not None:
+        while node.left is not None:
             slots = slot_matrix(self._router_salts[node.id], mixed[:n], params.bits)
             routed = self.router_store.batch_margins(slots, values[:n])
             router_evals += 1
@@ -413,18 +431,16 @@ class RecallTreeModel:
             raise UntrainedModelError("model has seen no training examples")
         mixed, values, n = self._buffers(x)
         node, router_evals, n = self._descend(mixed, values, n)
-        cands = node.candidates
-        assert len(cands) <= self.params.num_candidates
-        if not cands:
+        assert len(node.candidates) <= self.params.num_candidates
+        if not node.candidates:
             return Prediction(0, 0, router_evals, node.id, node.depth)
-        ids = sorted(cands)
-        slots = slot_matrix(self._class_salts[np.array(ids, dtype=np.int64)],
-                            mixed[:n], self.params.bits)
+        ids, salts = self._candidate_keys(node)
+        slots = slot_matrix(salts, mixed[:n], self.params.bits)
         margins = self.class_store.batch_margins(slots, values[:n])
         # argmax takes the first maximum, and ids ascend, so ties go to the
         # smaller class id
-        label = ids[int(np.argmax(margins))]
-        return Prediction(label, len(ids), router_evals, node.id, node.depth)
+        label = int(ids[np.argmax(margins)])
+        return Prediction(label, ids.size, router_evals, node.id, node.depth)
 
     def predict(self, x: SparseExample) -> int:
         return self.predict_full(x).label
@@ -457,7 +473,7 @@ class RecallTreeModel:
             np.array(self._path_mixed, dtype=np.uint64),
             np.array([-1 if n.left is None else n.left for n in nodes]),
             np.array([-1 if n.right is None else n.right for n in nodes]),
-            np.array([n.depth < self.params.max_depth and n.left is not None for n in nodes]),
+            np.array([n.left is not None for n in nodes]),
             np.array([self.bound(n) for n in nodes]),
         )
         preds: list[Prediction] = [None] * len(examples)
@@ -513,11 +529,10 @@ class RecallTreeModel:
         for nid in np.unique(node).tolist():
             halted = np.flatnonzero(node == nid)
             halt = self.nodes[nid]
-            ids = np.array(sorted(halt.candidates), dtype=np.int64)
+            ids, salts = self._candidate_keys(halt)
             if ids.size:
                 width = nnz + halt.depth if params.path_features else nnz
-                slots = slot_matrix(self._class_salts[ids], mixed[halted, None, :width],
-                                    params.bits)
+                slots = slot_matrix(salts, mixed[halted, None, :width], params.bits)
                 margins = self.class_store.batch_margins(
                     slots, values[halted, :width, None])[..., 0]
                 # first maximum per row: ties to the smaller class id
@@ -526,7 +541,7 @@ class RecallTreeModel:
                 labels = [0] * halted.size
             for i, label, evals in zip(halted.tolist(), labels,
                                        router_evals[halted].tolist()):
-                preds[i] = Prediction(label, len(ids), evals, nid, halt.depth)
+                preds[i] = Prediction(label, ids.size, evals, nid, halt.depth)
         return preds
 
     def halting_node(self, x: SparseExample) -> TreeNode:

@@ -328,7 +328,7 @@ def test_c10_gradient_check():
     worst = 0.0
     for _ in range(20):
         store = WeightStore(bits=12)
-        store.weights = rng.normal(0, 0.3, size=store.size()).astype(np.float32)
+        store.weights = rng.normal(0, 0.3, size=store.weights.size).astype(np.float32)
         key = int(rng.integers(0, 100))
         nnz = int(rng.integers(1, 30))
         idx = rng.integers(0, 10_000, size=nnz)

@@ -83,6 +83,17 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--model", str(root / "m.bin"),
                      "--frobnicate"]) == EX_USAGE
 
+    @pytest.mark.parametrize("flags", [["--depth-penalty", "nan"], ["--max-depth", "70000"]])
+    def test_setting_a_model_file_cannot_hold_is_usage_error(self, workdir, capsys, flags):
+        # both used to train: NaN wrote a model that predict rejected, and
+        # 70000 overflowed the 16-bit depth field in save_model
+        root, data = workdir
+        code, model_path = train_model(root, data, "unsaveable.bin", extra=flags)
+        err = capsys.readouterr().err
+        assert code == EX_USAGE
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not model_path.exists()
+
 
 class TestPredict:
     def test_one_class_per_line(self, workdir, capsys, tmp_path):

@@ -134,7 +134,7 @@ class TestMargin:
     def test_linearity_on_disjoint_slots(self):
         store = WeightStore(bits=14)
         rng = np.random.default_rng(3)
-        store.weights = rng.normal(size=store.size()).astype(np.float32)
+        store.weights = rng.normal(size=store.weights.size).astype(np.float32)
         a = [(1, 0.5), (2, -1.5)]
         b = [(3, 2.0), (4, 0.25)]
         slots = {slot_of(*KEY, i, 14) for i, _ in a + b}
@@ -203,7 +203,7 @@ class TestLearn:
         worst = 0.0
         for _ in range(20):
             store = WeightStore(bits=12)
-            store.weights = rng.normal(0, 0.3, size=store.size()).astype(np.float32)
+            store.weights = rng.normal(0, 0.3, size=store.weights.size).astype(np.float32)
             key = ("class", int(rng.integers(0, 50)))
             nnz = int(rng.integers(1, 25))
             idx = rng.integers(0, 5000, size=nnz)
@@ -236,7 +236,7 @@ class TestBatchOps:
     def test_batch_margins_match_scalar(self):
         store = WeightStore(bits=14)
         rng = np.random.default_rng(7)
-        store.weights = rng.normal(size=store.size()).astype(np.float32)
+        store.weights = rng.normal(size=store.weights.size).astype(np.float32)
         idx = np.array([3, 8, 8, 100])
         vals = np.array([1.0, -0.5, 0.25, 2.0])
         x = SparseExample(0, idx, vals)
@@ -251,7 +251,7 @@ class TestBatchOps:
     def test_stacked_examples_match_one_by_one_bit_for_bit(self, k, n):
         store = WeightStore(bits=14)
         rng = np.random.default_rng(k * 100 + n)
-        store.weights = rng.normal(size=store.size()).astype(np.float32)
+        store.weights = rng.normal(size=store.weights.size).astype(np.float32)
         rows = 9
         salts = key_salt("class", rng.integers(0, 50, size=(rows, k)))
         mixed = mix64_array(rng.integers(0, 1000, size=(rows, n)))
@@ -304,7 +304,7 @@ class TestWeightStoreValidation:
             WeightStore(bits=bits)
 
     def test_store_size(self):
-        assert WeightStore(bits=10).size() == 1024
+        assert WeightStore(bits=10).weights.size == 1024
 
     def test_learning_rate_positive(self):
         with pytest.raises(DomainError):

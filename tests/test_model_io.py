@@ -1,7 +1,9 @@
 import math
 import os
+import stat
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recalltree import model_io
-from recalltree.errors import CorruptedModelError, ModelFormatError, ModelTypeError
+from recalltree.data import SparseExample
+from recalltree.errors import CorruptedModelError, DomainError, ModelFormatError, ModelTypeError
 from recalltree.cli import EX_FORMAT, main
 from recalltree.model_io import load_model, save_model
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import ROUTER_SIGN_CORRECTED, Hyperparams, RecallTreeModel
+from recalltree.tree import (
+    MAX_CANDIDATES,
+    MAX_CLASSES,
+    MAX_DEPTH,
+    ROUTER_SIGN_CORRECTED,
+    ROUTER_SIGN_PAPER_LITERAL,
+    Hyperparams,
+    RecallTreeModel,
+)
 
 
 # the first node record starts after the magic, the version and type bytes
@@ -84,6 +95,16 @@ def write_old_version(model, path, version: int) -> None:
             out += [struct.pack("<I", c) for c in n.candidates]
         out += [store(model.router_store), store(model.class_store)]
     path.write_bytes(b"".join(out))
+
+
+def recorded_reads(monkeypatch) -> list[int]:
+    """Record the size of every read the loader asks for, bar a dense
+    store's, which fills its table in place."""
+    sizes = []
+    read_exact = model_io._read_exact
+    monkeypatch.setattr(model_io, "_read_exact",
+                        lambda fh, n: sizes.append(n) or read_exact(fh, n))
+    return sizes
 
 
 def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -233,7 +254,7 @@ class TestRoundTrip:
                 arrays = [store.weights.astype("<f4")]
                 if store.adaptive:
                     arrays.append(store._grad_sq.astype("<f8"))
-                if count < store.size():
+                if count < store.weights.size:
                     slots = np.flatnonzero(np.logical_or.reduce(
                         [a.view(f"u{a.itemsize}") != 0 for a in arrays]))
                     assert count == slots.size
@@ -242,7 +263,7 @@ class TestRoundTrip:
                 else:
                     expected = b"".join(a.tobytes() for a in arrays)
                 assert files[name][body:body + len(expected)] == expected
-                bodies.add((store.adaptive, count < store.size()))
+                bodies.add((store.adaptive, count < store.weights.size))
         # (adaptive, sparse): both bodies with accumulators, a dense one without
         assert bodies == {(True, True), (True, False), (False, False)}
 
@@ -533,6 +554,29 @@ class TestNodeRecordBytes:
         with pytest.raises(CorruptedModelError, match="sum_clog2"):
             load_model(str(path))
 
+    def test_candidate_block_beyond_the_file_is_rejected_before_reading(self, trained, tmp_path,
+                                                                         monkeypatch):
+        # F raised to its limit lets a raised candidate count pass the F check
+        blob, path, hist_len = self._root_bytes(trained, tmp_path)
+        struct.pack_into("<I", blob, 6 + struct.calcsize("<IH"), MAX_CANDIDATES)
+        struct.pack_into("<I", blob, _ROOT_HIST_LEN + 4 + 12 * hist_len, 0xFFFFFFF0)
+        path.write_bytes(bytes(blob))
+        reads = recorded_reads(monkeypatch)
+        with pytest.raises(CorruptedModelError, match="candidate list needs 17179869120 bytes"):
+            load_model(str(path))
+        assert max(reads) < len(blob)
+
+    def test_histogram_block_beyond_the_file_is_rejected_before_reading(self, trained, tmp_path,
+                                                                         monkeypatch):
+        blob, path, _ = self._root_bytes(trained, tmp_path)
+        struct.pack_into("<I", blob, 6, MAX_CLASSES)
+        struct.pack_into("<I", blob, _ROOT_HIST_LEN, MAX_CLASSES)
+        path.write_bytes(bytes(blob))
+        reads = recorded_reads(monkeypatch)
+        with pytest.raises(CorruptedModelError, match=f"histogram needs {12 * MAX_CLASSES} bytes"):
+            load_model(str(path))
+        assert max(reads) < len(blob)
+
     def test_file_cut_inside_a_histogram_block(self, trained, tmp_path):
         blob, path, hist_len = self._root_bytes(trained, tmp_path)
         path.write_bytes(bytes(blob[:_ROOT_HIST_LEN + 4 + 12 * (hist_len // 2) + 5]))
@@ -617,6 +661,23 @@ class TestAtomicSave:
         save_model(loaded, str(path))
         assert bit_equal(load_model(str(path)).class_store.weights, loaded.class_store.weights)
         assert os.listdir(tmp_path) == ["tree.bin"]
+
+    def test_directory_is_synced_after_the_rename(self, trained, tmp_path, monkeypatch):
+        _, oaa, _ = trained
+        path = tmp_path / "oaa.bin"
+        synced = []  # (a descriptor of tmp_path, path already in place) per fsync
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            synced.append((stat.S_ISDIR(st.st_mode) and os.path.samestat(st, os.stat(tmp_path)),
+                           path.exists()))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        save_model(oaa, str(path))
+        # the temporary file before the rename, then the directory after it
+        assert synced == [(False, False), (True, True)]
 
     def test_mode_is_what_open_gives_a_new_file(self, trained, tmp_path):
         _, oaa, _ = trained
@@ -723,19 +784,44 @@ class TestHeaderFields:
         struct.pack_into("<I", blob, 6, 0)
         self._expect_corrupt(blob, tmp_path, "num_classes")
 
+    @pytest.mark.parametrize("kind", ["oaa", "tree"])
+    def test_class_count_above_the_limit_is_rejected_at_once(self, trained, tmp_path, kind,
+                                                             monkeypatch):
+        # K = 2^24 + 12, one changed byte in a small file, used to build
+        # 2^24 class salts (0.82 s and 548 MiB) before any check failed;
+        # now nothing past the header is read
+        blob = self._oaa_blob(trained, tmp_path) if kind == "oaa" else \
+            self._tree_blob(trained[0], tmp_path)
+        blob[9] = 1
+        assert struct.unpack_from("<I", blob, 6) == ((1 << 24) + 12,)
+        path = tmp_path / "model.bin"
+        path.write_bytes(bytes(blob))
+        reads = recorded_reads(monkeypatch)
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(CorruptedModelError, match=f"num_classes must be in \\[1, {MAX_CLASSES}\\]"):
+                load_model(str(path))
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 1 << 20
+        assert sum(reads) == (_OAA_STORE - 1 if kind == "oaa" else _FIRST_NODE)
+
 
 class TestFuzz:
     """Cut short or with one byte changed, a valid file loads or raises a
     ModelFormatError, quickly.
 
-    Two kinds of byte are left unchanged, because a change there yields a
-    legal file whose in-memory model is huge: a store's ``bits`` byte (a
-    2^30 table) and the top two bytes of the class count (up to 2^32
-    class salts, 32 GiB).
+    A store's ``bits`` byte is left unchanged, because a change there yields
+    a legal file whose in-memory model is huge (a 2^30 table).  The class
+    count is bounded by ``MAX_CLASSES``, so every byte of it may change.
     """
 
     def _flippable(self, blob: bytes) -> list[int]:
-        skip = set(store_offsets(blob)) | {8, 9}
+        skip = set(store_offsets(blob))
         return [i for i in range(len(blob)) if i not in skip]
 
     @settings(max_examples=1000, deadline=None)
@@ -757,3 +843,70 @@ class TestFuzz:
         except ModelFormatError:
             pass
         assert time.perf_counter() - started < 1.0
+
+
+class TestSettingsRoundTrip:
+    """Every setting ``Hyperparams`` accepts trains, saves and loads back to
+    the same model; every other one raises ``DomainError`` up front.
+
+    A cap beyond a few levels is round-tripped untrained: one example can
+    descend to the cap, and with path features each level scores one more
+    feature, so a 65535-level descent costs minutes.
+    """
+
+    PENALTIES = st.one_of(
+        st.sampled_from([0.0, 1.0, float("inf"), float("nan"), -1.0, float("-inf")]),
+        st.floats(allow_nan=True, allow_infinity=True))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_train_save_load(self, tmp_path_factory, data):
+        draw = data.draw
+        settings_ = dict(
+            max_depth=draw(st.sampled_from([0, 1, 2, 3, MAX_DEPTH, MAX_DEPTH + 1])),
+            num_candidates=draw(st.sampled_from([1, 2, 3, MAX_CANDIDATES, MAX_CANDIDATES + 1])),
+            depth_penalty=draw(self.PENALTIES),
+            bits=10,
+            bernstein_multiplier=draw(st.sampled_from([0.0, 1.0, 2.0])),
+            path_features=draw(st.booleans()),
+            router_sign=draw(st.sampled_from([ROUTER_SIGN_CORRECTED, ROUTER_SIGN_PAPER_LITERAL])),
+            adaptive_lr=draw(st.booleans()),
+        )
+        legal = (settings_["max_depth"] <= MAX_DEPTH
+                 and settings_["num_candidates"] <= MAX_CANDIDATES
+                 and settings_["depth_penalty"] >= 0)
+        try:
+            params = Hyperparams(**settings_)
+        except DomainError:
+            assert not legal
+            return
+        assert legal
+
+        k = draw(st.integers(1, 6))
+        n = draw(st.integers(0, 40)) if params.max_depth <= 3 else 0
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        stream = []
+        for _ in range(n):
+            indices = np.sort(rng.choice(5, size=rng.integers(0, 6), replace=False))
+            stream.append(SparseExample(int(rng.integers(k)), indices, rng.normal(size=indices.size)))
+        model = RecallTreeModel(k, 5, params).train(stream)
+        path = tmp_path_factory.getbasetemp() / "settings.bin"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+
+        def table(m):
+            return [(v.id, v.depth, v.parent, v.left, v.right, v.hist, v.total,
+                     v.sum_clog2, v.candidates, v.cand_total) for v in m.nodes]
+
+        assert loaded.params == params
+        assert loaded.examples_seen == n
+        assert table(loaded) == table(model)
+        for name in ("router_store", "class_store"):
+            a, b = getattr(loaded, name), getattr(model, name)
+            assert bit_equal(a.weights, b.weights)
+            if params.adaptive_lr:
+                assert bit_equal(a._grad_sq, b._grad_sq)
+        if stream:
+            expected = [model.predict_full(x) for x in stream]
+            assert loaded.predict_batch(stream) == model.predict_batch(stream) == expected
+            assert [loaded.predict_full(x) for x in stream] == expected

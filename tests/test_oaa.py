@@ -5,7 +5,7 @@ from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import Hyperparams, RecallTreeModel
+from recalltree.tree import MAX_CLASSES, Hyperparams, RecallTreeModel
 
 from conftest import accuracy, quadrant_examples, slot_of
 
@@ -24,6 +24,12 @@ class TestTraining:
         model.train_example(SparseExample.from_pairs(0, [(0, 1.0)]))
         assert np.count_nonzero(model.class_store.weights) == 1
         assert model.predict(SparseExample.from_pairs(0, [(5, 1.0)])) == 0
+
+    def test_class_limit(self):
+        assert OaaModel(MAX_CLASSES, bits=10).num_classes == MAX_CLASSES
+        for k in (0, MAX_CLASSES + 1):
+            with pytest.raises(DomainError, match="num_classes"):
+                OaaModel(k, bits=10)
 
     def test_label_out_of_range(self):
         model = OaaModel(3, bits=14)

@@ -12,6 +12,9 @@ from recalltree.linear import mix64_array
 from recalltree.model_io import load_model, save_model
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import (
+    MAX_CANDIDATES,
+    MAX_CLASSES,
+    MAX_DEPTH,
     ROUTER_SIGN_PAPER_LITERAL,
     Hyperparams,
     RecallTreeModel,
@@ -21,6 +24,7 @@ from recalltree.tree import (
     path_feature,
     path_feature_index,
     plurality_label,
+    ranked_classes,
     recall_lower_bound,
     update_candidates,
 )
@@ -101,6 +105,23 @@ class TestUpdateCandidates:
             assert node.candidates == brute[:num_candidates]
             assert node.cand_total == sum(node.hist[c] for c in node.candidates)
             assert node.total == sum(node.hist.values())
+
+    @given(st.lists(st.integers(0, 11), min_size=1, max_size=150),
+           st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_keeps_the_ranked_top_f(self, labels, num_candidates):
+        # the incremental upkeep against the one ranking the loader checks
+        node = TreeNode(id=0, depth=0)
+        for y in labels:
+            update_candidates(node, y, num_candidates)
+            ranked = ranked_classes(list(node.hist), list(node.hist.values()), num_candidates)
+            assert node.candidates == ranked.tolist()
+
+    def test_ranking_puts_larger_counts_first_and_breaks_ties_to_smaller_ids(self):
+        classes = np.array([9, 2, 4, 7], dtype=np.uint32)
+        counts = np.array([3, 5, 3, 0], dtype=np.uint64)
+        assert ranked_classes(classes, counts, 4).tolist() == [2, 4, 9, 7]
+        assert ranked_classes(classes, counts, 2).tolist() == [2, 4]
 
 
 class TestNodeEntropy:
@@ -443,6 +464,24 @@ class TestHyperparams:
             Hyperparams(max_depth=0, num_candidates=1, bernstein_multiplier=-0.5)
         with pytest.raises(DomainError):
             Hyperparams(max_depth=0, num_candidates=1, router_sign="sideways")
+
+    @pytest.mark.parametrize("field,good,bad", [
+        ("max_depth", MAX_DEPTH, MAX_DEPTH + 1),
+        ("num_candidates", MAX_CANDIDATES, MAX_CANDIDATES + 1),
+        ("depth_penalty", float("inf"), float("nan")),
+    ])
+    def test_limits_of_the_model_file(self, field, good, bad):
+        settings = dict(max_depth=0, num_candidates=1)
+        assert getattr(Hyperparams(**{**settings, field: good}), field) == good
+        with pytest.raises(DomainError, match=field):
+            Hyperparams(**{**settings, field: bad})
+
+    def test_class_limit(self):
+        params = Hyperparams(max_depth=0, num_candidates=1, bits=10)
+        assert RecallTreeModel(MAX_CLASSES, 1, params).num_classes == MAX_CLASSES
+        for k in (0, MAX_CLASSES + 1):
+            with pytest.raises(DomainError, match="num_classes"):
+                RecallTreeModel(k, 1, params)
 
 
 class TestPluralityLabel:
