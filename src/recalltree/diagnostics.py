@@ -265,7 +265,7 @@ def check_boost_bound(history: list[SplitterState], gamma: float,
 def plurality_predict(model: RecallTreeModel, x: SparseExample) -> int:
     """The frozen tree viewed as a plurality predictor: route to the
     halting node and answer its most frequent label."""
-    return plurality_label(model.halting_node(x))
+    return plurality_label(model.nodes[model.predict_full(x).node_id])
 
 
 def _halting_capable(model: RecallTreeModel, node: TreeNode) -> bool:
@@ -301,9 +301,12 @@ class PathIndicatorOaa:
     unit_weights: dict[int, int]
 
     def predict(self, x: SparseExample) -> int:
-        node = self.model.halting_node(x)
+        return self._answer(self.model.predict_full(x).node_id)
+
+    def _answer(self, node_id: int) -> int:
+        """Argmax over the class margins of an example halting at the node."""
         margins = [0.0] * self.model.num_classes
-        cls = self.unit_weights.get(node.id)
+        cls = self.unit_weights.get(node_id)
         if cls is not None:
             margins[cls] += 1.0
         best = 0
@@ -315,7 +318,9 @@ class PathIndicatorOaa:
     def agreement(self, examples: list[SparseExample]) -> float:
         if not examples:
             raise DomainError("agreement needs a non-empty sample")
-        same = sum(1 for x in examples if self.predict(x) == plurality_predict(self.model, x))
+        nodes = self.model.nodes
+        same = sum(1 for p in self.model.predict_batch(examples)
+                   if self._answer(p.node_id) == plurality_label(nodes[p.node_id]))
         return same / len(examples)
 
 

@@ -92,8 +92,7 @@ def holdout_eval(examples: list[SparseExample], model) -> EvalReport:
     correct = 0
     scored = 0
     routed = 0
-    for x in examples:
-        p = model.predict_full(x)
+    for x, p in zip(examples, model.predict_batch(examples)):
         correct += int(p.label == x.label)
         scored += p.classes_scored
         routed += p.router_evals

@@ -5,11 +5,11 @@ One container for both model types::
     magic "RCLT" | version u8 | model-type u8 | payload
 
 The tree payload carries the hyperparameters, the node table (histograms
-as sorted (class, count) pairs, the ranked candidate list and, since
-version 3, the node's trained ``sum_clog2``), and the two weight stores; the one-against-all payload carries its flags byte and
-its class store.  Integers are little-endian fixed width.  Hyperparameter
-reals are stored as float64 so a loaded model reproduces the original's
-predictions bit for bit.
+as sorted (class, count) pairs, the ranked candidate list and the node's
+trained ``sum_clog2``), and the two weight stores; the one-against-all
+payload carries its flags byte and its class store.  Integers are
+little-endian fixed width.  Hyperparameter reals are stored as float64 so
+a loaded model reproduces the original's predictions bit for bit.
 
 A weight store is ``bits u8 | learning_rate f8 | count u64`` and then
 whichever of two bodies is fewer bytes:
@@ -21,10 +21,8 @@ whichever of two bodies is fewer bytes:
   accumulators at those slots.  The listed slots are those whose weight or
   accumulator has a nonzero bit pattern, so -0.0 and NaN round-trip.
 
-Version 3 added the sparse body and the accumulators; version 2 added the
-one-against-all flags byte.  Version 1 and 2 files still load: their
-stores are dense and carry no accumulators, so AdaGrad state starts from
-zero, and a version 1 one-against-all model loads as plain SGD.
+Only ``FORMAT_VERSION`` loads; a file of any other version is a
+``ModelFormatError``.
 """
 
 from __future__ import annotations
@@ -63,13 +61,13 @@ _FLAG_ADAPTIVE_LR = 4
 # the fields, in file order; the writer and the reader share each format
 _VERSION_AND_TYPE = "<BB"
 _TREE_HEADER = "<IHIddBQQI"  # K, max_depth, F, penalty, multiplier, flags, width, examples, nodes
-_OAA_HEADER = "<IQ"  # K, examples seen; then, since version 2, the flags
+_OAA_HEADER = "<IQ"  # K, examples seen; then the flags
 _FLAGS = "<B"
 _NODE_HEADER = "<IiiiHQI"  # id, parent, left, right, depth, total, histogram length
 _HIST_ENTRY = np.dtype([("cls", "<u4"), ("count", "<u8")])
 _CAND_COUNT = "<I"
 _CANDIDATE = np.dtype("<u4")
-_SUM_CLOG2 = "<d"  # since version 3
+_SUM_CLOG2 = "<d"
 _STORE_HEADER = "<BdQ"
 # slots per step of the writer's nonzero scan
 _SCAN_CHUNK = 1 << 18
@@ -161,7 +159,7 @@ def _read_into(fh, out: np.ndarray) -> None:
         out.byteswap(inplace=True)
 
 
-def _read_store(fh, adaptive: bool, version: int) -> WeightStore:
+def _read_store(fh, adaptive: bool) -> WeightStore:
     """Read one weight store; ``adaptive`` comes from the payload's flags.
 
     The body's length follows from the header, and it is checked against
@@ -169,18 +167,17 @@ def _read_store(fh, adaptive: bool, version: int) -> WeightStore:
     """
     bits, lr, count = _read_struct(fh, _STORE_HEADER)
     size = 1 << bits
-    accumulators = adaptive and version >= 3
-    slot_bytes = 12 if accumulators else 4
+    slot_bytes = 12 if adaptive else 4
     if count == size:
         need = slot_bytes * count
-    elif version >= 3 and count < size:
+    elif count < size:
         need = (4 + slot_bytes) * count
     else:
         raise CorruptedModelError(f"weight store lists {count} slots for bits={bits}")
     _check_left(fh, need, "weight store")
     with _corrupt_if_rejected("weight store header"):
         store = WeightStore(bits, lr, adaptive)
-    arrays = [store.weights, store._grad_sq] if accumulators else [store.weights]
+    arrays = [store.weights, store._grad_sq] if adaptive else [store.weights]
     if count == size:
         for a in arrays:
             _read_into(fh, a)
@@ -204,7 +201,7 @@ def _write_node(fh, node: TreeNode) -> None:
     fh.write(struct.pack(_SUM_CLOG2, node.sum_clog2))
 
 
-def _read_node(fh, num_classes: int, num_candidates: int, version: int) -> TreeNode:
+def _read_node(fh, num_classes: int, num_candidates: int) -> TreeNode:
     """Read one node and check its histogram and candidate list.
 
     Both counts are bounded by K and F from the tree header, and their
@@ -219,7 +216,7 @@ def _read_node(fh, num_classes: int, num_candidates: int, version: int) -> TreeN
     if cand_len > num_candidates:
         raise CorruptedModelError(f"node {nid} has {cand_len} candidates, more than F={num_candidates}")
     candidates = _read_array(fh, _CANDIDATE, cand_len, "candidate list")
-    (stored_clog2,) = _read_struct(fh, _SUM_CLOG2) if version >= 3 else (None,)
+    (sum_clog2,) = _read_struct(fh, _SUM_CLOG2)
 
     classes, counts = hist["cls"], hist["count"]
     if hist_len and (classes[-1] >= num_classes or (classes[1:] <= classes[:-1]).any()):
@@ -234,18 +231,11 @@ def _read_node(fh, num_classes: int, num_candidates: int, version: int) -> TreeN
     count_list = counts.tolist()
     if total != sum(count_list):
         raise CorruptedModelError(f"node {nid} total {total} is not the sum of its histogram")
-    # summed one count at a time in file order, as versions 1 and 2 load it
-    sum_clog2 = 0.0
-    for count in count_list:
-        if count:
-            sum_clog2 += count * math.log2(count)
-    if stored_clog2 is not None:
-        # training sums it one increment at a time, in another order, so the
-        # two differ in the last bits; continued training must start from
-        # the stored value to match training without a break
-        if not math.isclose(stored_clog2, sum_clog2, rel_tol=1e-6):
-            raise CorruptedModelError(f"node {nid} sum_clog2 does not match its histogram")
-        sum_clog2 = stored_clog2
+    # training sums it one increment at a time, so the histogram's sum
+    # differs in the last bits; the node keeps the stored value, so that
+    # continued training matches training without a break
+    if not math.isclose(sum_clog2, sum(c * math.log2(c) for c in count_list if c), rel_tol=1e-6):
+        raise CorruptedModelError(f"node {nid} sum_clog2 does not match its histogram")
     hist_dict = dict(zip(classes.tolist(), count_list))
     candidate_list = candidates.tolist()
     return TreeNode(
@@ -329,16 +319,16 @@ def save_model(model, path: str) -> None:
         os.close(dir_fd)
 
 
-def _check_header(fh) -> tuple[int, int]:
+def _check_header(fh) -> int:
     magic = _read_exact(fh, 4)
     if magic != MAGIC:
         raise ModelFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     version, tag = _read_struct(fh, _VERSION_AND_TYPE)
-    if not 1 <= version <= FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
     if tag not in (TYPE_RECALL_TREE, TYPE_OAA):
         raise ModelFormatError(f"unknown model type tag {tag}")
-    return version, tag
+    return tag
 
 
 def _expect_eof(fh) -> None:
@@ -346,15 +336,15 @@ def _expect_eof(fh) -> None:
         raise CorruptedModelError("trailing bytes after model payload")
 
 
-def _load_tree(fh, version: int) -> RecallTreeModel:
+def _load_tree(fh) -> RecallTreeModel:
     (num_classes, max_depth, num_candidates, depth_penalty, multiplier,
      flags, num_raw_features, examples_seen, node_count) = _read_struct(fh, _TREE_HEADER)
     with _corrupt_if_rejected("tree header"):
         check_num_classes(num_classes)
-    nodes = [_read_node(fh, num_classes, num_candidates, version) for _ in range(node_count)]
+    nodes = [_read_node(fh, num_classes, num_candidates) for _ in range(node_count)]
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
-    router_store = _read_store(fh, adaptive, version)
-    class_store = _read_store(fh, adaptive, version)
+    router_store = _read_store(fh, adaptive)
+    class_store = _read_store(fh, adaptive)
     _expect_eof(fh)
 
     if not nodes or nodes[0].id != 0:
@@ -399,13 +389,13 @@ def _load_tree(fh, version: int) -> RecallTreeModel:
     return model
 
 
-def _load_oaa(fh, version: int) -> OaaModel:
+def _load_oaa(fh) -> OaaModel:
     num_classes, examples_seen = _read_struct(fh, _OAA_HEADER)
     with _corrupt_if_rejected("one-against-all header"):
         check_num_classes(num_classes)
-    (flags,) = _read_struct(fh, _FLAGS) if version >= 2 else (0,)
+    (flags,) = _read_struct(fh, _FLAGS)
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
-    store = _read_store(fh, adaptive, version)
+    store = _read_store(fh, adaptive)
     _expect_eof(fh)
     with _corrupt_if_rejected("one-against-all header"):
         model = OaaModel(num_classes, store.bits, store.learning_rate, adaptive)
@@ -417,6 +407,5 @@ def _load_oaa(fh, version: int) -> OaaModel:
 def load_model(path: str):
     """Load whichever model type the file holds."""
     with open(path, "rb") as fh:
-        version, tag = _check_header(fh)
-        return _load_tree(fh, version) if tag == TYPE_RECALL_TREE else _load_oaa(fh, version)
+        return _load_tree(fh) if _check_header(fh) == TYPE_RECALL_TREE else _load_oaa(fh)
 

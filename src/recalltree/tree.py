@@ -312,12 +312,12 @@ class RecallTreeModel:
 
     def _buffers(self, x: SparseExample) -> tuple[np.ndarray, np.ndarray, int]:
         """Check the example and return its mixed indices and values in
-        buffers with room for one path feature per level."""
+        buffers with room for one path feature per level below the root."""
         self._check_indices(x.indices)
         if len(self._router_salts) < len(self.nodes):
             self._node_keys()
         nnz = x.indices.size
-        cap = nnz + self.params.max_depth + 1
+        cap = nnz + self.params.max_depth
         mixed = np.empty(cap, dtype=np.uint64)
         values = np.empty(cap, dtype=np.float64)
         if nnz:
@@ -408,9 +408,12 @@ class RecallTreeModel:
 
     # -- inference -----------------------------------------------------------
 
-    def _descend(self, mixed: np.ndarray, values: np.ndarray, n: int) -> tuple[TreeNode, int, int]:
-        """Route to the halting node without learning.  Returns the node,
-        the number of router evaluations, and the augmented feature count."""
+    def predict_full(self, x: SparseExample) -> Prediction:
+        """Route one example to its halting node without learning, then
+        score the node's candidates."""
+        if self.examples_seen == 0:
+            raise UntrainedModelError("model has seen no training examples")
+        mixed, values, n = self._buffers(x)
         params = self.params
         node = self.root
         router_evals = 0
@@ -424,18 +427,11 @@ class RecallTreeModel:
             node = child
             if params.path_features:
                 n = self._append_path_feature(mixed, values, n, node.id)
-        return node, router_evals, n
-
-    def predict_full(self, x: SparseExample) -> Prediction:
-        if self.examples_seen == 0:
-            raise UntrainedModelError("model has seen no training examples")
-        mixed, values, n = self._buffers(x)
-        node, router_evals, n = self._descend(mixed, values, n)
-        assert len(node.candidates) <= self.params.num_candidates
+        assert len(node.candidates) <= params.num_candidates
         if not node.candidates:
             return Prediction(0, 0, router_evals, node.id, node.depth)
         ids, salts = self._candidate_keys(node)
-        slots = slot_matrix(salts, mixed[:n], self.params.bits)
+        slots = slot_matrix(salts, mixed[:n], params.bits)
         margins = self.class_store.batch_margins(slots, values[:n])
         # argmax takes the first maximum, and ids ascend, so ties go to the
         # smaller class id
@@ -468,12 +464,13 @@ class RecallTreeModel:
         # the live node table as arrays, rebuilt on every call so that
         # training between calls needs no invalidation
         nodes = self.nodes
+        left = np.array([-1 if n.left is None else n.left for n in nodes])
         table = (
             np.array(self._router_salts, dtype=np.uint64),
             np.array(self._path_mixed, dtype=np.uint64),
-            np.array([-1 if n.left is None else n.left for n in nodes]),
+            left,
             np.array([-1 if n.right is None else n.right for n in nodes]),
-            np.array([n.left is not None for n in nodes]),
+            left >= 0,
             np.array([self.bound(n) for n in nodes]),
         )
         preds: list[Prediction] = [None] * len(examples)
@@ -543,11 +540,3 @@ class RecallTreeModel:
                                        router_evals[halted].tolist()):
                 preds[i] = Prediction(label, ids.size, evals, nid, halt.depth)
         return preds
-
-    def halting_node(self, x: SparseExample) -> TreeNode:
-        """The node where a frozen descent stops for this example."""
-        if self.examples_seen == 0:
-            raise UntrainedModelError("model has seen no training examples")
-        mixed, values, n = self._buffers(x)
-        node, _, _ = self._descend(mixed, values, n)
-        return node

@@ -196,6 +196,27 @@ class TestPathIndicatorOaa:
         equiv = build_path_oaa(model)
         assert equiv.agreement(data[4000:]) == 1.0
 
+    def test_agreement_equals_the_per_example_definition(self):
+        spec = SynthSpec("hierarchical-clusters", num_classes=16, dimensions=6,
+                         num_examples=3000, noise=0.1, seed=101)
+        data = generate_examples(spec)
+        # F=3, so that the rows halt at several nodes
+        params = Hyperparams.defaults(16, bits=14, num_candidates=3)
+        model = RecallTreeModel(16, raw_feature_width(spec), params).train(data[:2000])
+        equiv = build_path_oaa(model)
+        # held-out rows cut to mixed lengths
+        held = [SparseExample(x.label, x.indices[:i % 7], x.values[:i % 7])
+                for i, x in enumerate(data[2000:])]
+        # the unit weight of every other node these rows halt at moved off
+        # its plurality, so that the two views disagree on some rows
+        halts = sorted({model.predict_full(x).node_id for x in held})
+        assert len(halts) > 2
+        for node_id in halts[::2]:
+            equiv.unit_weights[node_id] = (equiv.unit_weights[node_id] + 1) % 16
+        expected = np.mean([equiv.predict(x) == plurality_predict(model, x) for x in held])
+        assert 0 < expected < 1
+        assert equiv.agreement(held) == expected
+
     def test_agreement_checks_the_plurality_view(self):
         model = depth1_pure_model()
         for x in two_blob_examples(5):

@@ -9,9 +9,10 @@ from recalltree.evaluation import (
     n1_chi_squared,
     progressive_eval,
 )
+from recalltree.model_io import load_model, save_model
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import Hyperparams, Prediction, RecallTreeModel
+from recalltree.tree import MIN_BATCH_ROWS, Hyperparams, Prediction, RecallTreeModel
 
 
 class MemorizingStub:
@@ -103,6 +104,56 @@ class TestWorkCounters:
         model = RecallTreeModel(2, 1, Hyperparams.defaults(2, bits=12))
         with pytest.raises(DomainError):
             holdout_eval([], model)
+
+
+@pytest.fixture(scope="module")
+def frozen_models(tmp_path_factory):
+    """A trained tree, the same tree after a save/load round trip, a
+    one-against-all, and held-out rows of mixed raw lengths."""
+    spec = SynthSpec("hierarchical-clusters", num_classes=16, dimensions=6,
+                     num_examples=3000, noise=0.1, seed=101)
+    data = generate_examples(spec)
+    # F=3, so that the rows halt at several nodes
+    params = Hyperparams.defaults(16, bits=14, num_candidates=3)
+    tree = RecallTreeModel(16, raw_feature_width(spec), params).train(data[:2000])
+    path = tmp_path_factory.mktemp("holdout") / "tree.bin"
+    save_model(tree, str(path))
+    models = {"tree": tree, "loaded": load_model(str(path)),
+              "oaa": OaaModel(16, bits=14).train(data[:2000])}
+    # most rows cut to one of a few lengths; every 50th row repeated whole
+    # a different number of times, so its length is shared by few rows
+    rows = []
+    for i, x in enumerate(data[2000:]):
+        reps = 2 + i // 50 if i % 50 == 0 else 1
+        k = x.indices.size if reps > 1 else i % 5
+        rows.append(SparseExample(x.label, np.tile(x.indices[:k], reps),
+                                  np.tile(x.values[:k], reps)))
+    return models, rows
+
+
+def per_example_report(examples, model) -> EvalReport:
+    preds = [model.predict_full(x) for x in examples]
+    n = len(examples)
+    return EvalReport(
+        examples_seen=n,
+        holdout_accuracy=sum(p.label == x.label for x, p in zip(examples, preds)) / n,
+        scored_classes_mean=sum(p.classes_scored for p in preds) / n,
+        router_evals_mean=sum(p.router_evals for p in preds) / n,
+    )
+
+
+@pytest.mark.parametrize("name", ["tree", "loaded", "oaa"])
+def test_holdout_equals_a_per_example_tally(frozen_models, name):
+    models, rows = frozen_models
+    # both of predict_batch's paths run: blocks of one length, and the
+    # per-example fallback for lengths shared by too few rows
+    counts = np.unique([x.indices.size for x in rows], return_counts=True)[1]
+    assert (counts >= MIN_BATCH_ROWS).any() and (counts < MIN_BATCH_ROWS).any()
+    report = holdout_eval(rows, models[name])
+    assert report == per_example_report(rows, models[name])
+    assert 0 < report.holdout_accuracy < 1
+    if name == "tree":
+        assert len({models[name].predict_full(x).node_id for x in rows}) > 2
 
 
 class TestChiSquared:

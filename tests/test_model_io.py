@@ -66,37 +66,6 @@ def store_offsets(blob: bytes) -> list[int]:
     return offsets
 
 
-def write_old_version(model, path, version: int) -> None:
-    """Write ``model`` in the version 1 or 2 layout: every store is dense
-    float32 with no AdaGrad accumulators, and only version 2 has the
-    one-against-all flags byte."""
-    def store(s):
-        return struct.pack(_STORE_HEADER, s.bits, s.learning_rate, s.weights.size) + \
-            s.weights.astype("<f4").tobytes()
-
-    if isinstance(model, OaaModel):
-        out = [b"RCLT", struct.pack("<BBIQ", version, model_io.TYPE_OAA,
-                                    model.num_classes, model.examples_seen)]
-        if version >= 2:
-            out.append(bytes([4 if model.class_store.adaptive else 0]))
-        out.append(store(model.class_store))
-    else:
-        p = model.params
-        flags = 1 * p.path_features + 2 * (p.router_sign == ROUTER_SIGN_CORRECTED) + 4 * p.adaptive_lr
-        out = [b"RCLT", struct.pack("<BB" + _TREE_HEADER[1:], version, model_io.TYPE_RECALL_TREE,
-                                    model.num_classes, p.max_depth, p.num_candidates,
-                                    p.depth_penalty, p.bernstein_multiplier, flags,
-                                    model.num_raw_features, model.examples_seen, len(model.nodes))]
-        for n in model.nodes:
-            links = [-1 if v is None else v for v in (n.parent, n.left, n.right)]
-            out.append(struct.pack("<IiiiHQI", n.id, *links, n.depth, n.total, len(n.hist)))
-            out += [struct.pack("<IQ", c, n.hist[c]) for c in sorted(n.hist)]
-            out.append(struct.pack("<I", len(n.candidates)))
-            out += [struct.pack("<I", c) for c in n.candidates]
-        out += [store(model.router_store), store(model.class_store)]
-    path.write_bytes(b"".join(out))
-
-
 def recorded_reads(monkeypatch) -> list[int]:
     """Record the size of every read the loader asks for, bar a dense
     store's, which fills its table in place."""
@@ -308,12 +277,25 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             load_model(str(path))
 
-    def test_version_bump_is_a_clean_format_error(self, trained, tmp_path):
+    # versions 1 and 2 predate the sparse stores; only version 3 loads
+    @pytest.mark.parametrize("number", [0, 1, 2, 4, 99])
+    def test_version_bump_is_a_clean_format_error(self, trained, tmp_path, number):
         blob, path = self._tree_bytes(trained, tmp_path)
-        blob[4] = 99  # the version byte follows the 4-byte magic
+        blob[4] = number  # the version byte follows the 4-byte magic
         path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=f"unsupported format version {number}$"):
             load_model(str(path))
+
+    def test_cli_rejects_a_version_2_file(self, trained, tmp_path, capsys):
+        blob, path = self._tree_bytes(trained, tmp_path)
+        blob[4] = 2
+        path.write_bytes(bytes(blob))
+        data = tmp_path / "data.txt"
+        data.write_text("0 0:1\n")
+        assert main(["predict", "--model", str(path), "--data", str(data)]) == EX_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unsupported format version 2"]
 
     def test_unknown_type_tag(self, trained, tmp_path):
         blob, path = self._tree_bytes(trained, tmp_path)
@@ -342,63 +324,6 @@ class TestFormatErrors:
         blob, path = self._tree_bytes(trained, tmp_path)
         path.write_bytes(bytes(blob) + b"\x00")
         with pytest.raises(CorruptedModelError):
-            load_model(str(path))
-
-
-class TestVersionOne:
-    """Format version 1 files load: dense stores with no accumulators, and
-    no flags byte in a one-against-all payload."""
-
-    def test_tree(self, trained, tmp_path):
-        tree, _, data = trained
-        path = tmp_path / "tree.bin"
-        write_old_version(tree, path, 1)
-        loaded = load_model(str(path))
-        assert loaded.params == tree.params
-        assert np.array_equal(loaded.class_store.weights, tree.class_store.weights)
-        assert [loaded.predict(x) for x in data[3000:3300]] == \
-            [tree.predict(x) for x in data[3000:3300]]
-
-    def test_oaa_loads_as_plain_sgd(self, trained, tmp_path):
-        _, _, data = trained
-        oaa = OaaModel(12, bits=14, adaptive_lr=True).train(data[:200])
-        path = tmp_path / "oaa.bin"
-        write_old_version(oaa, path, 1)
-        loaded = load_model(str(path))
-        assert loaded.class_store.adaptive is False
-        assert loaded.examples_seen == 200
-        assert np.array_equal(loaded.class_store.weights, oaa.class_store.weights)
-
-
-class TestVersionTwo:
-    """Format version 2 files load with their AdaGrad flag and zero
-    accumulators; their stores must be dense."""
-
-    @pytest.mark.parametrize("kind", ["tree", "oaa"])
-    def test_adagrad_model_loads_with_zero_accumulators(self, trained, tmp_path, kind):
-        tree, _, data = trained
-        model = tree if kind == "tree" else OaaModel(12, bits=14, adaptive_lr=True).train(data[:200])
-        path = tmp_path / "model.bin"
-        write_old_version(model, path, 2)
-        loaded = load_model(str(path))
-        stores = ["class_store"] + (["router_store"] if kind == "tree" else [])
-        for name in stores:
-            store, original = getattr(loaded, name), getattr(model, name)
-            assert store.adaptive is True
-            assert bit_equal(store.weights, original.weights)
-            assert not store._grad_sq.any()
-        assert [loaded.predict(x) for x in data[3000:3300]] == \
-            [model.predict(x) for x in data[3000:3300]]
-
-    def test_sparse_count_is_corrupt(self, trained, tmp_path):
-        _, oaa, _ = trained
-        path = tmp_path / "oaa.bin"
-        save_model(oaa, str(path))
-        blob = bytearray(path.read_bytes())
-        assert struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE)[2] < 1 << 14
-        blob[4] = 2
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptedModelError, match="lists .* slots for bits=14"):
             load_model(str(path))
 
 

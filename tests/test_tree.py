@@ -235,8 +235,8 @@ class TestDescentHalting:
         # a later predict must halt before any never-visited branch
         model = RecallTreeModel(4, 4, Hyperparams(max_depth=3, num_candidates=1, bits=14))
         model.train_example(SparseExample.from_pairs(2, [(0, 1.0)]))
-        node = model.halting_node(SparseExample.from_pairs(0, [(0, 1.0)]))
-        assert node.total > 0
+        node_id = model.predict_full(SparseExample.from_pairs(0, [(0, 1.0)])).node_id
+        assert model.nodes[node_id].total > 0
 
     def test_bound_comparison_case(self):
         parent = TreeNode(id=0, depth=0, total=10, cand_total=5)
@@ -251,7 +251,7 @@ class TestDescentHalting:
         model = RecallTreeModel(4, 2, Hyperparams(max_depth=0, num_candidates=4, bits=14))
         model.train_example(SparseExample.from_pairs(1, [(0, 1.0)]))
         assert model.root.left is None
-        assert model.halting_node(SparseExample.from_pairs(0, [(0, 1.0)])).id == 0
+        assert model.predict_full(SparseExample.from_pairs(0, [(0, 1.0)])).node_id == 0
 
 
 class TestTrainExample:
