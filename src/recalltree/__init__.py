@@ -45,7 +45,6 @@ from .tree import (
     RecallTreeModel,
     TreeNode,
     node_entropy,
-    path_feature,
     path_feature_index,
     plurality_label,
     recall_lower_bound,
@@ -87,7 +86,6 @@ __all__ = [
     "n1_chi_squared",
     "node_entropy",
     "parse_example",
-    "path_feature",
     "path_feature_index",
     "plurality_label",
     "plurality_predict",

@@ -273,7 +273,7 @@ def _halting_capable(model: RecallTreeModel, node: TreeNode) -> bool:
     frontier node or one whose bound beats at least one child's."""
     if node.total == 0:
         return False
-    if model.is_leaf(node):
+    if node.left is None:
         return True
     b = model.bound(node)
     return (b > model.bound(model.nodes[node.left])

@@ -89,8 +89,7 @@ class WeightStore:
 
     ``adaptive`` turns on an AdaGrad-style per-slot accumulator; it is off
     by default so runs are exactly reproducible.  Saved models keep the
-    accumulator (format version 3), so training resumed after a load takes
-    the same steps.
+    accumulator, so training resumed after a load takes the same steps.
     """
 
     def __init__(self, bits: int, learning_rate: float = 1.0, adaptive: bool = False):

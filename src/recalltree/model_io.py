@@ -4,12 +4,17 @@ One container for both model types::
 
     magic "RCLT" | version u8 | model-type u8 | payload
 
-The tree payload carries the hyperparameters, the node table (histograms
-as sorted (class, count) pairs, the ranked candidate list and the node's
-trained ``sum_clog2``), and the two weight stores; the one-against-all
-payload carries its flags byte and its class store.  Integers are
-little-endian fixed width.  Hyperparameter reals are stored as float64 so
-a loaded model reproduces the original's predictions bit for bit.
+The tree payload carries the hyperparameters, the node table and the two
+weight stores; the one-against-all payload carries its flags byte and its
+class store.  Integers are little-endian fixed width.  Hyperparameter reals
+are stored as float64 so a loaded model reproduces the original's
+predictions bit for bit.  A node record is::
+
+    left i32 | hist_len u32 | (class u32, count u64) * hist_len | sum_clog2 f8
+
+``left`` is -1 for no children, and the right child is ``left + 1``.  The
+trained ``sum_clog2`` is kept for resumed training.  The id (the record's
+position), parent, depth, total and top-F candidates are derived on load.
 
 A weight store is ``bits u8 | learning_rate f8 | count u64`` and then
 whichever of two bodies is fewer bytes:
@@ -50,7 +55,7 @@ from .tree import (
 )
 
 MAGIC = b"RCLT"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 TYPE_RECALL_TREE = 1
 TYPE_OAA = 2
 
@@ -63,10 +68,8 @@ _VERSION_AND_TYPE = "<BB"
 _TREE_HEADER = "<IHIddBQQI"  # K, max_depth, F, penalty, multiplier, flags, width, examples, nodes
 _OAA_HEADER = "<IQ"  # K, examples seen; then the flags
 _FLAGS = "<B"
-_NODE_HEADER = "<IiiiHQI"  # id, parent, left, right, depth, total, histogram length
+_NODE_HEADER = "<iI"  # left child, histogram length
 _HIST_ENTRY = np.dtype([("cls", "<u4"), ("count", "<u8")])
-_CAND_COUNT = "<I"
-_CANDIDATE = np.dtype("<u4")
 _SUM_CLOG2 = "<d"
 _STORE_HEADER = "<BdQ"
 # slots per step of the writer's nonzero scan
@@ -193,60 +196,68 @@ def _read_store(fh, adaptive: bool) -> WeightStore:
 
 
 def _write_node(fh, node: TreeNode) -> None:
-    links = [-1 if v is None else v for v in (node.parent, node.left, node.right)]
-    fh.write(struct.pack(_NODE_HEADER, node.id, *links, node.depth, node.total, len(node.hist)))
+    fh.write(struct.pack(_NODE_HEADER, -1 if node.left is None else node.left, len(node.hist)))
     fh.write(np.array(sorted(node.hist.items()), dtype=_HIST_ENTRY).data)
-    fh.write(struct.pack(_CAND_COUNT, len(node.candidates)))
-    fh.write(np.array(node.candidates, dtype=_CANDIDATE).data)
     fh.write(struct.pack(_SUM_CLOG2, node.sum_clog2))
 
 
-def _read_node(fh, num_classes: int, num_candidates: int) -> TreeNode:
-    """Read one node and check its histogram and candidate list.
+def _read_node(fh, nid: int, num_classes: int, num_candidates: int) -> TreeNode:
+    """Read node ``nid`` and check its histogram.
 
-    Both counts are bounded by K and F from the tree header, and their
+    The histogram length is bounded by K from the tree header, and its
     block by the bytes left in the file, before the block is read, so a
     damaged count cannot ask for a larger read.
     """
-    nid, parent, left, right, depth, total, hist_len = _read_struct(fh, _NODE_HEADER)
+    left, hist_len = _read_struct(fh, _NODE_HEADER)
     if hist_len > num_classes:
         raise CorruptedModelError(f"node {nid} has {hist_len} histogram entries for {num_classes} classes")
     hist = _read_array(fh, _HIST_ENTRY, hist_len, "histogram")
-    (cand_len,) = _read_struct(fh, _CAND_COUNT)
-    if cand_len > num_candidates:
-        raise CorruptedModelError(f"node {nid} has {cand_len} candidates, more than F={num_candidates}")
-    candidates = _read_array(fh, _CANDIDATE, cand_len, "candidate list")
     (sum_clog2,) = _read_struct(fh, _SUM_CLOG2)
 
     classes, counts = hist["cls"], hist["count"]
     if hist_len and (classes[-1] >= num_classes or (classes[1:] <= classes[:-1]).any()):
         raise CorruptedModelError(
             f"node {nid} histogram classes must ascend within [0, {num_classes})")
-    if not np.array_equal(candidates, ranked_classes(classes, counts, num_candidates)):
-        if not np.isin(candidates, classes).all():
-            raise CorruptedModelError(f"node {nid} has a candidate missing from its histogram")
-        raise CorruptedModelError(
-            f"node {nid} candidates are not its top-{num_candidates} classes in ranked order")
-
     count_list = counts.tolist()
-    if total != sum(count_list):
-        raise CorruptedModelError(f"node {nid} total {total} is not the sum of its histogram")
     # training sums it one increment at a time, so the histogram's sum
     # differs in the last bits; the node keeps the stored value, so that
     # continued training matches training without a break
     if not math.isclose(sum_clog2, sum(c * math.log2(c) for c in count_list if c), rel_tol=1e-6):
         raise CorruptedModelError(f"node {nid} sum_clog2 does not match its histogram")
     hist_dict = dict(zip(classes.tolist(), count_list))
-    candidate_list = candidates.tolist()
+    candidates = ranked_classes(classes, counts, num_candidates).tolist()
     return TreeNode(
-        id=nid, depth=depth,
-        parent=None if parent < 0 else parent,
-        left=None if left < 0 else left,
-        right=None if right < 0 else right,
-        hist=hist_dict, total=total, sum_clog2=sum_clog2,
-        candidates=candidate_list,
-        cand_total=sum(hist_dict[c] for c in candidate_list),
+        id=nid, depth=0,
+        left=None if left == -1 else left,
+        right=None if left == -1 else left + 1,
+        hist=hist_dict, total=sum(count_list), sum_clog2=sum_clog2,
+        candidates=candidates,
+        cand_total=sum(hist_dict[c] for c in candidates),
     )
+
+
+def _link_nodes(nodes: list[TreeNode], max_depth: int) -> None:
+    """Set each node's parent and depth in one forward pass.  Children come
+    after their parent, one parent each and none below ``max_depth``, so
+    every descent ends within the buffers sized for it."""
+    if not nodes:
+        raise CorruptedModelError("node table has no root")
+    for node in nodes:
+        if node.id and node.parent is None:
+            raise CorruptedModelError(f"node {node.id} is not the child of any node")
+        if node.left is None:
+            continue
+        if node.left <= node.id:
+            raise CorruptedModelError(f"node {node.id} names child {node.left}, which is not after it")
+        if node.right >= len(nodes):
+            raise CorruptedModelError(f"node {node.id} names child {node.right} beyond the table")
+        if node.depth == max_depth:
+            raise CorruptedModelError(f"node {node.id} at max_depth {max_depth} has children")
+        for child in (nodes[node.left], nodes[node.right]):
+            if child.parent is not None:
+                raise CorruptedModelError(f"node {child.id} is the child of two nodes")
+            child.parent = node.id
+            child.depth = node.depth + 1
 
 
 def _write_model(fh, model, tag: int) -> None:
@@ -341,30 +352,13 @@ def _load_tree(fh) -> RecallTreeModel:
      flags, num_raw_features, examples_seen, node_count) = _read_struct(fh, _TREE_HEADER)
     with _corrupt_if_rejected("tree header"):
         check_num_classes(num_classes)
-    nodes = [_read_node(fh, num_classes, num_candidates) for _ in range(node_count)]
+    nodes = [_read_node(fh, nid, num_classes, num_candidates) for nid in range(node_count)]
+    _link_nodes(nodes, max_depth)
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
     router_store = _read_store(fh, adaptive)
     class_store = _read_store(fh, adaptive)
     _expect_eof(fh)
 
-    if not nodes or nodes[0].id != 0:
-        raise CorruptedModelError("node table must start at the root (id 0)")
-    for i, node in enumerate(nodes):
-        if node.id != i:
-            raise CorruptedModelError("node ids must be dense and in order")
-        for ref in (node.parent, node.left, node.right):
-            if ref is not None and not 0 <= ref < node_count:
-                raise CorruptedModelError(f"node {i} references missing node {ref}")
-        if node.depth > max_depth:
-            raise CorruptedModelError(f"node {i} at depth {node.depth} exceeds max_depth {max_depth}")
-        if (node.left is None) != (node.right is None):
-            raise CorruptedModelError(f"node {i} has only one child")
-        # a child one level below the node it names as parent rules out
-        # cycles, so descent always ends
-        for child in (node.left, node.right):
-            if child is not None and (nodes[child].parent != i
-                                      or nodes[child].depth != node.depth + 1):
-                raise CorruptedModelError(f"node {i} links to node {child}, which is not its child")
     if router_store.bits != class_store.bits:
         raise CorruptedModelError("router and class stores must share one bit width")
 
@@ -383,6 +377,7 @@ def _load_tree(fh) -> RecallTreeModel:
         )
         model = RecallTreeModel(num_classes, num_raw_features, params)
     model.nodes = nodes
+    model._node_keys()
     model.router_store = router_store
     model.class_store = class_store
     model.examples_seen = examples_seen

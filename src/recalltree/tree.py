@@ -232,10 +232,6 @@ def path_feature_index(node_id: int, num_raw_features: int) -> int:
     return num_raw_features + node_id
 
 
-def path_feature(node_id: int, num_raw_features: int) -> tuple[int, float]:
-    return path_feature_index(node_id, num_raw_features), 1.0
-
-
 @dataclass
 class Prediction:
     """A predicted class plus the work done to produce it."""
@@ -266,6 +262,7 @@ class RecallTreeModel:
         # per node id: router salt and mixed path-feature index
         self._router_salts: list[np.uint64] = []
         self._path_mixed: list[np.uint64] = []
+        self._node_keys()
         self._class_salts = key_salt(ROLE_CLASS, np.arange(num_classes))
         self.examples_seen = 0
 
@@ -274,11 +271,6 @@ class RecallTreeModel:
     @property
     def root(self) -> TreeNode:
         return self.nodes[0]
-
-    def is_leaf(self, node: TreeNode) -> bool:
-        # no node at the depth cap has children (training makes none, the
-        # loader rejects them); descent makes the same test inline
-        return node.left is None
 
     def bound(self, node: TreeNode) -> float:
         return recall_lower_bound(node, self.params.depth_penalty,
@@ -296,7 +288,7 @@ class RecallTreeModel:
 
     def _node_keys(self) -> None:
         """Hash the router salt and path feature of every node that lacks
-        them: new children, or a node table put in place by a loader."""
+        them: the root, new children, or a node table a loader put in place."""
         ids = np.arange(len(self._router_salts), len(self.nodes), dtype=np.uint64)
         self._router_salts += list(key_salt(ROLE_ROUTER, ids))
         self._path_mixed += list(mix64_array(path_feature_index(ids, self.num_raw_features)))
@@ -314,8 +306,6 @@ class RecallTreeModel:
         """Check the example and return its mixed indices and values in
         buffers with room for one path feature per level below the root."""
         self._check_indices(x.indices)
-        if len(self._router_salts) < len(self.nodes):
-            self._node_keys()
         nnz = x.indices.size
         cap = nnz + self.params.max_depth
         mixed = np.empty(cap, dtype=np.uint64)
@@ -459,8 +449,6 @@ class RecallTreeModel:
             return []
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        if len(self._router_salts) < len(self.nodes):
-            self._node_keys()
         # the live node table as arrays, rebuilt on every call so that
         # training between calls needs no invalidation
         nodes = self.nodes

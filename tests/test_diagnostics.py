@@ -191,8 +191,10 @@ class TestPathIndicatorOaa:
         spec = SynthSpec("hierarchical-clusters", num_classes=16, dimensions=5,
                          num_examples=6000, noise=0.05, seed=9)
         data = generate_examples(spec)
-        params = Hyperparams.defaults(16, bits=14, adaptive_lr=True)
+        # F=3, so that the rows halt at several nodes
+        params = Hyperparams.defaults(16, bits=14, num_candidates=3, adaptive_lr=True)
         model = RecallTreeModel(16, raw_feature_width(spec), params).train(data[:4000])
+        assert len({model.predict_full(x).node_id for x in data[4000:]}) >= 2
         equiv = build_path_oaa(model)
         assert equiv.agreement(data[4000:]) == 1.0
 

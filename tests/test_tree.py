@@ -21,7 +21,6 @@ from recalltree.tree import (
     TreeNode,
     ceil_log2,
     node_entropy,
-    path_feature,
     path_feature_index,
     plurality_label,
     ranked_classes,
@@ -154,7 +153,7 @@ class TestNodeEntropy:
 
 class TestPathFeature:
     def test_offset_rule(self):
-        assert path_feature(0, 1000) == (1000, 1.0)
+        assert path_feature_index(0, 1000) == 1000
 
     def test_deterministic(self):
         assert path_feature_index(7, 10) == path_feature_index(7, 10)
