@@ -21,12 +21,7 @@ from .evaluation import holdout_eval, progressive_eval
 from .model_io import load_model, save_model
 from .oaa import OaaModel
 from .synth import SynthSpec, synth_generate
-from .tree import (
-    ROUTER_SIGN_CORRECTED,
-    ROUTER_SIGN_PAPER_LITERAL,
-    Hyperparams,
-    RecallTreeModel,
-)
+from .tree import Hyperparams, RecallTreeModel
 
 EX_OK = 0
 EX_USAGE = 2
@@ -52,10 +47,6 @@ def _add_hyperparam_flags(p: argparse.ArgumentParser) -> None:
                    help="do not append traversal indicator features")
     p.add_argument("--bernstein-multiplier", type=float, default=1.0,
                    help="0 uses raw empirical recall; 1 applies the full lower bound (default: 1)")
-    p.add_argument("--router-sign", choices=[ROUTER_SIGN_CORRECTED, ROUTER_SIGN_PAPER_LITERAL],
-                   default=ROUTER_SIGN_CORRECTED,
-                   help="router label convention (default: corrected, which routes "
-                        "toward the entropy-reducing side)")
     p.add_argument("--adagrad", action="store_true",
                    help="per-slot adaptive learning rate (off by default for reproducibility)")
 
@@ -123,7 +114,6 @@ def _params_from_args(args, num_classes: int) -> Hyperparams:
         learning_rate=args.learning_rate,
         path_features=not args.no_path_features,
         bernstein_multiplier=args.bernstein_multiplier,
-        router_sign=args.router_sign,
         adaptive_lr=args.adagrad,
     )
     if args.max_depth is not None:

@@ -44,15 +44,7 @@ import numpy as np
 from .errors import CorruptedModelError, DomainError, ModelFormatError, ModelTypeError
 from .linear import WeightStore
 from .oaa import OaaModel
-from .tree import (
-    ROUTER_SIGN_CORRECTED,
-    ROUTER_SIGN_PAPER_LITERAL,
-    Hyperparams,
-    RecallTreeModel,
-    TreeNode,
-    check_num_classes,
-    ranked_classes,
-)
+from .tree import Hyperparams, RecallTreeModel, TreeNode, check_num_classes, ranked_classes
 
 MAGIC = b"RCLT"
 FORMAT_VERSION = 4
@@ -60,6 +52,8 @@ TYPE_RECALL_TREE = 1
 TYPE_OAA = 2
 
 _FLAG_PATH_FEATURES = 1
+# always set: a file with it clear was trained toward the higher-entropy
+# child, a router sign this code no longer has
 _FLAG_ROUTER_CORRECTED = 2
 _FLAG_ADAPTIVE_LR = 4
 
@@ -270,11 +264,9 @@ def _write_model(fh, model, tag: int) -> None:
         _write_store(fh, model.class_store)
         return
     p = model.params
-    flags = 0
+    flags = _FLAG_ROUTER_CORRECTED
     if p.path_features:
         flags |= _FLAG_PATH_FEATURES
-    if p.router_sign == ROUTER_SIGN_CORRECTED:
-        flags |= _FLAG_ROUTER_CORRECTED
     if p.adaptive_lr:
         flags |= _FLAG_ADAPTIVE_LR
     fh.write(struct.pack(
@@ -342,6 +334,11 @@ def _check_header(fh) -> int:
     return tag
 
 
+def _check_flags(flags: int, known: int) -> None:
+    if flags & ~known:
+        raise CorruptedModelError(f"unknown flags bits {flags & ~known:#04x}")
+
+
 def _expect_eof(fh) -> None:
     if fh.read(1):
         raise CorruptedModelError("trailing bytes after model payload")
@@ -352,6 +349,10 @@ def _load_tree(fh) -> RecallTreeModel:
      flags, num_raw_features, examples_seen, node_count) = _read_struct(fh, _TREE_HEADER)
     with _corrupt_if_rejected("tree header"):
         check_num_classes(num_classes)
+    _check_flags(flags, _FLAG_PATH_FEATURES | _FLAG_ROUTER_CORRECTED | _FLAG_ADAPTIVE_LR)
+    if not flags & _FLAG_ROUTER_CORRECTED:
+        raise ModelFormatError("model was trained with the literal router sign, "
+                               "which is no longer supported; retrain it")
     nodes = [_read_node(fh, nid, num_classes, num_candidates) for nid in range(node_count)]
     _link_nodes(nodes, max_depth)
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
@@ -361,6 +362,8 @@ def _load_tree(fh) -> RecallTreeModel:
 
     if router_store.bits != class_store.bits:
         raise CorruptedModelError("router and class stores must share one bit width")
+    if router_store.learning_rate != class_store.learning_rate:
+        raise CorruptedModelError("router and class stores must share one learning rate")
 
     with _corrupt_if_rejected("tree header"):
         params = Hyperparams(
@@ -371,8 +374,6 @@ def _load_tree(fh) -> RecallTreeModel:
             learning_rate=class_store.learning_rate,
             path_features=bool(flags & _FLAG_PATH_FEATURES),
             bernstein_multiplier=multiplier,
-            router_sign=ROUTER_SIGN_CORRECTED if flags & _FLAG_ROUTER_CORRECTED
-            else ROUTER_SIGN_PAPER_LITERAL,
             adaptive_lr=adaptive,
         )
         model = RecallTreeModel(num_classes, num_raw_features, params)
@@ -389,6 +390,7 @@ def _load_oaa(fh) -> OaaModel:
     with _corrupt_if_rejected("one-against-all header"):
         check_num_classes(num_classes)
     (flags,) = _read_struct(fh, _FLAGS)
+    _check_flags(flags, _FLAG_ADAPTIVE_LR)
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
     store = _read_store(fh, adaptive)
     _expect_eof(fh)

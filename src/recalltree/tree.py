@@ -52,10 +52,6 @@ MAX_DEPTH = (1 << 16) - 1
 MAX_CANDIDATES = (1 << 32) - 1
 MAX_CLASSES = 1 << 20
 
-ROUTER_SIGN_CORRECTED = "corrected"
-ROUTER_SIGN_PAPER_LITERAL = "literal"
-_ROUTER_SIGNS = (ROUTER_SIGN_CORRECTED, ROUTER_SIGN_PAPER_LITERAL)
-
 
 def check_num_classes(num_classes: int) -> None:
     if not 1 <= num_classes <= MAX_CLASSES:
@@ -73,7 +69,9 @@ def ceil_log2(n: int) -> int:
 class Hyperparams:
     """Knobs of the model.  ``defaults`` reproduces the stock settings:
     depth capped at log2(K), 4*log2(K) candidates per node, unit depth
-    penalty and learning rate, logistic loss."""
+    penalty and learning rate, logistic loss.  Routers have no setting of
+    their own: each trains toward the child whose choice lowers the expected
+    label entropy."""
 
     max_depth: int
     num_candidates: int
@@ -82,7 +80,6 @@ class Hyperparams:
     learning_rate: float = 1.0
     path_features: bool = True
     bernstein_multiplier: float = 1.0
-    router_sign: str = ROUTER_SIGN_CORRECTED
     adaptive_lr: bool = False
 
     def __post_init__(self):
@@ -98,8 +95,6 @@ class Hyperparams:
             raise DomainError("learning_rate must be positive")
         if not (math.isfinite(self.bernstein_multiplier) and self.bernstein_multiplier >= 0):
             raise DomainError("bernstein_multiplier must be >= 0")
-        if self.router_sign not in _ROUTER_SIGNS:
-            raise DomainError(f"router_sign must be one of {_ROUTER_SIGNS}")
 
     @classmethod
     def defaults(cls, num_classes: int, **overrides) -> "Hyperparams":
@@ -326,12 +321,11 @@ class RecallTreeModel:
     def _update_router(self, node: TreeNode, mixed: np.ndarray, values: np.ndarray,
                        y: int, importance: float) -> np.ndarray:
         """Entropy-objective router update; returns the router's slots so the
-        caller can route with the post-update weights."""
+        caller can route with the post-update weights.  The caller has
+        counted ``y`` at ``node``, so its total is at least 1."""
         slots = slot_matrix(self._router_salts[node.id], mixed, self.params.bits)
         left = self.nodes[node.left]
         right = self.nodes[node.right]
-        if node.total == 0:
-            return slots
         h_left = node_entropy(left)
         h_left_y = node_entropy(left, y)
         h_right = node_entropy(right)
@@ -343,11 +337,10 @@ class RecallTreeModel:
         delta = h_if_left - h_if_right
         if abs(delta) < MIN_ROUTER_IMPORTANCE:
             return slots
-        # train toward the side whose choice lowers expected entropy; the
-        # literal variant keeps the raw sign of the difference instead
+        # train toward the side whose choice lowers expected entropy, the
+        # paper's objective (a positive margin goes left); there is no other
+        # sign, since the opposite one trains toward higher entropy
         label = -1 if delta > 0 else 1
-        if self.params.router_sign == ROUTER_SIGN_PAPER_LITERAL:
-            label = -label
         self.router_store.batch_learn(slots, values, label, importance * abs(delta))
         return slots
 
@@ -450,15 +443,13 @@ class RecallTreeModel:
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
         # the live node table as arrays, rebuilt on every call so that
-        # training between calls needs no invalidation
+        # training between calls needs no invalidation; -1 marks a node
+        # without children, and a right child is always its left child + 1
         nodes = self.nodes
-        left = np.array([-1 if n.left is None else n.left for n in nodes])
         table = (
             np.array(self._router_salts, dtype=np.uint64),
             np.array(self._path_mixed, dtype=np.uint64),
-            left,
-            np.array([-1 if n.right is None else n.right for n in nodes]),
-            left >= 0,
+            np.array([-1 if n.left is None else n.left for n in nodes]),
             np.array([self.bound(n) for n in nodes]),
         )
         preds: list[Prediction] = [None] * len(examples)
@@ -478,7 +469,7 @@ class RecallTreeModel:
 
     def _predict_block(self, block: list[SparseExample], table) -> list[Prediction]:
         """Predictions for examples that all have the same raw length."""
-        router_salts, path_mixed, left, right, descends, bounds = table
+        router_salts, path_mixed, left, bounds = table
         params = self.params
         nnz = block[0].indices.size
         cap = nnz + params.max_depth  # one path feature per level below the root
@@ -493,14 +484,14 @@ class RecallTreeModel:
         # descend: ``live`` holds the rows still routing, all at one depth
         node = np.zeros(len(block), dtype=np.int64)
         router_evals = np.zeros(len(block), dtype=np.int64)
-        live = np.flatnonzero(descends[node])
+        live = np.flatnonzero(left[node] >= 0)
         n = nnz
         while live.size:
             at = node[live]
             slots = slot_matrix(router_salts[at, None], mixed[live, None, :n], params.bits)
             routed = self.router_store.batch_margins(slots, values[live, :n, None])[:, 0, 0]
             router_evals[live] += 1
-            child = np.where(routed > 0, left[at], right[at])
+            child = np.where(routed > 0, left[at], left[at] + 1)
             moves = ~(bounds[at] > bounds[child])
             live = live[moves]
             node[live] = child[moves]
@@ -508,7 +499,7 @@ class RecallTreeModel:
                 mixed[live, n] = path_mixed[node[live]]
                 values[live, n] = 1.0
                 n += 1
-            live = live[descends[node[live]]]
+            live = live[left[node[live]] >= 0]
 
         preds: list[Prediction] = [None] * len(block)
         for nid in np.unique(node).tolist():

@@ -94,6 +94,14 @@ class TestTrain:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not model_path.exists()
 
+    def test_deleted_sign_flag_is_usage_error(self, workdir, capsys):
+        # routers have one sign; the flag that chose the other is deleted
+        root, data = workdir
+        code, model_path = train_model(root, data, "literal.bin",
+                                       extra=["--router-sign", "literal"])
+        assert code == EX_USAGE
+        assert not model_path.exists()
+
 
 class TestPredict:
     def test_one_class_per_line(self, workdir, capsys, tmp_path):
@@ -174,7 +182,6 @@ class TestFlagDefaults:
         assert args.depth_penalty == 1.0
         assert args.bernstein_multiplier == 1.0
         assert args.bits == 24
-        assert args.router_sign == "corrected"
         assert args.passes == 1
         assert args.seed == 42
         assert args.max_depth is None and args.candidates is None

@@ -22,8 +22,6 @@ from recalltree.tree import (
     MAX_CANDIDATES,
     MAX_CLASSES,
     MAX_DEPTH,
-    ROUTER_SIGN_CORRECTED,
-    ROUTER_SIGN_PAPER_LITERAL,
     Hyperparams,
     RecallTreeModel,
     update_candidates,
@@ -35,6 +33,8 @@ from recalltree.tree import (
 _TREE_HEADER = "<IHIddBQQI"
 _FIRST_NODE = 4 + struct.calcsize("<BB") + struct.calcsize(_TREE_HEADER)
 _ROOT_HIST_LEN = _FIRST_NODE + struct.calcsize("<i")
+# the tree's flags byte follows K, max_depth, F, the penalty and the multiplier
+_TREE_FLAGS = 6 + struct.calcsize("<IHIdd")
 # a one-against-all file: magic, version, tag, <IQ>, the flags byte, the store
 _OAA_STORE = 4 + 2 + struct.calcsize("<IQ") + 1
 _STORE_HEADER = "<BdQ"
@@ -623,6 +623,43 @@ class TestHeaderFields:
             struct.pack_into("<d", blob, offset + 1, lr)
         self._expect_corrupt(blob, tmp_path, "learning_rate")
 
+    def test_stores_with_two_learning_rates(self, trained, tmp_path):
+        # used to load with params.learning_rate 1.0 and a router store at 0.5
+        blob = self._tree_blob(trained[0], tmp_path)
+        struct.pack_into("<d", blob, store_offsets(bytes(blob))[0] + 1, 0.5)
+        self._expect_corrupt(blob, tmp_path, "share one learning rate")
+
+    # a tree reads flags bits 1, 2 and 4, a one-against-all only bit 4;
+    # other bits used to load silently
+    @pytest.mark.parametrize("kind,bits", [("tree", [8, 16, 32, 64, 128]),
+                                           ("oaa", [1, 2, 8, 16, 32, 64, 128])])
+    def test_unknown_flags_bit(self, trained, tmp_path, kind, bits):
+        blob, at = (self._oaa_blob(trained, tmp_path), _OAA_STORE - 1) if kind == "oaa" else \
+            (self._tree_blob(trained[0], tmp_path), _TREE_FLAGS)
+        for bit in bits:
+            patched = bytearray(blob)
+            patched[at] |= bit
+            self._expect_corrupt(patched, tmp_path, f"unknown flags bits {bit:#04x}")
+
+    def test_literal_sign_must_be_retrained(self, trained, tmp_path, capsys):
+        # bit 2 clear marks a tree whose routers trained toward higher entropy
+        blob = self._tree_blob(trained[0], tmp_path)
+        assert blob[_TREE_FLAGS] & 2
+        blob[_TREE_FLAGS] &= ~2
+        path = tmp_path / "literal.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match="literal router sign.*retrain") as info:
+            load_model(str(path))
+        assert type(info.value) is ModelFormatError
+        data = tmp_path / "data.txt"
+        data.write_text("0 0:1\n")
+        for argv in (["predict", "--data", str(data)], ["inspect"]):
+            capsys.readouterr()
+            assert main([*argv, "--model", str(path)]) == EX_FORMAT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {info.value}"]
+
     @pytest.mark.parametrize("bits", [9, 31, 255])
     def test_bits_outside_the_legal_range(self, trained, tmp_path, bits):
         blob = self._oaa_blob(trained, tmp_path)
@@ -774,7 +811,6 @@ class TestSettingsRoundTrip:
             bits=10,
             bernstein_multiplier=draw(st.sampled_from([0.0, 1.0, 2.0])),
             path_features=draw(st.booleans()),
-            router_sign=draw(st.sampled_from([ROUTER_SIGN_CORRECTED, ROUTER_SIGN_PAPER_LITERAL])),
             adaptive_lr=draw(st.booleans()),
         )
         legal = (settings_["max_depth"] <= MAX_DEPTH

@@ -21,7 +21,6 @@ VARIANTS = {
     "default": {},
     "no_path_features": dict(path_features=False),
     "raw_recall": dict(bernstein_multiplier=0.0),
-    "literal_sign": dict(router_sign="literal"),
     "depth_zero": dict(max_depth=0),
 }
 

@@ -15,7 +15,6 @@ from recalltree.tree import (
     MAX_CANDIDATES,
     MAX_CLASSES,
     MAX_DEPTH,
-    ROUTER_SIGN_PAPER_LITERAL,
     Hyperparams,
     RecallTreeModel,
     TreeNode,
@@ -166,9 +165,8 @@ ROUTER_CASE_IMPORTANCE = 0.45914791702724467  # half the entropy of a 2:1 split
 
 
 class TestUpdateRouter:
-    def _model(self, router_sign="corrected"):
-        params = Hyperparams(max_depth=2, num_candidates=4, bits=16,
-                             router_sign=router_sign)
+    def _model(self):
+        params = Hyperparams(max_depth=2, num_candidates=4, bits=16)
         model = RecallTreeModel(4, 4, params)
         model._materialize(model.root)
         return model
@@ -211,13 +209,6 @@ class TestUpdateRouter:
         model = self._model()
         self._fill(model, {0: 2}, {1: 2})
         self._run_update(model, 1)
-        w = self._router_weight(model, 1)
-        assert w == pytest.approx(-0.5 * ROUTER_CASE_IMPORTANCE, abs=1e-6)
-
-    def test_literal_sign_flag_flips_the_label(self):
-        model = self._model(router_sign=ROUTER_SIGN_PAPER_LITERAL)
-        self._fill(model, {0: 2}, {1: 2})
-        self._run_update(model, 0)
         w = self._router_weight(model, 1)
         assert w == pytest.approx(-0.5 * ROUTER_CASE_IMPORTANCE, abs=1e-6)
 
@@ -461,8 +452,6 @@ class TestHyperparams:
             Hyperparams(max_depth=0, num_candidates=0)
         with pytest.raises(DomainError):
             Hyperparams(max_depth=0, num_candidates=1, bernstein_multiplier=-0.5)
-        with pytest.raises(DomainError):
-            Hyperparams(max_depth=0, num_candidates=1, router_sign="sideways")
 
     @pytest.mark.parametrize("field,good,bad", [
         ("max_depth", MAX_DEPTH, MAX_DEPTH + 1),
