@@ -171,8 +171,7 @@ def cmd_predict(args) -> int:
     predictions = model.predict_batch(examples)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        for p in predictions:
-            out.write(f"{p.label}\n")
+        out.write("".join(f"{p.label}\n" for p in predictions))
     finally:
         if args.output:
             out.close()

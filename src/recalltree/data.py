@@ -9,6 +9,9 @@ non-negative integers into a declared raw feature space, and values are
 finite decimal reals.  Duplicate indices are legal and are kept in order;
 they contribute additively when an example is scored.  Files ending in
 ``.gz`` are transparently decompressed.
+
+Every reader parses a chunk of lines at a time and re-parses a chunk with
+a bad line one line at a time, which names the line and column at fault.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import gzip
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 from typing import IO, Iterator
 
 import numpy as np
@@ -24,6 +28,9 @@ import numpy as np
 from .errors import DomainError, ParseError
 
 _TOKEN = re.compile(r"\S+")
+
+# lines parsed per bulk conversion
+_CHUNK_LINES = 1024
 
 
 @dataclass
@@ -48,6 +55,23 @@ class SparseExample:
             raise DomainError("importance must be a positive finite real")
         if self.label < 0:
             raise DomainError(f"label must be non-negative, got {self.label}")
+
+    @classmethod
+    def _slices(cls, labels: list[int], indices: np.ndarray, values: np.ndarray,
+                ends: list[int]) -> list["SparseExample"]:
+        """Examples whose arrays are consecutive slices of ``indices`` and
+        ``values``, the i-th ending at ``ends[i]``.  The caller has checked
+        the int64/float64 arrays and the labels, so ``__post_init__``'s
+        per-row checks are skipped."""
+        examples = []
+        start = 0
+        for label, end in zip(labels, ends):
+            example = object.__new__(cls)
+            example.label, example.indices, example.values, example.importance = (
+                label, indices[start:end], values[start:end], 1.0)
+            examples.append(example)
+            start = end
+        return examples
 
     @classmethod
     def from_pairs(cls, label: int, pairs, importance: float = 1.0) -> "SparseExample":
@@ -84,27 +108,62 @@ def parse_example(line: str, *, line_number: int | None = None) -> SparseExample
     Raises :class:`ParseError` naming the line/column of a malformed token
     and :class:`DomainError` for a negative label.
     """
-    # Fast path: whitespace split, one partition per token, and the
-    # example's constructor as the only validation.  Any failure re-parses
-    # the line with _parse_located, which names the offending token.
-    # str.split() and the \S+ regex cut every line into the same tokens.
+    parsed = _parse_chunk([line])
+    return parsed[0] if parsed else _parse_located(line, line_number)
+
+
+def _parse_chunk(lines: list[str]) -> list[SparseExample] | None:
+    """Parse a chunk of lines in bulk, or return None if any line fails a
+    check; the caller then re-parses the lines one at a time.
+
+    Values go through Python's ``int`` and ``float``, so the grammar
+    (signs, ``_``, non-ASCII digits) is that of :func:`_parse_located`, and
+    str.split() cuts a line into the tokens ``_TOKEN`` finds.
+    """
     try:
-        label, *tokens = line.split()
-        indices = []
-        values = []
-        for token in tokens:
-            idx, _, val = token.partition(":")
-            indices.append(int(idx))
-            values.append(float(val))
-        return SparseExample(int(label), np.array(indices, dtype=np.int64),
-                             np.array(values, dtype=np.float64))
-    except (ValueError, OverflowError):
-        pass
-    return _parse_located(line, line_number)
+        rows = [line.split() for line in lines]
+        labels = list(map(int, [row.pop(0) for row in rows]))
+        ends = list(accumulate(map(len, rows)))
+        pairs = " ".join(chain.from_iterable(rows))
+        if not _one_colon_each(pairs, ends[-1]):
+            return None
+        fields = pairs.replace(":", " ").split(" ") if pairs else []
+        indices = np.array(list(map(int, fields[0::2])), dtype=np.int64)
+        values = np.array(list(map(float, fields[1::2])), dtype=np.float64)
+    except (IndexError, ValueError, OverflowError):
+        return None
+    if min(labels) < 0 or (indices < 0).any() or not np.isfinite(values).all():
+        return None
+    return SparseExample._slices(labels, indices, values, ends)
+
+
+def _one_colon_each(pairs: str, count: int) -> bool:
+    """Whether each of the ``count`` space-joined tokens in ``pairs`` holds
+    exactly one colon.  An empty side of a colon becomes an empty field,
+    which ``int`` and ``float`` reject."""
+    # UTF-8 never puts a space or colon byte inside a multi-byte character
+    text = np.frombuffer(pairs.encode("utf-8"), dtype=np.uint8)
+    colons = np.flatnonzero(text == ord(":"))
+    spaces = np.flatnonzero(text == ord(" "))
+    # the i-th colon lies between the (i-1)-th and the i-th space
+    return colons.size == count and bool((colons[:-1] < spaces).all() and (colons[1:] > spaces).all())
+
+
+def _parse_lines(lines: list[str], numbers) -> Iterator[SparseExample]:
+    """Yield the examples of a chunk whose lines are numbered ``numbers``.
+
+    A chunk that fails a check is re-parsed one line at a time, so a bad
+    line raises after the examples before it, as a line-by-line parse does.
+    """
+    parsed = _parse_chunk(lines)
+    if parsed is None:
+        parsed = (parse_example(line, line_number=number) for line, number in zip(lines, numbers))
+    yield from parsed
 
 
 def _parse_located(line: str, line_number: int | None) -> SparseExample:
-    """Token-by-token parse that raises at the first malformed token."""
+    """Token-by-token parse that raises at the first malformed token: the
+    error reporter for a line the chunk parser rejects."""
     tokens = _TOKEN.finditer(line)
     first = next(tokens, None)
     if first is None:
@@ -161,21 +220,24 @@ def _open_text(path: str) -> IO[str]:
 def stream_dataset(path: str, permute: bool = False, seed: int = 0) -> Iterator[SparseExample]:
     """Yield parsed examples from ``path``.
 
-    In-order mode streams lazily in file order.  Permuted mode materializes
-    the line list and yields a uniformly random permutation determined by
-    ``seed``; the same seed always reproduces the same order.
+    In-order mode streams lazily in file order, ``_CHUNK_LINES`` lines at a
+    time.  Permuted mode materializes the line list and yields a uniformly
+    random permutation determined by ``seed``; the same seed always
+    reproduces the same order.
     """
-    if not permute:
-        with _open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                yield parse_example(line, line_number=lineno)
-        return
-
+    # text mode turns \r\n and \r into \n, and lines split on \n only
     with _open_text(path) as fh:
+        if not permute:
+            first = 1
+            while lines := list(islice(fh, _CHUNK_LINES)):
+                yield from _parse_lines(lines, range(first, first + len(lines)))
+                first += len(lines)
+            return
         lines = fh.readlines()
-    order = np.random.default_rng(seed).permutation(len(lines))
-    for pos in order:
-        yield parse_example(lines[pos], line_number=int(pos) + 1)
+    order = np.random.default_rng(seed).permutation(len(lines)).tolist()
+    for start in range(0, len(order), _CHUNK_LINES):
+        chunk = order[start:start + _CHUNK_LINES]
+        yield from _parse_lines([lines[pos] for pos in chunk], [pos + 1 for pos in chunk])
 
 
 def read_examples(path: str, permute: bool = False, seed: int = 0) -> list[SparseExample]:

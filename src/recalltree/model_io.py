@@ -216,7 +216,8 @@ def _read_node(fh, nid: int, num_classes: int, num_candidates: int) -> TreeNode:
     # training sums it one increment at a time, so the histogram's sum
     # differs in the last bits; the node keeps the stored value, so that
     # continued training matches training without a break
-    if not math.isclose(sum_clog2, sum(c * math.log2(c) for c in count_list if c), rel_tol=1e-6):
+    mass = counts[counts > 0].astype(np.float64)
+    if not math.isclose(sum_clog2, float(mass @ np.log2(mass)), rel_tol=1e-6):
         raise CorruptedModelError(f"node {nid} sum_clog2 does not match its histogram")
     hist_dict = dict(zip(classes.tolist(), count_list))
     candidates = ranked_classes(classes, counts, num_candidates).tolist()

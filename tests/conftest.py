@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -33,9 +35,19 @@ def accuracy(model, examples) -> float:
 
 @pytest.fixture
 def tmp_dataset(tmp_path):
-    def write(lines, name="data.txt"):
+    """Write ``lines`` to a dataset file and return its path.
+
+    ``newline`` ends each line (the last one only if ``trailing``), and the
+    bytes are written as they are, so "\\r\\n" and "\\r" reach the reader;
+    ``gz`` compresses the file and appends ".gz" to its name.
+    """
+    def write(lines, name="data.txt", *, newline="\n", trailing=True, gz=False):
+        text = newline.join(lines) + (newline if trailing else "")
+        data = text.encode("utf-8")
+        if gz:
+            name, data = name + ".gz", gzip.compress(data)
         path = tmp_path / name
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(data)
         return str(path)
 
     return write

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recalltree.data import (
+    _CHUNK_LINES,
     _TOKEN,
     SparseExample,
+    _parse_lines,
     _parse_located,
     format_example,
     parse_example,
@@ -200,3 +202,181 @@ class TestStreamDataset:
         assert meta.num_classes == 5
         assert meta.num_raw_features == 10
         assert meta.example_count == 3
+
+
+def _file_lines(path: str) -> list[str]:
+    """A dataset file's lines: "\\r\\n" and "\\r" end a line as "\\n" does,
+    and nothing else does (not "\\x0c", not "\\u2028")."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if path.endswith(".gz"):
+        data = gzip.decompress(data)
+    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def _error(err: Exception):
+    return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+def _linewise(lines: list[str], numbers) -> tuple[list, tuple | None]:
+    """The reference: _parse_located one line at a time, up to the first error."""
+    examples = []
+    for number in numbers:
+        try:
+            examples.append(_parse_located(lines[number - 1], number))
+        except Exception as err:  # the exception itself is what is compared
+            return examples, _error(err)
+    return examples, None
+
+
+def _drain(examples) -> tuple[list, tuple | None]:
+    got = []
+    try:
+        for x in examples:
+            got.append(x)
+    except Exception as err:  # the exception itself is what is compared
+        return got, _error(err)
+    return got, None
+
+
+def _assert_same_examples(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a.label) is int and a.label == b.label
+        assert a.indices.dtype == np.int64 and a.values.dtype == np.float64
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.importance == 1.0
+
+
+def _good_lines(n: int, seed: int = 0) -> list[str]:
+    """Valid lines in the grammar's odd corners as well as plain ones."""
+    rng = np.random.default_rng(seed)
+    odd = ["+4:1", "1_0:2", "١٢:٣.5", "१:2", "3:٤", "7:-0.0", "2:1e-300", "5:+.5", "0:1E3"]
+    seps = [" ", "  ", "\t", "\x0c", "\u2028", "\xa0"]
+    lines = []
+    for _ in range(n):
+        tokens = [str(int(rng.integers(0, 40)))]
+        for _ in range(int(rng.integers(0, 6))):
+            if rng.random() < 0.2:
+                tokens.append(odd[int(rng.integers(len(odd)))])
+            else:
+                tokens.append(f"{int(rng.integers(0, 10**6))}:{float(rng.standard_normal())!r}")
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += seps[int(rng.integers(len(seps)))] + token
+        lines.append(line + (" " if rng.random() < 0.1 else ""))
+    return lines
+
+
+_BAD_LINES = {
+    "parse": "3 1:2 broken: 4:5",
+    "domain": "-2 0:1",
+    "blank": "",
+    "nonfinite": "1 3:1e999",
+}
+_SIZE = 2 * _CHUNK_LINES + 100
+
+
+class TestChunkedReadersMatchLinewise:
+    """stream_dataset, read_examples and scan_dataset, which parse a chunk
+    of lines at a time, give what _parse_located gives line by line: the
+    same examples, and the same error after the same examples."""
+
+    def _check(self, path: str, permute: bool = False, seed: int = 0) -> None:
+        lines = _file_lines(path)
+        numbers = range(1, len(lines) + 1)
+        if permute:
+            numbers = (np.random.default_rng(seed).permutation(len(lines)) + 1).tolist()
+        want, want_err = _linewise(lines, numbers)
+        got, got_err = _drain(stream_dataset(path, permute=permute, seed=seed))
+        _assert_same_examples(got, want)
+        assert got_err == want_err
+        try:
+            bulk = read_examples(path, permute=permute, seed=seed)
+        except Exception as err:  # the exception itself is what is compared
+            assert _error(err) == want_err
+        else:
+            assert want_err is None
+            _assert_same_examples(bulk, want)
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_LINES))
+    @pytest.mark.parametrize("at", [0, _CHUNK_LINES - 1, _CHUNK_LINES, _SIZE - 1],
+                             ids=["first", "last_of_chunk", "first_of_next", "last"])
+    def test_bad_line(self, tmp_dataset, at, kind):
+        lines = _good_lines(_SIZE)
+        lines[at] = _BAD_LINES[kind]
+        self._check(tmp_dataset(lines))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("trailing", [True, False], ids=["trailing", "no_trailing"])
+    @pytest.mark.parametrize("gz", [False, True], ids=["text", "gz"])
+    def test_line_endings(self, tmp_dataset, newline, trailing, gz):
+        lines = _good_lines(_SIZE, seed=1)
+        path = tmp_dataset(lines, newline=newline, trailing=trailing, gz=gz)
+        assert len(_file_lines(path)) == _SIZE
+        self._check(path)
+        lines[_CHUNK_LINES] = _BAD_LINES["parse"]
+        self._check(tmp_dataset(lines, "bad.txt", newline=newline, trailing=trailing, gz=gz))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("bad", [False, True], ids=["clean", "bad_line"])
+    def test_permuted(self, tmp_dataset, seed, bad):
+        lines = _good_lines(_SIZE, seed=4)
+        if bad:
+            lines[_CHUNK_LINES - 1] = _BAD_LINES["domain"]
+        self._check(tmp_dataset(lines, newline="\r\n"), permute=True, seed=seed)
+
+    def test_label_only_lines(self, tmp_dataset):
+        self._check(tmp_dataset([str(i % 7) for i in range(_CHUNK_LINES + 3)]))
+
+    def test_scan_dataset(self, tmp_dataset):
+        lines = _good_lines(_SIZE, seed=5)
+        path = tmp_dataset(lines, gz=True)
+        want, _ = _linewise(lines, range(1, _SIZE + 1))
+        meta = scan_dataset(path)
+        assert meta.example_count == _SIZE
+        assert meta.num_classes == max(x.label for x in want) + 1
+        assert meta.num_raw_features == max(int(x.indices.max()) for x in want if x.indices.size) + 1
+        lines[-1] = _BAD_LINES["nonfinite"]
+        with pytest.raises(ParseError) as err:
+            scan_dataset(tmp_dataset(lines))
+        assert (err.value.line, err.value.column) == (_SIZE, 3)
+
+
+@st.composite
+def _chunks(draw):
+    """A chunk of lines, mostly valid, sometimes with malformed ones."""
+    odd = st.sampled_from(["+4:1", "1_0:2", "١٢:٣.5", "१:2", "3:٤"])
+    seps = st.sampled_from(_SEPARATORS)
+
+    def good():
+        tokens = [draw(st.integers(0, 50).map(str) | st.sampled_from(["+3", "1_0", "١"]))]
+        tokens += draw(st.lists(_pair() | odd, max_size=6))
+        return "".join(token + draw(seps) for token in tokens)
+
+    return [draw(_lines()) if draw(st.integers(0, 5)) == 0 else good()
+            for _ in range(draw(st.integers(1, 12)))]
+
+
+def _check_chunk(lines: list[str]) -> None:
+    numbers = range(1, len(lines) + 1)
+    want, want_err = _linewise(lines, numbers)
+    got, got_err = _drain(_parse_lines(lines, numbers))
+    _assert_same_examples(got, want)
+    assert got_err == want_err
+
+
+class TestChunkMatchesLocatedParse:
+    @given(_chunks())
+    @settings(max_examples=300, deadline=None)
+    def test_same_examples_then_same_error(self, lines):
+        _check_chunk(lines)
+
+    # a token with two colons beside one with none has one colon per token
+    # on average, and splits into valid fields one place out of step
+    @pytest.mark.parametrize("lines", [["1 1:2:3 8"], ["1 8 1:2:3"], ["1 1:2:3", "2 8"],
+                                       ["0 4:1", "2 8 5:1:2"], ["1 :1 2:"]])
+    def test_colons_out_of_step(self, lines):
+        _check_chunk(lines)
