@@ -304,16 +304,9 @@ class PathIndicatorOaa:
         return self._answer(self.model.predict_full(x).node_id)
 
     def _answer(self, node_id: int) -> int:
-        """Argmax over the class margins of an example halting at the node."""
-        margins = [0.0] * self.model.num_classes
-        cls = self.unit_weights.get(node_id)
-        if cls is not None:
-            margins[cls] += 1.0
-        best = 0
-        for c in range(1, len(margins)):
-            if margins[c] > margins[best]:
-                best = c
-        return best
+        """Argmax over the class margins of an example halting at the node:
+        the class of its unit weight, or with none (every margin 0) class 0."""
+        return self.unit_weights.get(node_id, 0)
 
     def agreement(self, examples: list[SparseExample]) -> float:
         if not examples:

@@ -32,9 +32,12 @@ _ROLE_CODE = {ROLE_ROUTER: np.uint64(0), ROLE_CLASS: np.uint64(1)}
 
 MARGIN_CLAMP = 50.0
 
+# slot mask of each legal table width
+_MASKS = {bits: np.uint64((1 << bits) - 1) for bits in range(10, 31)}
+
 
 def _check_bits(bits: int) -> None:
-    if not 10 <= bits <= 30:
+    if bits not in _MASKS:
         raise DomainError(f"bits must be in [10, 30], got {bits}")
 
 
@@ -78,9 +81,10 @@ def slot_matrix(salts, mixed: np.ndarray, bits: int) -> np.ndarray:
     example.
     """
     _check_bits(bits)
-    x = salts[..., None] ^ mixed
+    # a 0-d salt broadcasts as it is; an added axis costs each router level
+    x = (salts[..., None] if salts.ndim else salts) ^ mixed
     _finalize(x)
-    x &= np.uint64((1 << bits) - 1)
+    x &= _MASKS[bits]
     return x.view(np.int64)
 
 
@@ -115,7 +119,7 @@ class WeightStore:
         return self.weights[slots].astype(np.float64) @ values
 
     def batch_learn(self, slots: np.ndarray, values: np.ndarray, labels,
-                    importance: float = 1.0) -> None:
+                    importance: float = 1.0) -> float | None:
         """Importance-weighted logistic SGD step for the scorers of one example.
 
         ``slots`` is ``(n_feats,)`` with one label of +1 or -1, or
@@ -124,21 +128,34 @@ class WeightStore:
         so weights stay finite, then every delta is applied, so the result
         does not depend on scorer order except through float accumulation
         at colliding slots.  ``importance == 0`` is a no-op.
+
+        The 1-D form returns the scorer's margin after the step, as a float
+        equal to ``batch_margins`` of the updated weights, so a caller that
+        acts on it needs no second margin call; the 2-D form returns None.
         """
         if not math.isfinite(importance):
             raise DomainError(f"importance must be finite, got {importance}")
         if importance < 0:
             raise DomainError(f"importance must be non-negative, got {importance}")
-        if slots.ndim == 1 and labels not in (1, -1):
+        one = slots.ndim == 1
+        if one and labels not in (1, -1):
             raise DomainError(f"label must be +1 or -1, got {labels}")
         if importance == 0.0 or slots.size == 0:
-            return
-        m = np.minimum(np.maximum(self.batch_margins(slots, values), -MARGIN_CLAMP), MARGIN_CLAMP)
+            return float(self.batch_margins(slots, values)) if one else None
+        m = self.batch_margins(slots, values)
+        if one:
+            # Python's min and max give the ufuncs' result, NaN included,
+            # without their per-call cost
+            m = min(max(m, -MARGIN_CLAMP), MARGIN_CLAMP)
+        else:
+            m = np.minimum(np.maximum(m, -MARGIN_CLAMP), MARGIN_CLAMP)[:, None]
+            labels = np.asarray(labels)[:, None]
         g = 1.0 / (1.0 + np.exp(labels * m))  # sigmoid(-label * m)
         if self.adaptive:
-            grads = (importance * labels * g)[..., None] * values
+            grads = importance * labels * g * values
             np.add.at(self._grad_sq, slots.ravel(), (grads * grads).ravel())
             deltas = self.learning_rate * grads / (np.sqrt(self._grad_sq[slots]) + 1e-12)
         else:
-            deltas = (self.learning_rate * importance * labels * g)[..., None] * values
+            deltas = self.learning_rate * importance * labels * g * values
         np.add.at(self.weights, slots.ravel(), deltas.ravel().astype(np.float32))
+        return float(self.batch_margins(slots, values)) if one else None

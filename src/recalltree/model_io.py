@@ -234,7 +234,9 @@ def _read_node(fh, nid: int, num_classes: int, num_candidates: int) -> TreeNode:
 def _link_nodes(nodes: list[TreeNode], max_depth: int) -> None:
     """Set each node's parent and depth in one forward pass.  Children come
     after their parent, one parent each and none below ``max_depth``, so
-    every descent ends within the buffers sized for it."""
+    every descent ends within the buffers sized for it.  Every example a
+    child counted passed through its parent first, so the two children
+    together count no more examples than their parent."""
     if not nodes:
         raise CorruptedModelError("node table has no root")
     for node in nodes:
@@ -253,6 +255,10 @@ def _link_nodes(nodes: list[TreeNode], max_depth: int) -> None:
                 raise CorruptedModelError(f"node {child.id} is the child of two nodes")
             child.parent = node.id
             child.depth = node.depth + 1
+        below = nodes[node.left].total + nodes[node.right].total
+        if below > node.total:
+            raise CorruptedModelError(
+                f"node {node.id} has counted {node.total} examples, but its children {below}")
 
 
 def _write_model(fh, model, tag: int) -> None:

@@ -132,23 +132,24 @@ class TreeNode:
         return self.cand_total / self.total if self.total else 0.0
 
 
-def node_entropy(node: TreeNode, extra: int | None = None) -> float:
-    """Empirical label entropy at a node, in bits.
-
-    With ``extra`` given, the entropy is computed as if one more
-    observation of that class had arrived.  An empty node has entropy 0,
-    with or without the extra point mass.
-    """
+def label_entropies(node: TreeNode, label: int) -> tuple[float, float]:
+    """Empirical label entropy at a node in bits, without and with one more
+    observation of ``label``.  An empty node has entropy 0, with or without
+    the extra point mass."""
     total = node.total
     s = node.sum_clog2
-    if extra is not None:
-        c = node.hist.get(extra, 0)
-        s += (c + 1) * _LOG2(c + 1) - (c * _LOG2(c) if c else 0.0)
-        total += 1
-    if total == 0:
-        return 0.0
-    h = _LOG2(total) - s / total
-    return h if h > 0.0 else 0.0
+    c = node.hist.get(label, 0)
+    s_with = s + ((c + 1) * _LOG2(c + 1) - (c * _LOG2(c) if c else 0.0))
+    h = _LOG2(total) - s / total if total else 0.0
+    h_with = _LOG2(total + 1) - s_with / (total + 1)
+    return (h if h > 0.0 else 0.0), (h_with if h_with > 0.0 else 0.0)
+
+
+def node_entropy(node: TreeNode, extra: int | None = None) -> float:
+    """Empirical label entropy at a node, in bits; with ``extra`` given, as
+    if one more observation of that class had arrived."""
+    h, h_with = label_entropies(node, extra)
+    return h if extra is None else h_with
 
 
 def ranked_classes(classes, counts, limit: int) -> np.ndarray:
@@ -158,41 +159,44 @@ def ranked_classes(classes, counts, limit: int) -> np.ndarray:
     return classes[np.lexsort((classes, ~np.asarray(counts)))[:limit]]
 
 
-def _beats(node: TreeNode, a: int, b: int) -> bool:
-    # ``ranked_classes``' order, one pair at a time
-    ca, cb = node.hist[a], node.hist[b]
-    return ca > cb or (ca == cb and a < b)
-
-
 def update_candidates(node: TreeNode, label: int, num_candidates: int) -> None:
     """Count ``label`` at the node and restore the top-F candidate list.
 
     A single increment can only promote one class, so the ordered list is
     repaired in O(F) without a full re-sort, and ``cand_total`` changes only
-    by the counts that entered or left the list.
+    by the counts that entered or left the list.  The order is
+    ``ranked_classes``': larger count first, ties to the smaller class id.
     """
-    c = node.hist.get(label, 0)
-    node.hist[label] = c + 1
+    hist = node.hist
+    c = hist.get(label, 0)
+    hist[label] = count = c + 1
     node.total += 1
-    node.sum_clog2 += (c + 1) * _LOG2(c + 1) - (c * _LOG2(c) if c else 0.0)
+    node.sum_clog2 += count * _LOG2(count) - (c * _LOG2(c) if c else 0.0)
 
     cands = node.candidates
     if label in cands:
         i = cands.index(label)
         node.cand_total += 1
     elif len(cands) < num_candidates:
+        i = len(cands)
         cands.append(label)
-        i = len(cands) - 1
-        node.cand_total += c + 1
-    elif _beats(node, label, cands[-1]):
-        node.cand_total += c + 1 - node.hist[cands[-1]]
-        cands[-1] = label
-        i = len(cands) - 1
+        node.cand_total += count
     else:
-        return
-    while i > 0 and _beats(node, cands[i], cands[i - 1]):
-        cands[i], cands[i - 1] = cands[i - 1], cands[i]
+        i = len(cands) - 1
+        last = cands[i]
+        c_last = hist[last]
+        if count < c_last or (count == c_last and label > last):
+            return
+        node.cand_total += count - c_last
+    # shift the classes that ``label`` now beats down by one
+    while i > 0:
+        above = cands[i - 1]
+        c_above = hist[above]
+        if count < c_above or (count == c_above and label > above):
+            break
+        cands[i] = above
         i -= 1
+    cands[i] = label
 
 
 def recall_lower_bound(node: TreeNode, depth_penalty: float, multiplier: float) -> float:
@@ -319,30 +323,27 @@ class RecallTreeModel:
     # -- learning ------------------------------------------------------------
 
     def _update_router(self, node: TreeNode, mixed: np.ndarray, values: np.ndarray,
-                       y: int, importance: float) -> np.ndarray:
-        """Entropy-objective router update; returns the router's slots so the
-        caller can route with the post-update weights.  The caller has
+                       y: int, importance: float) -> float:
+        """Entropy-objective router update; returns the router's margin with
+        the post-update weights, on which the caller routes.  The caller has
         counted ``y`` at ``node``, so its total is at least 1."""
         slots = slot_matrix(self._router_salts[node.id], mixed, self.params.bits)
         left = self.nodes[node.left]
         right = self.nodes[node.right]
-        h_left = node_entropy(left)
-        h_left_y = node_entropy(left, y)
-        h_right = node_entropy(right)
-        h_right_y = node_entropy(right, y)
+        h_left, h_left_y = label_entropies(left, y)
+        h_right, h_right_y = label_entropies(right, y)
         w_left = left.total / node.total
         w_right = right.total / node.total
         h_if_left = w_left * h_left_y + w_right * h_right
         h_if_right = w_left * h_left + w_right * h_right_y
         delta = h_if_left - h_if_right
         if abs(delta) < MIN_ROUTER_IMPORTANCE:
-            return slots
+            return self.router_store.batch_margins(slots, values)
         # train toward the side whose choice lowers expected entropy, the
         # paper's objective (a positive margin goes left); there is no other
         # sign, since the opposite one trains toward higher entropy
         label = -1 if delta > 0 else 1
-        self.router_store.batch_learn(slots, values, label, importance * abs(delta))
-        return slots
+        return self.router_store.batch_learn(slots, values, label, importance * abs(delta))
 
     def _candidate_keys(self, node: TreeNode) -> tuple[np.ndarray, np.ndarray]:
         """The node's candidate ids in ascending order and their class salts."""
@@ -369,16 +370,19 @@ class RecallTreeModel:
 
         node = self.root
         update_candidates(node, y, params.num_candidates)
+        # a node's counts do not change once descent has left it, so each
+        # bound is computed once, when its node is reached
+        node_bound = self.bound(node)
         while node.depth < params.max_depth:
             if node.left is None:
                 self._materialize(node)
-            slots = self._update_router(node, mixed[:n], values[:n], y, x.importance)
-            routed = self.router_store.batch_margins(slots, values[:n])
+            routed = self._update_router(node, mixed[:n], values[:n], y, x.importance)
             child = self.nodes[node.left if routed > 0 else node.right]
             update_candidates(child, y, params.num_candidates)
-            if self.bound(node) > self.bound(child):
+            child_bound = self.bound(child)
+            if node_bound > child_bound:
                 break
-            node = child
+            node, node_bound = child, child_bound
             if params.path_features:
                 n = self._append_path_feature(mixed, values, n, node.id)
         self._update_predictors(node, mixed[:n], values[:n], y, x.importance)

@@ -13,7 +13,7 @@ from recalltree.diagnostics import (
 )
 from recalltree.errors import DomainError, UntrainedModelError
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import Hyperparams, RecallTreeModel, update_candidates
+from recalltree.tree import Hyperparams, RecallTreeModel, plurality_label, update_candidates
 
 from conftest import slot_of
 
@@ -217,6 +217,32 @@ class TestPathIndicatorOaa:
             equiv.unit_weights[node_id] = (equiv.unit_weights[node_id] + 1) % 16
         expected = np.mean([equiv.predict(x) == plurality_predict(model, x) for x in held])
         assert 0 < expected < 1
+        assert equiv.agreement(held) == expected
+
+    def test_answer_is_the_argmax_over_all_k_margins(self):
+        def argmax_answer(equiv, node_id):
+            # the margins of every class, as the linear model defines them
+            margins = np.zeros(equiv.model.num_classes)
+            cls = equiv.unit_weights.get(node_id)
+            if cls is not None:
+                margins[cls] += 1.0
+            return int(np.argmax(margins))
+
+        spec = SynthSpec("hierarchical-clusters", num_classes=1024, dimensions=8,
+                         num_examples=2500, noise=0.05, seed=4)
+        data = generate_examples(spec)
+        params = Hyperparams.defaults(1024, bits=16)
+        model = RecallTreeModel(1024, raw_feature_width(spec), params).train(data[:2000])
+        equiv = build_path_oaa(model)
+        # some nodes carry no unit weight, and some carry one for class 0
+        assert 0 < len(equiv.unit_weights) < len(model.nodes)
+        equiv.unit_weights[next(iter(equiv.unit_weights))] = 0
+        for node_id in range(len(model.nodes)):
+            assert equiv._answer(node_id) == argmax_answer(equiv, node_id)
+        held = data[2000:]
+        nodes = model.nodes
+        expected = np.mean([argmax_answer(equiv, p.node_id) == plurality_label(nodes[p.node_id])
+                            for p in model.predict_batch(held)])
         assert equiv.agreement(held) == expected
 
     def test_agreement_checks_the_plurality_view(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError
-from recalltree.linear import WeightStore, key_salt, mix64_array, slot_matrix
+from recalltree.linear import MARGIN_CLAMP, WeightStore, key_salt, mix64_array, slot_matrix
 
 from conftest import slot_of
 
@@ -281,6 +281,68 @@ class TestBatchOps:
         for row, lab in zip(slots, labels):
             seq_store.batch_learn(row, vals, int(lab), importance=1.0)
         assert np.array_equal(batch_store.weights, seq_store.weights)
+
+
+class TestLearnReturnsTheMargin:
+    # raw index 5 twice, so two features of the row share a slot
+    INDICES = np.array([5, 17, 5, 900])
+    VALUES = np.array([0.5, -1.25, 2.0, 0.75])
+
+    def _row(self, store):
+        slots = slot_matrix(key_salt(*KEY), mix64_array(self.INDICES), store.bits)
+        assert slots[0] == slots[2] and len(set(slots.tolist())) == 3
+        return slots
+
+    @staticmethod
+    def reference_step(store, slots, values, label, importance):
+        """The step on ufuncs alone: clamp, sigmoid and delta as numpy arrays."""
+        m = np.minimum(np.maximum(store.batch_margins(slots, values), -MARGIN_CLAMP), MARGIN_CLAMP)
+        g = 1.0 / (1.0 + np.exp(label * m))
+        if store.adaptive:
+            grads = (importance * label * g)[..., None] * values
+            np.add.at(store._grad_sq, slots, grads * grads)
+            deltas = store.learning_rate * grads / (np.sqrt(store._grad_sq[slots]) + 1e-12)
+        else:
+            deltas = (store.learning_rate * importance * label * g)[..., None] * values
+        np.add.at(store.weights, slots, deltas.astype(np.float32))
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("importance", [0.0, 0.3, 7.0])
+    def test_one_scorer_gets_its_margin_after_the_step(self, adaptive, importance):
+        store = WeightStore(bits=12, learning_rate=0.5, adaptive=adaptive)
+        store.weights[:] = np.random.default_rng(5).normal(0, 0.3, size=store.weights.size)
+        slots = self._row(store)
+        for label in (1, -1, -1, 1):
+            before = store.weights.tobytes()
+            got = store.batch_learn(slots, self.VALUES, label, importance)
+            assert type(got) is float
+            after = store.batch_margins(slots, self.VALUES)
+            assert np.float64(got).tobytes() == np.float64(after).tobytes()
+            assert (store.weights.tobytes() == before) == (importance == 0.0)
+
+    # margins of 0, inside the clamp, at it, beyond it on both sides, and NaN
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 25.0, 40.0, -40.0, float("nan")])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_one_scorer_step_matches_the_ufunc_step_bit_for_bit(self, weight, adaptive):
+        stores = [WeightStore(bits=12, learning_rate=0.5, adaptive=adaptive) for _ in range(2)]
+        slots = self._row(stores[0])
+        for store in stores:
+            store.weights[slots] = weight
+        for label in (1, -1):
+            got = stores[0].batch_learn(slots, self.VALUES, label, 1.5)
+            self.reference_step(stores[1], slots, self.VALUES, label, 1.5)
+            assert stores[0].weights.tobytes() == stores[1].weights.tobytes()
+            if adaptive:
+                assert stores[0]._grad_sq.tobytes() == stores[1]._grad_sq.tobytes()
+            after = stores[1].batch_margins(slots, self.VALUES)
+            assert np.float64(got).tobytes() == np.float64(after).tobytes()
+
+    @pytest.mark.parametrize("importance", [0.0, 1.0])
+    def test_many_scorers_return_nothing(self, importance):
+        store = WeightStore(bits=12)
+        slots = slot_matrix(key_salt("class", np.arange(4)), mix64_array(self.INDICES), 12)
+        labels = np.array([1.0, -1.0, -1.0, -1.0])
+        assert store.batch_learn(slots, self.VALUES, labels, importance) is None
 
 
 class TestAdaptive:

@@ -329,13 +329,15 @@ class TestFormatErrors:
 
 def five_node_tree() -> RecallTreeModel:
     """A hand-built tree: the root's children are 1 and 2, node 1's are 3
-    and 4, and every node has seen one example."""
+    and 4, and each of the leaves 2, 3 and 4 has seen one example, counted
+    on its way down too."""
     model = RecallTreeModel(4, 3, Hyperparams(max_depth=2, num_candidates=2, bits=10))
     model._materialize(model.root)
     model._materialize(model.nodes[1])
-    for node in model.nodes:
-        update_candidates(node, node.id % 4, 2)
-    model.examples_seen = 1
+    for path in ([0, 2], [0, 1, 3], [0, 1, 4]):
+        for node_id in path:
+            update_candidates(model.nodes[node_id], path[-1] % 4, 2)
+    model.examples_seen = 3
     return model
 
 
@@ -365,6 +367,29 @@ class TestCorruptNodeTables:
         model.nodes[node_id].left = left
         save_model(model, str(path))
         expect_corrupt(path, match)
+
+    def test_children_that_count_more_than_their_parent(self, trained, tmp_path, capsys):
+        def breaks(model):
+            # one class at a child gains the examples that its parent never
+            # passed down, and one more
+            parent = next(n for n in model.nodes if n.left is not None)
+            child = model.nodes[parent.left]
+            extra = parent.total - child.total - model.nodes[parent.right].total + 1
+            cls = next(iter(child.hist))
+            child.hist[cls] += extra
+            child.sum_clog2 = sum(c * math.log2(c) for c in child.hist.values())
+            return parent.id
+
+        path = tmp_path / "tree.bin"
+        save_model(trained[0], str(path))
+        model = load_model(str(path))
+        parent = breaks(model)
+        save_model(model, str(path))
+        assert main(["inspect", "--model", str(path)]) == EX_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: node {parent} has counted ")
 
     @pytest.mark.parametrize("invariant", ["depth_cap", "class_range"])
     def test_other_broken_invariants(self, trained, tmp_path, invariant):

@@ -19,6 +19,7 @@ from recalltree.tree import (
     RecallTreeModel,
     TreeNode,
     ceil_log2,
+    label_entropies,
     node_entropy,
     path_feature_index,
     plurality_label,
@@ -148,6 +149,19 @@ class TestNodeEntropy:
         node = make_node({0: 3, 1: 1}, 4)
         widened = make_node({0: 3, 1: 2}, 4)
         assert node_entropy(node, extra=1) == pytest.approx(node_entropy(widened), abs=1e-9)
+
+    @given(st.lists(st.integers(0, 9), max_size=60), st.integers(0, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_entropies_with_a_label_are_those_after_counting_it(self, labels, y):
+        # bit for bit: the extra point mass adds to sum_clog2 exactly as
+        # counting it does
+        node = TreeNode(id=0, depth=0)
+        for label in labels:
+            update_candidates(node, label, 3)
+        h, h_with = label_entropies(node, y)
+        assert h == node_entropy(node)
+        update_candidates(node, y, 3)
+        assert h_with == node_entropy(node)
 
 
 class TestPathFeature:
