@@ -369,27 +369,24 @@ class TestCorruptNodeTables:
         expect_corrupt(path, match)
 
     def test_children_that_count_more_than_their_parent(self, trained, tmp_path, capsys):
-        def breaks(model):
-            # one class at a child gains the examples that its parent never
-            # passed down, and one more
-            parent = next(n for n in model.nodes if n.left is not None)
-            child = model.nodes[parent.left]
-            extra = parent.total - child.total - model.nodes[parent.right].total + 1
-            cls = next(iter(child.hist))
-            child.hist[cls] += extra
-            child.sum_clog2 = sum(c * math.log2(c) for c in child.hist.values())
-            return parent.id
-
+        # one class at a child gains the examples that its parent never
+        # passed down, and one more; its sum_clog2 follows, so only the
+        # conservation rule is broken
         path = tmp_path / "tree.bin"
         save_model(trained[0], str(path))
         model = load_model(str(path))
-        parent = breaks(model)
+        parent = model.root
+        child = model.nodes[parent.left]
+        cls = next(iter(child.hist))
+        child.hist[cls] += parent.total - child.total - model.nodes[parent.right].total + 1
+        child.sum_clog2 = sum(c * math.log2(c) for c in child.hist.values())
         save_model(model, str(path))
         assert main(["inspect", "--model", str(path)]) == EX_FORMAT
         captured = capsys.readouterr()
         assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith(f"error: node {parent} has counted ")
+        assert captured.err.splitlines() == [
+            f"error: node 0 has counted {parent.total} examples, but its children "
+            f"{parent.total + 1}"]
 
     @pytest.mark.parametrize("invariant", ["depth_cap", "class_range"])
     def test_other_broken_invariants(self, trained, tmp_path, invariant):
