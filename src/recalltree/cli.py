@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .data import read_examples, scan_dataset, stream_dataset
+from .data import read_examples, scan_dataset, scan_examples, stream_dataset
 from .diagnostics import ledger_snapshot
 from .errors import (
     DomainError,
@@ -126,10 +126,22 @@ def _params_from_args(args, num_classes: int) -> Hyperparams:
 def cmd_train(args) -> int:
     if args.passes < 1:
         raise DomainError("--passes must be >= 1")
+    # the ledger needs the file in order, so when it runs one parse serves
+    # the scan, every in-order pass and the ledger; otherwise each pass
+    # streams.  A permuted pass permutes lines, so it streams either way.
+    examples = None
+    if args.algo == "recall-tree" and not args.skip_ledger:
+        examples = read_examples(args.data)
+
+    def data_pass(number: int):
+        if examples is None or args.permute:
+            return stream_dataset(args.data, permute=args.permute, seed=args.seed + number)
+        return examples
+
     num_classes = args.classes
     num_raw = args.raw_features
     if num_classes is None or num_raw is None:
-        meta = scan_dataset(args.data)
+        meta = scan_dataset(args.data) if examples is None else scan_examples(examples)
         num_classes = num_classes if num_classes is not None else meta.num_classes
         num_raw = num_raw if num_raw is not None else meta.num_raw_features
     if num_classes < 1:
@@ -141,19 +153,17 @@ def cmd_train(args) -> int:
     else:
         model = RecallTreeModel(num_classes, num_raw, _params_from_args(args, num_classes))
 
-    report = progressive_eval(
-        stream_dataset(args.data, permute=args.permute, seed=args.seed), model)
+    report = progressive_eval(data_pass(0), model)
     for extra_pass in range(1, args.passes):
-        model.train(stream_dataset(args.data, permute=args.permute,
-                                   seed=args.seed + extra_pass if args.permute else args.seed))
+        model.train(data_pass(extra_pass))
         report.examples_seen = model.examples_seen
 
     if args.holdout:
         held = holdout_eval(read_examples(args.holdout), model)
         report.holdout_accuracy = held.holdout_accuracy
 
-    if isinstance(model, RecallTreeModel) and not args.skip_ledger:
-        ledger = ledger_snapshot(model, read_examples(args.data))
+    if examples is not None:
+        ledger = ledger_snapshot(model, examples)
         report.ledger_summary = (ledger.weighted_entropy, ledger.error_rate,
                                  ledger.marginal_entropy)
 

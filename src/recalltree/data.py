@@ -248,10 +248,15 @@ def read_examples(path: str, permute: bool = False, seed: int = 0) -> list[Spars
 def scan_dataset(path: str) -> DatasetMeta:
     """One pass over a file to infer classes (max label + 1), raw feature
     width (max index + 1), and example count."""
+    return scan_examples(stream_dataset(path))
+
+
+def scan_examples(examples) -> DatasetMeta:
+    """``scan_dataset`` over examples already parsed."""
     max_label = -1
     max_index = -1
     count = 0
-    for ex in stream_dataset(path):
+    for ex in examples:
         count += 1
         if ex.label > max_label:
             max_label = ex.label

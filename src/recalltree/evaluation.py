@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .data import SparseExample
-from .errors import DomainError, UntrainedModelError
+from .errors import DomainError
 
 
 @dataclass
@@ -57,23 +57,24 @@ def progressive_eval(stream, learner) -> EvalReport:
     """Predict-then-train over a stream; accuracy counts the prediction
     made strictly before each example's update.
 
-    A cold learner cannot predict yet, so the first prediction falls back
-    to class 0 and is scored like any other.
+    Each step is one ``learner.predict_then_train(x)``, which hashes the
+    example once for the prediction and the update.  A cold learner cannot
+    predict yet, so the first prediction falls back to class 0 and is
+    scored like any other.
     """
     seen = 0
     correct = 0
     scored = 0
     routed = 0
     for x in stream:
-        try:
-            p = learner.predict_full(x)
-            label, n_scored, n_routed = p.label, p.classes_scored, p.router_evals
-        except UntrainedModelError:
+        p = learner.predict_then_train(x)
+        if p is None:
             label, n_scored, n_routed = 0, 0, 0
+        else:
+            label, n_scored, n_routed = p.label, p.classes_scored, p.router_evals
         correct += int(label == x.label)
         scored += n_scored
         routed += n_routed
-        learner.train_example(x)
         seen += 1
     if seen == 0:
         raise DomainError("progressive evaluation needs a non-empty stream")

@@ -36,14 +36,15 @@ class OaaModel:
     def _slots(self, x: SparseExample) -> np.ndarray:
         return slot_matrix(self._class_salts, mix64_array(x.indices), self.class_store.bits)
 
-    def train_example(self, x: SparseExample) -> None:
+    def train_example(self, x: SparseExample, _slots: np.ndarray | None = None) -> None:
         y = x.label
         if y >= self.num_classes:
             raise DomainError(f"label {y} out of range for {self.num_classes} classes")
         labels = self._labels
         labels.fill(-1.0)
         labels[y] = 1.0
-        self.class_store.batch_learn(self._slots(x), x.values, labels, x.importance)
+        slots = self._slots(x) if _slots is None else _slots
+        self.class_store.batch_learn(slots, x.values, labels, x.importance)
         self.examples_seen += 1
 
     def train(self, examples) -> "OaaModel":
@@ -51,10 +52,20 @@ class OaaModel:
             self.train_example(x)
         return self
 
-    def predict_full(self, x: SparseExample) -> Prediction:
+    def predict_then_train(self, x: SparseExample) -> Prediction | None:
+        """``predict_full(x)``, then ``train_example(x)``, bit for bit, with
+        one ``(K, n)`` slot table for both.  Returns the prediction made
+        before the update, or None while the model has seen no example."""
+        slots = self._slots(x)
+        prediction = self.predict_full(x, slots) if self.examples_seen else None
+        self.train_example(x, slots)
+        return prediction
+
+    def predict_full(self, x: SparseExample, _slots: np.ndarray | None = None) -> Prediction:
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        margins = self.class_store.batch_margins(self._slots(x), x.values)
+        slots = self._slots(x) if _slots is None else _slots
+        margins = self.class_store.batch_margins(slots, x.values)
         # ties go to the smaller class id via first-argmax
         label = int(np.argmax(margins))
         return Prediction(label, self.num_classes, 0, 0, 0)

@@ -242,6 +242,29 @@ class Prediction:
     depth: int
 
 
+class _ExampleKeys:
+    """One example's hashed keys, shared by the prediction and the update of
+    a predict-then-train step so that each is hashed once.
+
+    ``mixed`` and ``values`` hold the example's mixed indices and values,
+    the first ``nnz`` of them raw; whichever descent runs first fills them.
+    ``routers`` maps a node id to the example's router slots at that node.
+    A node's features are the raw ones plus the path features of the nodes
+    on the way to it, so the slots are a function of (example, node id)
+    alone.  ``candidates`` maps a halting node's id to its sorted candidate
+    list, their ids and their slots; the update may change the list, so a
+    stored entry serves only an equal list.  Margins are never shared: the
+    update changes the weights the prediction read.
+    """
+
+    __slots__ = ("mixed", "values", "nnz", "routers", "candidates")
+
+    def __init__(self):
+        self.mixed = None
+        self.routers: dict[int, np.ndarray] = {}
+        self.candidates: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
+
+
 class RecallTreeModel:
     """Online multiclass learner with polylogarithmic work per example."""
 
@@ -301,18 +324,23 @@ class RecallTreeModel:
                 f"raw feature space of width {self.num_raw_features}"
             )
 
-    def _buffers(self, x: SparseExample) -> tuple[np.ndarray, np.ndarray, int]:
-        """Check the example and return its mixed indices and values in
-        buffers with room for one path feature per level below the root."""
-        self._check_indices(x.indices)
-        nnz = x.indices.size
-        cap = nnz + self.params.max_depth
-        mixed = np.empty(cap, dtype=np.uint64)
-        values = np.empty(cap, dtype=np.float64)
-        if nnz:
-            mixed[:nnz] = mix64_array(x.indices)
-            values[:nnz] = x.values
-        return mixed, values, nnz
+    def _keys(self, x: SparseExample, keys: _ExampleKeys | None) -> _ExampleKeys:
+        """``keys``, or a fresh state for a one-shot call, holding the checked
+        example's mixed indices and values in buffers with room for one path
+        feature per level below the root."""
+        if keys is None:
+            keys = _ExampleKeys()
+        if keys.mixed is None:
+            self._check_indices(x.indices)
+            nnz = x.indices.size
+            cap = nnz + self.params.max_depth
+            keys.mixed = np.empty(cap, dtype=np.uint64)
+            keys.values = np.empty(cap, dtype=np.float64)
+            keys.nnz = nnz
+            if nnz:
+                keys.mixed[:nnz] = mix64_array(x.indices)
+                keys.values[:nnz] = x.values
+        return keys
 
     def _append_path_feature(self, mixed: np.ndarray, values: np.ndarray,
                              n: int, node_id: int) -> int:
@@ -320,14 +348,35 @@ class RecallTreeModel:
         values[n] = 1.0
         return n + 1
 
+    def _router_slots(self, keys: _ExampleKeys, node_id: int, n: int) -> np.ndarray:
+        """The example's slots under a node's router; ``n`` is the width of
+        its features at that node."""
+        slots = keys.routers.get(node_id)
+        if slots is None:
+            slots = keys.routers[node_id] = slot_matrix(
+                self._router_salts[node_id], keys.mixed[:n], self.params.bits)
+        return slots
+
+    def _candidate_slots(self, keys: _ExampleKeys, node: TreeNode,
+                         n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The node's candidate ids in ascending order and the example's
+        ``(k, n)`` slots under their scorers."""
+        order = sorted(node.candidates)
+        known = keys.candidates.get(node.id)
+        if known is not None and known[0] == order:
+            return known[1], known[2]
+        ids = np.array(order, dtype=np.int64)
+        slots = slot_matrix(self._class_salts[ids], keys.mixed[:n], self.params.bits)
+        keys.candidates[node.id] = (order, ids, slots)
+        return ids, slots
+
     # -- learning ------------------------------------------------------------
 
-    def _update_router(self, node: TreeNode, mixed: np.ndarray, values: np.ndarray,
+    def _update_router(self, node: TreeNode, slots: np.ndarray, values: np.ndarray,
                        y: int, importance: float) -> float:
         """Entropy-objective router update; returns the router's margin with
         the post-update weights, on which the caller routes.  The caller has
         counted ``y`` at ``node``, so its total is at least 1."""
-        slots = slot_matrix(self._router_salts[node.id], mixed, self.params.bits)
         left = self.nodes[node.left]
         right = self.nodes[node.right]
         h_left, h_left_y = label_entropies(left, y)
@@ -350,22 +399,22 @@ class RecallTreeModel:
         ids = np.array(sorted(node.candidates), dtype=np.int64)
         return ids, self._class_salts[ids]
 
-    def _update_predictors(self, node: TreeNode, mixed: np.ndarray,
-                           values: np.ndarray, y: int, importance: float) -> None:
+    def _update_predictors(self, node: TreeNode, keys: _ExampleKeys, n: int,
+                           y: int, importance: float) -> None:
         """One-against-all step restricted to the node's candidates; no
         update at all when the true label is not among them."""
         if y not in node.candidates:
             return
-        ids, salts = self._candidate_keys(node)
-        slots = slot_matrix(salts, mixed, self.params.bits)
+        ids, slots = self._candidate_slots(keys, node, n)
         labels = np.where(ids == y, 1.0, -1.0)
-        self.class_store.batch_learn(slots, values, labels, importance)
+        self.class_store.batch_learn(slots, keys.values[:n], labels, importance)
 
-    def train_example(self, x: SparseExample) -> None:
+    def train_example(self, x: SparseExample, _keys: _ExampleKeys | None = None) -> None:
         y = x.label
         if y >= self.num_classes:
             raise DomainError(f"label {y} out of range for {self.num_classes} classes")
-        mixed, values, n = self._buffers(x)
+        keys = self._keys(x, _keys)
+        mixed, values, n = keys.mixed, keys.values, keys.nnz
         params = self.params
 
         node = self.root
@@ -376,7 +425,8 @@ class RecallTreeModel:
         while node.depth < params.max_depth:
             if node.left is None:
                 self._materialize(node)
-            routed = self._update_router(node, mixed[:n], values[:n], y, x.importance)
+            routed = self._update_router(node, self._router_slots(keys, node.id, n),
+                                         values[:n], y, x.importance)
             child = self.nodes[node.left if routed > 0 else node.right]
             update_candidates(child, y, params.num_candidates)
             child_bound = self.bound(child)
@@ -385,7 +435,7 @@ class RecallTreeModel:
             node, node_bound = child, child_bound
             if params.path_features:
                 n = self._append_path_feature(mixed, values, n, node.id)
-        self._update_predictors(node, mixed[:n], values[:n], y, x.importance)
+        self._update_predictors(node, keys, n, y, x.importance)
         self.examples_seen += 1
 
     def train(self, examples) -> "RecallTreeModel":
@@ -393,32 +443,44 @@ class RecallTreeModel:
             self.train_example(x)
         return self
 
+    def predict_then_train(self, x: SparseExample) -> Prediction | None:
+        """``predict_full(x)``, then ``train_example(x)``, bit for bit, with
+        the example's features, router slots and candidate slots hashed once
+        for both.  Returns the prediction made before the update, or None
+        while the model has seen no example."""
+        keys = _ExampleKeys()
+        prediction = self.predict_full(x, keys) if self.examples_seen else None
+        self.train_example(x, keys)
+        return prediction
+
     # -- inference -----------------------------------------------------------
 
-    def predict_full(self, x: SparseExample) -> Prediction:
+    def predict_full(self, x: SparseExample, _keys: _ExampleKeys | None = None) -> Prediction:
         """Route one example to its halting node without learning, then
         score the node's candidates."""
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        mixed, values, n = self._buffers(x)
+        keys = self._keys(x, _keys)
+        mixed, values, n = keys.mixed, keys.values, keys.nnz
         params = self.params
         node = self.root
+        node_bound = self.bound(node)
         router_evals = 0
         while node.left is not None:
-            slots = slot_matrix(self._router_salts[node.id], mixed[:n], params.bits)
+            slots = self._router_slots(keys, node.id, n)
             routed = self.router_store.batch_margins(slots, values[:n])
             router_evals += 1
             child = self.nodes[node.left if routed > 0 else node.right]
-            if self.bound(node) > self.bound(child):
+            child_bound = self.bound(child)
+            if node_bound > child_bound:
                 break
-            node = child
+            node, node_bound = child, child_bound
             if params.path_features:
                 n = self._append_path_feature(mixed, values, n, node.id)
         assert len(node.candidates) <= params.num_candidates
         if not node.candidates:
             return Prediction(0, 0, router_evals, node.id, node.depth)
-        ids, salts = self._candidate_keys(node)
-        slots = slot_matrix(salts, mixed[:n], params.bits)
+        ids, slots = self._candidate_slots(keys, node, n)
         margins = self.class_store.batch_margins(slots, values[:n])
         # argmax takes the first maximum, and ids ascend, so ties go to the
         # smaller class id

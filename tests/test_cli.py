@@ -10,6 +10,7 @@ from recalltree.cli import (
     build_parser,
     main,
 )
+from recalltree import data as data_module
 from recalltree.data import read_examples
 from recalltree.model_io import load_model, save_model
 from recalltree.tree import Hyperparams, RecallTreeModel
@@ -66,6 +67,44 @@ class TestTrain:
         scored = float(out.split("scored_classes_mean=")[1].splitlines()[0])
         # every prediction scores all 8 classes except the cold-start fallback
         assert 8.0 - 0.01 <= scored <= 8.0
+
+    @pytest.mark.parametrize("extra, parses, streamed_parses", [
+        ([], 1, 2),
+        (["--passes", "2"], 1, 3),
+        (["--adagrad"], 1, 2),
+        (["--permute"], 2, 2),
+        (["--permute", "--passes", "2"], 3, 3),
+        (["--algo", "oaa"], 2, 2),
+    ], ids=["defaults", "passes", "adagrad", "permute", "permute-passes", "oaa"])
+    def test_the_file_is_parsed_once_when_the_ledger_runs(self, workdir, capsys, monkeypatch,
+                                                          extra, parses, streamed_parses):
+        # the ledger's list serves the scan and every in-order pass; a
+        # permuted pass permutes lines, so it streams.  Without the ledger
+        # (--skip-ledger, or oaa) the scan and every pass stream.
+        root, data = workdir
+        parse_chunk = data_module._parse_chunk
+        lines = []
+
+        def counting(chunk):
+            lines.append(len(chunk))
+            return parse_chunk(chunk)
+
+        monkeypatch.setattr(data_module, "_parse_chunk", counting)
+        code, model_path = train_model(root, data, "once.bin", extra=extra)
+        out = capsys.readouterr().out
+        assert code == EX_OK
+        assert sum(lines) == parses * 3000
+
+        lines.clear()
+        code, streamed_path = train_model(root, data, "streamed.bin",
+                                          extra=[*extra, "--skip-ledger"])
+        streamed = capsys.readouterr().out
+        assert code == EX_OK
+        assert sum(lines) == streamed_parses * 3000
+        # the same model and report either way, but for the ledger's lines
+        assert model_path.read_bytes() == streamed_path.read_bytes()
+        assert [line for line in out.splitlines()[1:] if not line.startswith("ledger_")] == \
+            streamed.splitlines()[1:]
 
     def test_missing_data_file_is_io_error(self, workdir, capsys):
         root, _ = workdir

@@ -36,6 +36,11 @@ class MemorizingStub:
     def train_example(self, x):
         self.seen[self._key(x)] = x.label
 
+    def predict_then_train(self, x):
+        prediction = self.predict_full(x)
+        self.train_example(x)
+        return prediction
+
 
 class TestProgressiveEval:
     def test_constant_label_stream_converges(self):

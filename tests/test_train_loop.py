@@ -6,6 +6,10 @@ per level, one ``slot_matrix``, a ``batch_learn`` and then a second
 ``batch_margins`` call to route.  ``RecallTreeModel.train_example`` must
 leave the same weights, AdaGrad state, node table and predictions, bit for
 bit.
+
+``predict_then_train`` is held to the loop it replaces in progressive
+validation, ``predict_full(x)`` then ``train_example(x)``, and to a budget
+of one hash per example, router and candidate set.
 """
 
 from collections import Counter
@@ -13,8 +17,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from recalltree import tree
+from recalltree import oaa, tree
 from recalltree.data import SparseExample
+from recalltree.evaluation import EvalReport, progressive_eval
 from recalltree.linear import (
     ROLE_CLASS,
     ROLE_ROUTER,
@@ -23,6 +28,8 @@ from recalltree.linear import (
     mix64_array,
     slot_matrix,
 )
+from recalltree.model_io import save_model
+from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import (
     MIN_ROUTER_IMPORTANCE,
@@ -178,3 +185,169 @@ def test_one_hash_and_one_router_step_per_level(monkeypatch):
         assert counts["bound"] == visited
         levels += visited - 1
     assert levels > 2 * spec.num_examples
+
+
+class Recording:
+    """A learner that passes every step on and keeps what it returned."""
+
+    def __init__(self, model):
+        self.model = model
+        self.predictions = []
+
+    def predict_then_train(self, x):
+        p = self.model.predict_then_train(x)
+        self.predictions.append(p)
+        return p
+
+
+def reference_progressive(model, examples):
+    """``predict_full`` then ``train_example`` per example, with None while
+    the model is cold: the reference for ``predict_then_train``."""
+    predictions = []
+    for x in examples:
+        predictions.append(model.predict_full(x) if model.examples_seen else None)
+        model.train_example(x)
+    return predictions
+
+
+def reference_report(examples, predictions) -> EvalReport:
+    """Progressive validation's report, with a cold model's guess of class 0."""
+    correct = scored = routed = 0
+    for x, p in zip(examples, predictions):
+        correct += int((0 if p is None else p.label) == x.label)
+        scored += 0 if p is None else p.classes_scored
+        routed += 0 if p is None else p.router_evals
+    n = len(examples)
+    return EvalReport(examples_seen=n, progressive_accuracy=correct / n,
+                      scored_classes_mean=scored / n, router_evals_mean=routed / n)
+
+
+def assert_same_model(a, b, tmp_path):
+    for name in ("router_store", "class_store"):
+        if not hasattr(a, name):
+            continue
+        sa, sb = getattr(a, name), getattr(b, name)
+        assert sa.weights.tobytes() == sb.weights.tobytes()
+        if sa.adaptive:
+            assert sa._grad_sq.tobytes() == sb._grad_sq.tobytes()
+    for na, nb in zip(getattr(a, "nodes", []), getattr(b, "nodes", [])):
+        assert (na.left, na.hist, na.candidates, na.cand_total) == \
+            (nb.left, nb.hist, nb.candidates, nb.cand_total)
+        assert np.float64(na.sum_clog2).tobytes() == np.float64(nb.sum_clog2).tobytes()
+    assert len(getattr(a, "nodes", [])) == len(getattr(b, "nodes", []))
+    save_model(a, str(tmp_path / "a.bin"))
+    save_model(b, str(tmp_path / "b.bin"))
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_tree_step_matches_predict_then_train_bit_for_bit(stream, config, tmp_path):
+    width, data = stream
+    train = data[:1200]
+    params = Hyperparams.defaults(K, bits=14, **CONFIGS[config])
+    step = RecallTreeModel(K, width, params)
+    recording = Recording(step)
+    report = progressive_eval(iter(train), recording)
+    reference = RecallTreeModel(K, width, params)
+    expected = reference_progressive(reference, train)
+
+    assert expected[0] is None and recording.predictions == expected
+    assert report == reference_report(train, expected)
+    assert len(step.nodes) > 7
+    assert_same_model(step, reference, tmp_path)
+
+
+@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+def test_oaa_step_matches_predict_then_train_bit_for_bit(stream, adaptive_lr, tmp_path):
+    _, data = stream
+    train = data[:1200]
+    step = OaaModel(K, bits=14, adaptive_lr=adaptive_lr)
+    recording = Recording(step)
+    report = progressive_eval(iter(train), recording)
+    reference = OaaModel(K, bits=14, adaptive_lr=adaptive_lr)
+    expected = reference_progressive(reference, train)
+
+    assert expected[0] is None and recording.predictions == expected
+    assert report == reference_report(train, expected)
+    assert_same_model(step, reference, tmp_path)
+
+
+def test_a_step_hashes_each_example_router_and_candidate_set_once(monkeypatch):
+    """Per step: one ``mix64_array`` of the raw indices; one router
+    ``slot_matrix`` per router either descent visits, counted once when both
+    visit it; and no candidate set hashed twice over the same features.
+    With path features a node's features are its own, so (salts, features)
+    names a (node, candidate set) pair."""
+    spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=400,
+                     noise=0.05, seed=5)
+    model = RecallTreeModel(K, raw_feature_width(spec), Hyperparams.defaults(K, bits=14))
+    raw, routers, candidates, train_path = [], [], [], []
+
+    def mixing(a):
+        raw.append(np.asarray(a).tobytes())
+        return mix64_array(a)
+
+    def hashing(salts, mixed, bits):
+        if np.ndim(salts) == 0:
+            routers.append(int(salts))
+        else:
+            candidates.append((salts.tobytes(), mixed.tobytes()))
+        return slot_matrix(salts, mixed, bits)
+
+    def counting(node, y, f):
+        train_path.append(node.id)
+        return update_candidates(node, y, f)
+
+    monkeypatch.setattr(tree, "mix64_array", mixing)
+    monkeypatch.setattr(tree, "slot_matrix", hashing)
+    monkeypatch.setattr(tree, "update_candidates", counting)
+
+    shared = candidate_steps = candidate_hashes = 0
+    for x in generate_examples(spec):
+        for log in (raw, routers, candidates, train_path):
+            log.clear()
+        p = model.predict_then_train(x)
+        assert raw.count(x.indices.tobytes()) == 1
+
+        # train routes at every node it counts but the last; the prediction
+        # at every ancestor of its halting node, and at that node when it
+        # stopped on the bound rather than at a leaf
+        visited = set(train_path[:-1])
+        if p is not None:
+            node = model.nodes[p.node_id]
+            if p.router_evals > node.depth:
+                visited.add(node.id)
+            while node.parent is not None:
+                node = model.nodes[node.parent]
+                visited.add(node.id)
+            shared += p.router_evals + len(train_path) - 1 - len(visited)
+        assert sorted(routers) == sorted(int(model._router_salts[i]) for i in visited)
+
+        assert len(set(candidates)) == len(candidates)
+        # train halts at the last node it counts unless that node's bound
+        # fell below its parent's, and updates scorers if the label is a
+        # candidate there
+        parent, last = (model.nodes[i] for i in train_path[-2:])
+        halt = parent if model.bound(parent) > model.bound(last) else last
+        candidate_hashes += len(candidates)
+        candidate_steps += (p is not None and p.classes_scored > 0) + (x.label in halt.candidates)
+    # the two descents shared most routers and most candidate sets
+    assert shared > spec.num_examples
+    assert candidate_hashes < candidate_steps
+
+
+def test_oaa_step_hashes_once(monkeypatch):
+    spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=200,
+                     noise=0.05, seed=5)
+    model = OaaModel(K, bits=14)
+    calls = []
+
+    def hashing(*args):
+        calls.append(1)
+        return slot_matrix(*args)
+
+    monkeypatch.setattr(oaa, "slot_matrix", hashing)
+    for x in generate_examples(spec):
+        calls.clear()
+        model.predict_then_train(x)
+        assert len(calls) == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
-from recalltree.linear import mix64_array
+from recalltree.linear import mix64_array, slot_matrix
 from recalltree.model_io import load_model, save_model
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import (
@@ -191,7 +191,8 @@ class TestUpdateRouter:
     def _run_update(self, model, y):
         x = SparseExample.from_pairs(y, [(1, 1.0)])
         mixed = mix64_array(x.indices.astype(np.uint64))
-        model._update_router(model.root, mixed, x.values, y, 1.0)
+        slots = slot_matrix(model._router_salts[0], mixed, 16)
+        model._update_router(model.root, slots, x.values, y, 1.0)
 
     def _fill(self, model, left_counts, right_counts):
         root, left, right = model.root, model.nodes[1], model.nodes[2]
