@@ -34,16 +34,16 @@ _NEG_INF = float("-inf")
 # Entropy differences below this are treated as zero: no router update.
 MIN_ROUTER_IMPORTANCE = 1e-12
 
-# Rows per block of ``predict_batch``.  The block bounds the transient
-# (rows, k, n) candidate stacks; on a K=4096 tree (2-vCPU Xeon) the time per
-# example hardly changed from 64 to 1,000 rows.
+# Rows per block of ``predict_batch`` and ``train``.  The block bounds the
+# transient (rows, k, n) candidate stacks; on a K=4096 tree (2-vCPU Xeon) the
+# time per example hardly changed from 64 to 1,000 rows.
 BATCH_ROWS = 256
 
-# ``predict_batch`` descends the rows of one raw length together and pays a
+# A batched descent takes the rows of one raw length together and pays a
 # fixed numpy cost per level, however few rows there are.  Lengths shared by
-# fewer rows than this go through ``predict_full`` instead: on K=64, 1024 and
-# 4096 trees (2-vCPU Xeon) a batch of 3 rows cost about as much as 3 calls to
-# ``predict_full``, and a batch of 4 about 0.85 as much.
+# fewer rows than this go through ``predict_full``, or in ``train`` are not
+# hashed ahead: on K=64, 1024 and 4096 trees (2-vCPU Xeon) a batch of 3 rows
+# cost about as much as 3 calls to ``predict_full``, a batch of 4 about 0.85.
 MIN_BATCH_ROWS = 4
 
 # The model file stores the depth cap in 16 bits and F in 32.  A model
@@ -231,6 +231,14 @@ def path_feature_index(node_id: int, num_raw_features: int) -> int:
     return num_raw_features + node_id
 
 
+def _length_groups(examples: list[SparseExample]) -> list[np.ndarray]:
+    """Positions of ``examples`` grouped by raw length, each group in input
+    order."""
+    lengths = np.array([x.indices.size for x in examples])
+    order = np.argsort(lengths, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
+
+
 @dataclass
 class Prediction:
     """A predicted class plus the work done to produce it."""
@@ -244,15 +252,17 @@ class Prediction:
 
 class _ExampleKeys:
     """One example's hashed keys, shared by the prediction and the update of
-    a predict-then-train step so that each is hashed once.
+    a predict-then-train step, or filled ahead by the batched descent of a
+    ``train`` block, so that each is hashed once.
 
     ``mixed`` and ``values`` hold the example's mixed indices and values,
     the first ``nnz`` of them raw; whichever descent runs first fills them.
     ``routers`` maps a node id to the example's router slots at that node.
     A node's features are the raw ones plus the path features of the nodes
     on the way to it, so the slots are a function of (example, node id)
-    alone.  ``candidates`` maps a halting node's id to its sorted candidate
-    list, their ids and their slots; the update may change the list, so a
+    alone, and a slot hashed ahead on a route training leaves goes unused.
+    ``candidates`` maps a halting node's id to its sorted candidate list,
+    their ids and their slots; the update may change the list, so a
     stored entry serves only an equal list.  Margins are never shared: the
     update changes the weights the prediction read.
     """
@@ -327,7 +337,8 @@ class RecallTreeModel:
     def _keys(self, x: SparseExample, keys: _ExampleKeys | None) -> _ExampleKeys:
         """``keys``, or a fresh state for a one-shot call, holding the checked
         example's mixed indices and values in buffers with room for one path
-        feature per level below the root."""
+        feature per level below the root.  Keys that ``_descend`` filled, in
+        the same layout and after the same check, pass through unchanged."""
         if keys is None:
             keys = _ExampleKeys()
         if keys.mixed is None:
@@ -439,9 +450,45 @@ class RecallTreeModel:
         self.examples_seen += 1
 
     def train(self, examples) -> "RecallTreeModel":
-        for x in examples:
-            self.train_example(x)
-        return self
+        """``train_example`` on each example in order, bit for bit, read in
+        blocks of ``BATCH_ROWS``: one batched descent per block, on the
+        weights at its start, hashes ahead most router slots its steps use.
+        Examples read before the iterable raises are trained all the same."""
+        examples = iter(examples)
+        while True:
+            block = []
+            try:
+                for x in examples:
+                    block.append(x)
+                    if len(block) == BATCH_ROWS:
+                        break
+            finally:
+                for x, keys in zip(block, self._prefetch(block)):
+                    self.train_example(x, keys)
+            if len(block) < BATCH_ROWS:
+                return self
+
+    def _prefetch(self, block: list[SparseExample]) -> list[_ExampleKeys | None]:
+        """Per example of a training block, keys holding its mixed features
+        and its router slots along its predicted route; None where
+        ``train_example`` hashes alone: a raw length that fewer than
+        ``MIN_BATCH_ROWS`` examples share, or one with an example outside
+        the raw space, on which ``train_example`` raises in turn."""
+        found: list[_ExampleKeys | None] = [None] * len(block)
+        table = self._node_table()
+        for group in _length_groups(block):
+            rows = group.tolist()
+            if len(rows) < MIN_BATCH_ROWS:
+                continue
+            keys = [_ExampleKeys() for _ in rows]
+            try:
+                mixed, values, _, _ = self._descend([block[i] for i in rows], table, keys)
+            except DomainError:
+                continue
+            for i, k, m, v in zip(rows, keys, mixed, values):
+                k.mixed, k.values, k.nnz = m, v, block[i].indices.size
+                found[i] = k
+        return found
 
     def predict_then_train(self, x: SparseExample) -> Prediction | None:
         """``predict_full(x)``, then ``train_example(x)``, bit for bit, with
@@ -495,9 +542,9 @@ class RecallTreeModel:
         descent and the candidate scoring done for many examples at once.
 
         The rows of one raw length, wherever they sit in ``examples``,
-        descend together in blocks of ``BATCH_ROWS``, level by level, with
-        one ``slot_matrix`` and one ``batch_margins`` call per level; the
-        rows of a block that halt at one node are then scored as one
+        descend together in blocks of ``BATCH_ROWS`` through ``_descend``,
+        the batched descent that also hashes ahead each ``train`` block;
+        the rows of a block that halt at one node are then scored as one
         ``(rows, k, n)`` stack.  Every row's margins come from the same BLAS
         product, over the same features in the same order, as in
         ``predict_full``.  So the speed-up depends on many rows sharing a
@@ -508,20 +555,9 @@ class RecallTreeModel:
             return []
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        # the live node table as arrays, rebuilt on every call so that
-        # training between calls needs no invalidation; -1 marks a node
-        # without children, and a right child is always its left child + 1
-        nodes = self.nodes
-        table = (
-            np.array(self._router_salts, dtype=np.uint64),
-            np.array(self._path_mixed, dtype=np.uint64),
-            np.array([-1 if n.left is None else n.left for n in nodes]),
-            np.array([self.bound(n) for n in nodes]),
-        )
+        table = self._node_table()
         preds: list[Prediction] = [None] * len(examples)
-        lengths = np.array([x.indices.size for x in examples])
-        order = np.argsort(lengths, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        for group in _length_groups(examples):
             if group.size < MIN_BATCH_ROWS:
                 for i in group.tolist():
                     preds[i] = self.predict_full(examples[i])
@@ -533,8 +569,27 @@ class RecallTreeModel:
                     preds[i] = p
         return preds
 
-    def _predict_block(self, block: list[SparseExample], table) -> list[Prediction]:
-        """Predictions for examples that all have the same raw length."""
+    def _node_table(self):
+        """The live node table as arrays, rebuilt per batch so that training
+        between batches needs no invalidation: router salts, mixed path
+        features, left children (-1 for none; a right child is always its
+        left child + 1) and bounds."""
+        nodes = self.nodes
+        return (
+            np.array(self._router_salts, dtype=np.uint64),
+            np.array(self._path_mixed, dtype=np.uint64),
+            np.array([-1 if n.left is None else n.left for n in nodes]),
+            np.array([self.bound(n) for n in nodes]),
+        )
+
+    def _descend(self, block: list[SparseExample], table,
+                 keys: list[_ExampleKeys] | None = None):
+        """Route examples of one raw length from the root to where
+        ``predict_full`` would halt them, with one ``slot_matrix`` and one
+        ``batch_margins`` call per level.  Returns their mixed features and
+        values, one row each, laid out as in ``_keys``, and each row's
+        halting node and router evaluations.  With ``keys``, one per row,
+        each row's router slots at every node it routes at go into them."""
         router_salts, path_mixed, left, bounds = table
         params = self.params
         nnz = block[0].indices.size
@@ -547,7 +602,7 @@ class RecallTreeModel:
             mixed[:, :nnz] = mix64_array(indices)
             values[:, :nnz] = np.stack([x.values for x in block])
 
-        # descend: ``live`` holds the rows still routing, all at one depth
+        # ``live`` holds the rows still routing, all at one depth
         node = np.zeros(len(block), dtype=np.int64)
         router_evals = np.zeros(len(block), dtype=np.int64)
         live = np.flatnonzero(left[node] >= 0)
@@ -555,6 +610,9 @@ class RecallTreeModel:
         while live.size:
             at = node[live]
             slots = slot_matrix(router_salts[at, None], mixed[live, None, :n], params.bits)
+            if keys is not None:
+                for i, nid, row in zip(live.tolist(), at.tolist(), slots[:, 0]):
+                    keys[i].routers[nid] = row
             routed = self.router_store.batch_margins(slots, values[live, :n, None])[:, 0, 0]
             router_evals[live] += 1
             child = np.where(routed > 0, left[at], left[at] + 1)
@@ -566,6 +624,13 @@ class RecallTreeModel:
                 values[live, n] = 1.0
                 n += 1
             live = live[left[node[live]] >= 0]
+        return mixed, values, node, router_evals
+
+    def _predict_block(self, block: list[SparseExample], table) -> list[Prediction]:
+        """Predictions for examples that all have the same raw length."""
+        params = self.params
+        nnz = block[0].indices.size
+        mixed, values, node, router_evals = self._descend(block, table)
 
         preds: list[Prediction] = [None] * len(block)
         for nid in np.unique(node).tolist():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from recalltree.cli import (
+    DEFAULT_SEED,
     EX_FORMAT,
     EX_IO,
     EX_OK,
@@ -11,7 +12,9 @@ from recalltree.cli import (
     main,
 )
 from recalltree import data as data_module
-from recalltree.data import read_examples
+from recalltree.data import read_examples, scan_examples
+from recalltree.diagnostics import ledger_snapshot
+from recalltree.evaluation import progressive_eval
 from recalltree.model_io import load_model, save_model
 from recalltree.tree import Hyperparams, RecallTreeModel
 
@@ -22,6 +25,18 @@ def workdir(tmp_path_factory):
     data = root / "train.txt"
     assert main(["synth", "--structure", "voronoi", "--classes", "8", "--dims", "6",
                  "--examples", "3000", "--noise", "0.15", "--seed", "3",
+                 "--out", str(data)]) == EX_OK
+    return root, data
+
+
+@pytest.fixture(scope="module")
+def deep_workdir(tmp_path_factory):
+    # at K=64 the routers below the root learn; at K=8 descent rarely
+    # passes the root's children
+    root = tmp_path_factory.mktemp("cli-deep")
+    data = root / "train.txt"
+    assert main(["synth", "--structure", "hierarchical-clusters", "--classes", "64",
+                 "--dims", "8", "--examples", "1500", "--noise", "0.05",
                  "--out", str(data)]) == EX_OK
     return root, data
 
@@ -105,6 +120,34 @@ class TestTrain:
         assert model_path.read_bytes() == streamed_path.read_bytes()
         assert [line for line in out.splitlines()[1:] if not line.startswith("ledger_")] == \
             streamed.splitlines()[1:]
+
+    @pytest.mark.parametrize("extra", [[], ["--skip-ledger"], ["--permute"]],
+                             ids=["ledger", "skip-ledger", "permute"])
+    def test_extra_passes_equal_a_per_example_loop(self, deep_workdir, capsys, extra):
+        # the second pass goes through ``model.train``; the reference trains
+        # it one ``train_example`` at a time
+        root, data = deep_workdir
+        code, model_path = train_model(root, data, "passes2.bin", extra=["--passes", "2", *extra])
+        out = capsys.readouterr().out
+        assert code == EX_OK
+
+        examples = read_examples(str(data))
+        meta = scan_examples(examples)
+        model = RecallTreeModel(meta.num_classes, meta.num_raw_features,
+                                Hyperparams.defaults(meta.num_classes, bits=14))
+        permute = "--permute" in extra
+        report = progressive_eval(read_examples(str(data), permute, DEFAULT_SEED), model)
+        for x in read_examples(str(data), permute, DEFAULT_SEED + 1):
+            model.train_example(x)
+        report.examples_seen = model.examples_seen
+        if "--skip-ledger" not in extra:
+            ledger = ledger_snapshot(model, examples)
+            report.ledger_summary = (ledger.weighted_entropy, ledger.error_rate,
+                                     ledger.marginal_entropy)
+        reference_path = root / "passes2-reference.bin"
+        save_model(model, str(reference_path))
+        assert model_path.read_bytes() == reference_path.read_bytes()
+        assert out == f"model={model_path}\n{report.to_kv_text()}\n"
 
     def test_missing_data_file_is_io_error(self, workdir, capsys):
         root, _ = workdir

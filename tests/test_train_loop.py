@@ -10,6 +10,10 @@ bit.
 ``predict_then_train`` is held to the loop it replaces in progressive
 validation, ``predict_full(x)`` then ``train_example(x)``, and to a budget
 of one hash per example, router and candidate set.
+
+``train`` reads its examples in blocks and hashes each block's router slots
+ahead in one batched descent; it is held to a ``train_example`` loop over
+the same examples, and to a budget that the hashing ahead must meet.
 """
 
 from collections import Counter
@@ -19,6 +23,7 @@ import pytest
 
 from recalltree import oaa, tree
 from recalltree.data import SparseExample
+from recalltree.errors import DomainError, ParseError
 from recalltree.evaluation import EvalReport, progressive_eval
 from recalltree.linear import (
     ROLE_CLASS,
@@ -28,10 +33,12 @@ from recalltree.linear import (
     mix64_array,
     slot_matrix,
 )
-from recalltree.model_io import save_model
+from recalltree.model_io import load_model, save_model
 from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import (
+    BATCH_ROWS,
+    MIN_BATCH_ROWS,
     MIN_ROUTER_IMPORTANCE,
     Hyperparams,
     RecallTreeModel,
@@ -351,3 +358,133 @@ def test_oaa_step_hashes_once(monkeypatch):
         calls.clear()
         model.predict_then_train(x)
         assert len(calls) == 1
+
+
+def per_example_loop(model, examples):
+    """The reference for ``train``: ``train_example`` on each example."""
+    for x in examples:
+        model.train_example(x)
+    return model
+
+
+def ragged(examples, seed=5):
+    """``examples`` with about half the rows cut to random lengths, some to
+    none, and three rows whose lengths no other row has."""
+    rng = np.random.default_rng(seed)
+    width = max(x.indices.size for x in examples)
+    cuts = np.where(rng.random(len(examples)) < 0.5, width,
+                    rng.integers(0, width, size=len(examples)))
+    out = [SparseExample(x.label, x.indices[:k], x.values[:k]) for x, k in zip(examples, cuts)]
+    for extra in range(1, 4):
+        x = examples[extra]
+        out.insert(150 * extra, SparseExample(
+            x.label, np.tile(x.indices, extra + 1), np.tile(x.values, extra + 1)))
+    return out
+
+
+@pytest.mark.parametrize("config", ["defaults", "adaptive_lr", "no_path_features"])
+@pytest.mark.parametrize("shape", ["dense", "ragged"])
+def test_blocked_training_equals_the_per_example_loop(stream, shape, config, tmp_path):
+    width, data = stream
+    examples = data[:1200] if shape == "dense" else ragged(data[:1200])
+    assert len(examples) > 2 * BATCH_ROWS
+    if shape == "ragged":
+        lengths = Counter(x.indices.size for x in examples)
+        assert lengths[0] >= MIN_BATCH_ROWS
+        assert sum(count < MIN_BATCH_ROWS for count in lengths.values()) == 3
+    params = Hyperparams.defaults(K, bits=14, **CONFIGS[config])
+    blocked = RecallTreeModel(K, width, params).train(x for x in examples)
+    reference = per_example_loop(RecallTreeModel(K, width, params), examples)
+
+    assert len(blocked.nodes) > 7
+    assert blocked.examples_seen == len(examples)
+    assert_same_model(blocked, reference, tmp_path)
+
+
+def test_an_index_outside_the_raw_space_stops_training_at_its_row(stream, tmp_path):
+    """The bad row sits mid-block and has its block's common length, so the
+    rows before it are trained, then its ``DomainError`` is raised."""
+    width, data = stream
+    examples = list(data[:3 * BATCH_ROWS])
+    bad = BATCH_ROWS + 100
+    x = examples[bad]
+    examples[bad] = SparseExample(x.label, np.append(x.indices[:-1], width), x.values)
+    params = Hyperparams.defaults(K, bits=14)
+    blocked = RecallTreeModel(K, width, params)
+    with pytest.raises(DomainError) as raised:
+        blocked.train(examples)
+    reference = per_example_loop(RecallTreeModel(K, width, params), examples[:bad])
+    with pytest.raises(DomainError) as expected:
+        reference.train_example(examples[bad])
+
+    assert str(raised.value) == str(expected.value)
+    assert blocked.examples_seen == bad
+    assert_same_model(blocked, reference, tmp_path)
+
+
+def test_examples_read_before_the_stream_fails_are_trained(stream, tmp_path):
+    width, data = stream
+    read = BATCH_ROWS + 100
+
+    def failing():
+        yield from data[:read]
+        raise ParseError("bad token", line=read + 1, column=3)
+
+    params = Hyperparams.defaults(K, bits=14)
+    blocked = RecallTreeModel(K, width, params)
+    with pytest.raises(ParseError):
+        blocked.train(failing())
+    reference = per_example_loop(RecallTreeModel(K, width, params), data[:read])
+
+    assert blocked.examples_seen == read
+    assert_same_model(blocked, reference, tmp_path)
+
+
+@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+def test_a_loaded_model_trains_on_as_the_per_example_loop(stream, adaptive_lr, tmp_path):
+    width, data = stream
+    params = Hyperparams.defaults(K, bits=14, adaptive_lr=adaptive_lr)
+    path = tmp_path / "first.bin"
+    save_model(RecallTreeModel(K, width, params).train(data[:700]), str(path))
+    blocked = load_model(str(path)).train(iter(data[700:1200]))
+    reference = per_example_loop(load_model(str(path)), data[700:1200])
+
+    assert blocked.examples_seen == 1200
+    assert_same_model(blocked, reference, tmp_path)
+
+
+def test_train_hashes_most_router_levels_ahead(monkeypatch):
+    """On a dense stream, the one-router ``slot_matrix`` calls (a 0-d salt)
+    made inside ``train_example``, which are the levels the batched descent
+    did not hash ahead, number fewer than half the router levels stepped."""
+    spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=2000,
+                     noise=0.05, seed=5)
+    model = RecallTreeModel(K, raw_feature_width(spec), Hyperparams.defaults(K, bits=14))
+    counts = Counter()
+    inside = []  # the train_example call in progress
+    train_example = RecallTreeModel.train_example
+
+    def stepping(self, x, _keys=None):
+        inside.append(x)
+        try:
+            return train_example(self, x, _keys)
+        finally:
+            inside.pop()
+
+    def hashing(salts, mixed, bits):
+        if inside and np.ndim(salts) == 0:
+            counts["hash"] += 1
+        return slot_matrix(salts, mixed, bits)
+
+    def visiting(node, y, f):
+        counts["visit"] += 1
+        return update_candidates(node, y, f)
+
+    monkeypatch.setattr(RecallTreeModel, "train_example", stepping)
+    monkeypatch.setattr(tree, "slot_matrix", hashing)
+    monkeypatch.setattr(tree, "update_candidates", visiting)
+    model.train(generate_examples(spec))
+
+    levels = counts["visit"] - spec.num_examples
+    assert levels > 2 * spec.num_examples
+    assert counts["hash"] < levels / 2
