@@ -44,7 +44,6 @@ from .tree import (
     Prediction,
     RecallTreeModel,
     TreeNode,
-    node_entropy,
     path_feature_index,
     plurality_label,
     recall_lower_bound,
@@ -84,7 +83,6 @@ __all__ = [
     "ledger_snapshot",
     "load_model",
     "n1_chi_squared",
-    "node_entropy",
     "parse_example",
     "path_feature_index",
     "plurality_label",

@@ -38,15 +38,14 @@ def _add_hyperparam_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--candidates", type=int, default=None,
                    help="candidate classes per node (default: 4 * log2 of the class count)")
     p.add_argument("--depth-penalty", type=float, default=1.0,
-                   help="penalty constant in the recall lower bound (default: 1)")
+                   help="penalty constant in the recall lower bound; 0 uses raw "
+                        "empirical recall (default: 1)")
     p.add_argument("--bits", type=int, default=24,
                    help="log2 size of each hashed weight store (default: 24)")
     p.add_argument("--learning-rate", type=float, default=1.0,
                    help="logistic SGD learning rate (default: 1)")
     p.add_argument("--no-path-features", action="store_true",
                    help="do not append traversal indicator features")
-    p.add_argument("--bernstein-multiplier", type=float, default=1.0,
-                   help="0 uses raw empirical recall; 1 applies the full lower bound (default: 1)")
     p.add_argument("--adagrad", action="store_true",
                    help="per-slot adaptive learning rate (off by default for reproducibility)")
 
@@ -113,7 +112,6 @@ def _params_from_args(args, num_classes: int) -> Hyperparams:
         bits=args.bits,
         learning_rate=args.learning_rate,
         path_features=not args.no_path_features,
-        bernstein_multiplier=args.bernstein_multiplier,
         adaptive_lr=args.adagrad,
     )
     if args.max_depth is not None:

@@ -5,19 +5,21 @@ One container for both model types::
     magic "RCLT" | version u8 | model-type u8 | payload
 
 The tree payload carries the hyperparameters, the node table and the two
-weight stores; the one-against-all payload carries its flags byte and its
-class store.  Integers are little-endian fixed width.  Hyperparameter reals
-are stored as float64 so a loaded model reproduces the original's
-predictions bit for bit.  A node record is::
+weight stores; the one-against-all payload carries its settings and its
+class store.  Each setting is stored once: the stores take ``bits`` and the
+learning rate from the model header.  Integers are little-endian fixed
+width.  Hyperparameter reals are stored as float64 so a loaded model
+reproduces the original's predictions bit for bit.  A node record is::
 
     left i32 | hist_len u32 | (class u32, count u64) * hist_len | sum_clog2 f8
 
 ``left`` is -1 for no children, and the right child is ``left + 1``.  The
 trained ``sum_clog2`` is kept for resumed training.  The id (the record's
 position), parent, depth, total and top-F candidates are derived on load.
+Every stored count is at least 1.
 
-A weight store is ``bits u8 | learning_rate f8 | count u64`` and then
-whichever of two bodies is fewer bytes:
+A weight store is ``count u64`` and then whichever of two bodies is fewer
+bytes:
 
 * dense, ``count == 2^bits``: the raw little-endian float32 weights and,
   for an AdaGrad store, the raw float64 accumulators;
@@ -47,25 +49,23 @@ from .oaa import OaaModel
 from .tree import Hyperparams, RecallTreeModel, TreeNode, check_num_classes, ranked_classes
 
 MAGIC = b"RCLT"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 TYPE_RECALL_TREE = 1
 TYPE_OAA = 2
 
 _FLAG_PATH_FEATURES = 1
-# always set: a file with it clear was trained toward the higher-entropy
-# child, a router sign this code no longer has
-_FLAG_ROUTER_CORRECTED = 2
 _FLAG_ADAPTIVE_LR = 4
 
 # the fields, in file order; the writer and the reader share each format
 _VERSION_AND_TYPE = "<BB"
-_TREE_HEADER = "<IHIddBQQI"  # K, max_depth, F, penalty, multiplier, flags, width, examples, nodes
-_OAA_HEADER = "<IQ"  # K, examples seen; then the flags
-_FLAGS = "<B"
+# K, max_depth, F, penalty, flags, bits, learning rate, width, examples, nodes
+_TREE_HEADER = "<IHIdBBdQQI"
+_OAA_HEADER = "<IQ"  # K, examples seen; then the settings
+_OAA_SETTINGS = "<BBd"  # flags, bits, learning rate
 _NODE_HEADER = "<iI"  # left child, histogram length
 _HIST_ENTRY = np.dtype([("cls", "<u4"), ("count", "<u8")])
 _SUM_CLOG2 = "<d"
-_STORE_HEADER = "<BdQ"
+_STORE_HEADER = "<Q"
 # slots per step of the writer's nonzero scan
 _SCAN_CHUNK = 1 << 18
 
@@ -102,12 +102,12 @@ def _write_store(fh, store: WeightStore) -> None:
     # sparse only when strictly fewer bytes: (4 + slot_bytes) * count < slot_bytes * size
     slots = _sparse_slots(arrays, (slot_bytes * size - 1) // (4 + slot_bytes))
     if slots is not None:
-        fh.write(struct.pack(_STORE_HEADER, store.bits, store.learning_rate, slots.size))
+        fh.write(struct.pack(_STORE_HEADER, slots.size))
         fh.write(slots.data)
         for a in arrays:
             fh.write(a[slots].data)
     else:
-        fh.write(struct.pack(_STORE_HEADER, store.bits, store.learning_rate, size))
+        fh.write(struct.pack(_STORE_HEADER, size))
         for a in arrays:
             fh.write(a.data)
 
@@ -156,13 +156,14 @@ def _read_into(fh, out: np.ndarray) -> None:
         out.byteswap(inplace=True)
 
 
-def _read_store(fh, adaptive: bool) -> WeightStore:
-    """Read one weight store; ``adaptive`` comes from the payload's flags.
+def _read_store(fh, bits: int, learning_rate: float, adaptive: bool) -> WeightStore:
+    """Read one weight store; its settings come from the model header.
 
-    The body's length follows from the header, and it is checked against
-    the bytes left in the file before any table is allocated or read.
+    The body's length follows from ``bits`` and the stored count, and it is
+    checked against the bytes left in the file before any table is
+    allocated or read.
     """
-    bits, lr, count = _read_struct(fh, _STORE_HEADER)
+    (count,) = _read_struct(fh, _STORE_HEADER)
     size = 1 << bits
     slot_bytes = 12 if adaptive else 4
     if count == size:
@@ -172,8 +173,8 @@ def _read_store(fh, adaptive: bool) -> WeightStore:
     else:
         raise CorruptedModelError(f"weight store lists {count} slots for bits={bits}")
     _check_left(fh, need, "weight store")
-    with _corrupt_if_rejected("weight store header"):
-        store = WeightStore(bits, lr, adaptive)
+    with _corrupt_if_rejected("model header"):
+        store = WeightStore(bits, learning_rate, adaptive)
     arrays = [store.weights, store._grad_sq] if adaptive else [store.weights]
     if count == size:
         for a in arrays:
@@ -212,11 +213,13 @@ def _read_node(fh, nid: int, num_classes: int, num_candidates: int) -> TreeNode:
     if hist_len and (classes[-1] >= num_classes or (classes[1:] <= classes[:-1]).any()):
         raise CorruptedModelError(
             f"node {nid} histogram classes must ascend within [0, {num_classes})")
+    if not counts.all():
+        raise CorruptedModelError(f"node {nid} histogram stores a count of 0")
     count_list = counts.tolist()
     # training sums it one increment at a time, so the histogram's sum
     # differs in the last bits; the node keeps the stored value, so that
     # continued training matches training without a break
-    mass = counts[counts > 0].astype(np.float64)
+    mass = counts.astype(np.float64)
     if not math.isclose(sum_clog2, float(mass @ np.log2(mass)), rel_tol=1e-6):
         raise CorruptedModelError(f"node {nid} sum_clog2 does not match its histogram")
     hist_dict = dict(zip(classes.tolist(), count_list))
@@ -265,13 +268,14 @@ def _write_model(fh, model, tag: int) -> None:
     fh.write(MAGIC)
     fh.write(struct.pack(_VERSION_AND_TYPE, FORMAT_VERSION, tag))
     if tag == TYPE_OAA:
-        flags = _FLAG_ADAPTIVE_LR if model.class_store.adaptive else 0
+        store = model.class_store
+        flags = _FLAG_ADAPTIVE_LR if store.adaptive else 0
         fh.write(struct.pack(_OAA_HEADER, model.num_classes, model.examples_seen))
-        fh.write(struct.pack(_FLAGS, flags))
-        _write_store(fh, model.class_store)
+        fh.write(struct.pack(_OAA_SETTINGS, flags, store.bits, store.learning_rate))
+        _write_store(fh, store)
         return
     p = model.params
-    flags = _FLAG_ROUTER_CORRECTED
+    flags = 0
     if p.path_features:
         flags |= _FLAG_PATH_FEATURES
     if p.adaptive_lr:
@@ -282,8 +286,9 @@ def _write_model(fh, model, tag: int) -> None:
         p.max_depth,
         p.num_candidates,
         p.depth_penalty,
-        p.bernstein_multiplier,
         flags,
+        p.bits,
+        p.learning_rate,
         model.num_raw_features,
         model.examples_seen,
         len(model.nodes),
@@ -352,35 +357,26 @@ def _expect_eof(fh) -> None:
 
 
 def _load_tree(fh) -> RecallTreeModel:
-    (num_classes, max_depth, num_candidates, depth_penalty, multiplier,
-     flags, num_raw_features, examples_seen, node_count) = _read_struct(fh, _TREE_HEADER)
+    (num_classes, max_depth, num_candidates, depth_penalty, flags, bits, learning_rate,
+     num_raw_features, examples_seen, node_count) = _read_struct(fh, _TREE_HEADER)
     with _corrupt_if_rejected("tree header"):
         check_num_classes(num_classes)
-    _check_flags(flags, _FLAG_PATH_FEATURES | _FLAG_ROUTER_CORRECTED | _FLAG_ADAPTIVE_LR)
-    if not flags & _FLAG_ROUTER_CORRECTED:
-        raise ModelFormatError("model was trained with the literal router sign, "
-                               "which is no longer supported; retrain it")
+    _check_flags(flags, _FLAG_PATH_FEATURES | _FLAG_ADAPTIVE_LR)
     nodes = [_read_node(fh, nid, num_classes, num_candidates) for nid in range(node_count)]
     _link_nodes(nodes, max_depth)
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
-    router_store = _read_store(fh, adaptive)
-    class_store = _read_store(fh, adaptive)
+    router_store = _read_store(fh, bits, learning_rate, adaptive)
+    class_store = _read_store(fh, bits, learning_rate, adaptive)
     _expect_eof(fh)
-
-    if router_store.bits != class_store.bits:
-        raise CorruptedModelError("router and class stores must share one bit width")
-    if router_store.learning_rate != class_store.learning_rate:
-        raise CorruptedModelError("router and class stores must share one learning rate")
 
     with _corrupt_if_rejected("tree header"):
         params = Hyperparams(
             max_depth=max_depth,
             num_candidates=num_candidates,
             depth_penalty=depth_penalty,
-            bits=class_store.bits,
-            learning_rate=class_store.learning_rate,
+            bits=bits,
+            learning_rate=learning_rate,
             path_features=bool(flags & _FLAG_PATH_FEATURES),
-            bernstein_multiplier=multiplier,
             adaptive_lr=adaptive,
         )
         model = RecallTreeModel(num_classes, num_raw_features, params)
@@ -396,13 +392,13 @@ def _load_oaa(fh) -> OaaModel:
     num_classes, examples_seen = _read_struct(fh, _OAA_HEADER)
     with _corrupt_if_rejected("one-against-all header"):
         check_num_classes(num_classes)
-    (flags,) = _read_struct(fh, _FLAGS)
+    flags, bits, learning_rate = _read_struct(fh, _OAA_SETTINGS)
     _check_flags(flags, _FLAG_ADAPTIVE_LR)
     adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
-    store = _read_store(fh, adaptive)
+    store = _read_store(fh, bits, learning_rate, adaptive)
     _expect_eof(fh)
     with _corrupt_if_rejected("one-against-all header"):
-        model = OaaModel(num_classes, store.bits, store.learning_rate, adaptive)
+        model = OaaModel(num_classes, bits, learning_rate, adaptive)
     model.class_store = store
     model.examples_seen = examples_seen
     return model

@@ -79,7 +79,6 @@ class Hyperparams:
     bits: int = 24
     learning_rate: float = 1.0
     path_features: bool = True
-    bernstein_multiplier: float = 1.0
     adaptive_lr: bool = False
 
     def __post_init__(self):
@@ -87,14 +86,12 @@ class Hyperparams:
             raise DomainError(f"max_depth must be in [0, {MAX_DEPTH}]")
         if not 1 <= self.num_candidates <= MAX_CANDIDATES:
             raise DomainError(f"num_candidates must be in [1, {MAX_CANDIDATES}]")
-        if not self.depth_penalty >= 0:  # NaN fails too
-            raise DomainError("depth_penalty must be >= 0")
+        if not (math.isfinite(self.depth_penalty) and self.depth_penalty >= 0):
+            raise DomainError("depth_penalty must be finite and >= 0")
         if not 10 <= self.bits <= 30:
             raise DomainError("bits must be in [10, 30]")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DomainError("learning_rate must be positive")
-        if not (math.isfinite(self.bernstein_multiplier) and self.bernstein_multiplier >= 0):
-            raise DomainError("bernstein_multiplier must be >= 0")
 
     @classmethod
     def defaults(cls, num_classes: int, **overrides) -> "Hyperparams":
@@ -145,13 +142,6 @@ def label_entropies(node: TreeNode, label: int) -> tuple[float, float]:
     return (h if h > 0.0 else 0.0), (h_with if h_with > 0.0 else 0.0)
 
 
-def node_entropy(node: TreeNode, extra: int | None = None) -> float:
-    """Empirical label entropy at a node, in bits; with ``extra`` given, as
-    if one more observation of that class had arrived."""
-    h, h_with = label_entropies(node, extra)
-    return h if extra is None else h_with
-
-
 def ranked_classes(classes, counts, limit: int) -> np.ndarray:
     """The first ``limit`` of ``classes`` in candidate order: larger count
     first, ties to the smaller class id.  ``counts`` are integers."""
@@ -199,22 +189,20 @@ def update_candidates(node: TreeNode, label: int, num_candidates: int) -> None:
     cands[i] = label
 
 
-def recall_lower_bound(node: TreeNode, depth_penalty: float, multiplier: float) -> float:
+def recall_lower_bound(node: TreeNode, depth_penalty: float) -> float:
     """Empirical Bernstein lower confidence bound on the node's true recall.
 
     Returns -inf for a never-visited node so it is never preferred over its
-    parent; with multiplier 0 it degenerates to the raw empirical recall.
+    parent; with depth penalty 0 it is exactly the raw empirical recall.
     """
     m = node.total
     if m == 0:
         return _NEG_INF
     r = node.cand_total / m
-    if multiplier == 0.0:
-        return r
     var = r * (1.0 - r)
     if var < 0.0:
         var = 0.0
-    return r - multiplier * (math.sqrt(depth_penalty * var / m) + depth_penalty / m)
+    return r - (math.sqrt(depth_penalty * var / m) + depth_penalty / m)
 
 
 def plurality_label(node: TreeNode) -> int:
@@ -305,8 +293,7 @@ class RecallTreeModel:
         return self.nodes[0]
 
     def bound(self, node: TreeNode) -> float:
-        return recall_lower_bound(node, self.params.depth_penalty,
-                                  self.params.bernstein_multiplier)
+        return recall_lower_bound(node, self.params.depth_penalty)
 
     def _materialize(self, node: TreeNode) -> None:
         # children exist only below the depth cap; created on first router

@@ -56,7 +56,7 @@ def test_c01_bernstein_bound_exactness():
     ]
     for cand, total, penalty, expected in table:
         node = TreeNode(id=0, depth=0, total=total, cand_total=cand)
-        got = recall_lower_bound(node, penalty, 1.0)
+        got = recall_lower_bound(node, penalty)
         assert abs(got - expected) <= 1e-12, (cand, total, penalty, got, expected)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -85,7 +85,7 @@ def test_c02_error_bounded_by_weighted_entropy():
             bits=14,
             max_depth=int(rng.integers(0, 7)),
             num_candidates=int(rng.integers(1, 9)),
-            bernstein_multiplier=float(rng.choice([0.0, 0.5, 1.0, 2.0])),
+            depth_penalty=float(rng.choice([0.0, 0.5, 1.0, 2.0])),
             adaptive_lr=bool(rng.integers(0, 2)),
         )
         model = RecallTreeModel(k, raw_feature_width(spec), params).train(data)
@@ -278,20 +278,20 @@ def test_c08_bernstein_gating_helps_starved_tails():
         counts = np.bincount([x.label for x in train], minlength=500)
         assert counts[400:].max() <= 20, "tail classes must be sample-starved"
 
-        for multiplier in (1.0, 0.0):
+        for penalty in (1.0, 0.0):
             params = Hyperparams.defaults(500, bits=19, max_depth=13,
-                                          bernstein_multiplier=multiplier,
+                                          depth_penalty=penalty,
                                           adaptive_lr=True)
             model = RecallTreeModel(500, width, params).train(train)
-            pooled[multiplier] += round(holdout_eval(test, model).holdout_accuracy * n_test)
+            pooled[penalty] += round(holdout_eval(test, model).holdout_accuracy * n_test)
 
     n = n_test * len(replicates)
     assert pooled[1.0] > pooled[0.0], pooled
     sig = n1_chi_squared(pooled[1.0], n, pooled[0.0], n)
     assert sig.p_value < 0.05
     report("C08 bernstein-gating",
-           f"pooled err {1 - pooled[1.0] / n:.3f} (mult 1) vs {1 - pooled[0.0] / n:.3f} "
-           f"(mult 0) over {len(replicates)} replicates, p={sig.p_value:.1e}", started)
+           f"pooled err {1 - pooled[1.0] / n:.3f} (penalty 1) vs {1 - pooled[0.0] / n:.3f} "
+           f"(penalty 0) over {len(replicates)} replicates, p={sig.p_value:.1e}", started)
 
 
 def test_c09_in_order_streams_beat_permuted(tmp_path):

@@ -165,10 +165,13 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--model", str(root / "m.bin"),
                      "--frobnicate"]) == EX_USAGE
 
-    @pytest.mark.parametrize("flags", [["--depth-penalty", "nan"], ["--max-depth", "70000"]])
+    @pytest.mark.parametrize("flags", [["--depth-penalty", "nan"], ["--depth-penalty", "inf"],
+                                       ["--max-depth", "70000"]])
     def test_setting_a_model_file_cannot_hold_is_usage_error(self, workdir, capsys, flags):
-        # both used to train: NaN wrote a model that predict rejected, and
-        # 70000 overflowed the 16-bit depth field in save_model
+        # all used to train: NaN wrote a model that predict rejected, inf a
+        # tree whose every bound was NaN or -inf, so that every prediction
+        # ran to the depth cap, and 70000 overflowed the 16-bit depth field
+        # in save_model
         root, data = workdir
         code, model_path = train_model(root, data, "unsaveable.bin", extra=flags)
         err = capsys.readouterr().err
@@ -176,11 +179,13 @@ class TestTrain:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not model_path.exists()
 
-    def test_deleted_sign_flag_is_usage_error(self, workdir, capsys):
-        # routers have one sign; the flag that chose the other is deleted
+    # routers have one sign, and the recall bound one setting: a depth
+    # penalty of 0 gives the raw recall that a multiplier of 0 gave
+    @pytest.mark.parametrize("flags", [["--router-sign", "literal"],
+                                       ["--bernstein-multiplier", "0"]])
+    def test_deleted_flag_is_usage_error(self, workdir, capsys, flags):
         root, data = workdir
-        code, model_path = train_model(root, data, "literal.bin",
-                                       extra=["--router-sign", "literal"])
+        code, model_path = train_model(root, data, "deleted.bin", extra=flags)
         assert code == EX_USAGE
         assert not model_path.exists()
 
@@ -262,7 +267,6 @@ class TestFlagDefaults:
         args = build_parser().parse_args(["train", "--data", "d", "--model", "m"])
         assert args.learning_rate == 1.0
         assert args.depth_penalty == 1.0
-        assert args.bernstein_multiplier == 1.0
         assert args.bits == 24
         assert args.passes == 1
         assert args.seed == 42

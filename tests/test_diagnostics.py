@@ -77,7 +77,7 @@ class TestLedgerSnapshot:
             params = Hyperparams.defaults(
                 k, bits=14,
                 num_candidates=int(rng.integers(1, 6)),
-                bernstein_multiplier=float(rng.choice([0.0, 1.0, 2.0])),
+                depth_penalty=float(rng.choice([0.0, 1.0, 2.0])),
             )
             model = RecallTreeModel(k, raw_feature_width(spec), params).train(data)
             ledger = ledger_snapshot(model, data)

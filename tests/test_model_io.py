@@ -30,35 +30,51 @@ from recalltree.tree import (
 
 # the first node record starts after the magic, the version and type bytes
 # and the tree header; its histogram length follows its left-child field
-_TREE_HEADER = "<IHIddBQQI"
+_TREE_HEADER = "<IHIdBBdQQI"
 _FIRST_NODE = 4 + struct.calcsize("<BB") + struct.calcsize(_TREE_HEADER)
 _ROOT_HIST_LEN = _FIRST_NODE + struct.calcsize("<i")
-# the tree's flags byte follows K, max_depth, F, the penalty and the multiplier
-_TREE_FLAGS = 6 + struct.calcsize("<IHIdd")
-# a one-against-all file: magic, version, tag, <IQ>, the flags byte, the store
-_OAA_STORE = 4 + 2 + struct.calcsize("<IQ") + 1
-_STORE_HEADER = "<BdQ"
+# the tree's flags byte follows K, max_depth, F and the penalty; then come
+# the bits byte and the learning rate
+_TREE_FLAGS = 6 + struct.calcsize("<IHId")
+# a one-against-all file: magic, version, tag, <IQ>, the flags byte, the
+# bits byte, the learning rate, the store
+_OAA_FLAGS = 4 + 2 + struct.calcsize("<IQ")
+_OAA_STORE = _OAA_FLAGS + struct.calcsize("<BBd")
+_STORE_HEADER = "<Q"
+
+
+def settings_offset(blob: bytes) -> int:
+    """Offset of the model header's flags byte, which the bits byte and the
+    learning rate follow, in either model type."""
+    return _OAA_FLAGS if blob[5] == model_io.TYPE_OAA else _TREE_FLAGS
+
+
+def node_offsets(blob: bytes) -> list[int]:
+    """Offsets of a tree file's node records, then of its first store."""
+    node_count = struct.unpack_from(_TREE_HEADER, blob, 6)[-1]
+    offsets = [_FIRST_NODE]
+    for _ in range(node_count):
+        (hist_len,) = struct.unpack_from("<I", blob, offsets[-1] + 4)
+        offsets.append(offsets[-1] + 8 + 12 * hist_len + 8)  # left and length, histogram, sum_clog2
+    return offsets
 
 
 def store_offsets(blob: bytes) -> list[int]:
-    """Offsets of the weight-store headers in a version 4 file.
+    """Offsets of the weight-store headers in a version 5 file.
 
     Walks the payload by the documented layout and checks that the last
     store ends the file.
     """
+    flags, bits = blob[settings_offset(blob):][:2]
     if blob[5] == model_io.TYPE_OAA:
-        pos, flags, stores = _OAA_STORE, blob[_OAA_STORE - 1], 1
+        pos, stores = _OAA_STORE, 1
     else:
-        header = struct.unpack_from(_TREE_HEADER, blob, 6)
-        pos, flags, stores = _FIRST_NODE, header[5], 2
-        for _ in range(header[-1]):
-            (hist_len,) = struct.unpack_from("<I", blob, pos + 4)
-            pos += 8 + 12 * hist_len + 8  # left and length, histogram, sum_clog2
+        pos, stores = node_offsets(blob)[-1], 2
     slot_bytes = 12 if flags & 4 else 4
     offsets = []
     for _ in range(stores):
         offsets.append(pos)
-        bits, _, count = struct.unpack_from(_STORE_HEADER, blob, pos)
+        (count,) = struct.unpack_from(_STORE_HEADER, blob, pos)
         pos += struct.calcsize(_STORE_HEADER)
         pos += slot_bytes * count if count == 1 << bits else (4 + slot_bytes) * count
     assert pos == len(blob)
@@ -103,7 +119,7 @@ def trained():
 
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
-    """Small version 4 files with sparse and dense stores, with and without
+    """Small version 5 files with sparse and dense stores, with and without
     AdaGrad accumulators: a tree whose router store is sparse and whose
     class store is dense, and two one-against-all models, one of each."""
     def data(k, dims):
@@ -181,7 +197,7 @@ class TestRoundTrip:
         assert 2 * np.count_nonzero(weights) >= weights.size
         blob = files["oaa_dense"]
         (offset,) = store_offsets(blob)
-        assert struct.unpack_from(_STORE_HEADER, blob, offset)[2] == weights.size
+        assert struct.unpack_from(_STORE_HEADER, blob, offset) == (weights.size,)
         assert blob[offset + struct.calcsize(_STORE_HEADER):] == weights.astype("<f4").tobytes()
 
     @pytest.mark.parametrize("adaptive", [False, True])
@@ -194,7 +210,7 @@ class TestRoundTrip:
         path = tmp_path / "oaa.bin"
         save_model(oaa, str(path))
         blob = path.read_bytes()
-        assert struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE)[2] == 1024
+        assert struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE) == (1024,)
         assert blob[_OAA_STORE + struct.calcsize(_STORE_HEADER):][:4096] == \
             oaa.class_store.weights.astype("<f4").tobytes()
 
@@ -208,7 +224,9 @@ class TestRoundTrip:
         blob = path.read_bytes()
         (offset,) = store_offsets(blob)
         body = offset + struct.calcsize(_STORE_HEADER)
-        assert struct.unpack_from(_STORE_HEADER, blob, offset) == (14, oaa.learning_rate, slots.size)
+        # bits and the learning rate are stored once, in the model header
+        assert struct.unpack_from("<BBd", blob, _OAA_FLAGS) == (0, 14, oaa.learning_rate)
+        assert struct.unpack_from(_STORE_HEADER, blob, offset) == (slots.size,)
         assert blob[body:] == slots.astype("<u4").tobytes() + weights[slots].astype("<f4").tobytes()
 
     def test_adagrad_store_appends_its_accumulators(self, small_files):
@@ -219,7 +237,7 @@ class TestRoundTrip:
                 [model.router_store, model.class_store]
             for store, offset in zip(stores, store_offsets(files[name])):
                 body = offset + struct.calcsize(_STORE_HEADER)
-                count = struct.unpack_from(_STORE_HEADER, files[name], offset)[2]
+                (count,) = struct.unpack_from(_STORE_HEADER, files[name], offset)
                 arrays = [store.weights.astype("<f4")]
                 if store.adaptive:
                     arrays.append(store._grad_sq.astype("<f8"))
@@ -277,8 +295,10 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             load_model(str(path))
 
-    # versions 1 to 3 predate the derived node fields; only version 4 loads
-    @pytest.mark.parametrize("number", [0, 1, 2, 3, 5, 99])
+    # versions 1 to 3 predate the derived node fields, and version 4 stored
+    # a multiplier, a router-sign flag and settings per store; only version
+    # 5 loads
+    @pytest.mark.parametrize("number", [0, 1, 2, 3, 4, 6, 99])
     def test_version_bump_is_a_clean_format_error(self, trained, tmp_path, number):
         blob, path = self._tree_bytes(trained, tmp_path)
         blob[4] = number  # the version byte follows the 4-byte magic
@@ -286,16 +306,16 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match=f"unsupported format version {number}$"):
             load_model(str(path))
 
-    def test_cli_rejects_a_version_3_file(self, trained, tmp_path, capsys):
+    def test_cli_rejects_a_version_4_file(self, trained, tmp_path, capsys):
         blob, path = self._tree_bytes(trained, tmp_path)
-        blob[4] = 3
+        blob[4] = 4
         path.write_bytes(bytes(blob))
         data = tmp_path / "data.txt"
         data.write_text("0 0:1\n")
         assert main(["predict", "--model", str(path), "--data", str(data)]) == EX_FORMAT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: unsupported format version 3"]
+        assert captured.err.splitlines() == ["error: unsupported format version 4"]
 
     def test_unknown_type_tag(self, trained, tmp_path):
         blob, path = self._tree_bytes(trained, tmp_path)
@@ -507,6 +527,21 @@ class TestNodeRecordBytes:
             load_model(str(path))
         assert max(reads) < len(blob)
 
+    def test_a_stored_count_of_zero(self, tmp_path):
+        # the writer stores only classes a node has counted; a leaf count
+        # patched from 1 to 0 leaves sum_clog2 and the links valid, and used
+        # to load as a candidate with count 0
+        model = five_node_tree()
+        path = tmp_path / "tree.bin"
+        save_model(model, str(path))
+        blob = bytearray(path.read_bytes())
+        assert model.nodes[2].hist == {2: 1}
+        at = node_offsets(bytes(blob))[2] + struct.calcsize("<iII")  # node 2's one count
+        assert struct.unpack_from("<Q", blob, at) == (1,)
+        struct.pack_into("<Q", blob, at, 0)
+        path.write_bytes(bytes(blob))
+        expect_corrupt(path, "node 2 histogram stores a count of 0")
+
     def test_file_cut_inside_a_histogram_block(self, trained, tmp_path):
         blob, path, hist_len = self._root_bytes(trained, tmp_path)
         path.write_bytes(bytes(blob[:_ROOT_HIST_LEN + 4 + 12 * (hist_len // 2) + 5]))
@@ -636,43 +671,36 @@ class TestHeaderFields:
         save_model(model, str(path))
         return bytearray(path.read_bytes())
 
+    def _blob(self, trained, tmp_path, kind):
+        return self._oaa_blob(trained, tmp_path) if kind == "oaa" else \
+            self._tree_blob(trained[0], tmp_path)
+
     @pytest.mark.parametrize("kind", ["oaa", "tree"])
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_learning_rate(self, trained, tmp_path, kind, lr):
-        blob = self._oaa_blob(trained, tmp_path) if kind == "oaa" else \
-            self._tree_blob(trained[0], tmp_path)
-        for offset in store_offsets(bytes(blob)):
-            struct.pack_into("<d", blob, offset + 1, lr)
+        blob = self._blob(trained, tmp_path, kind)
+        struct.pack_into("<d", blob, settings_offset(blob) + 2, lr)
         self._expect_corrupt(blob, tmp_path, "learning_rate")
 
-    def test_stores_with_two_learning_rates(self, trained, tmp_path):
-        # used to load with params.learning_rate 1.0 and a router store at 0.5
-        blob = self._tree_blob(trained[0], tmp_path)
-        struct.pack_into("<d", blob, store_offsets(bytes(blob))[0] + 1, 0.5)
-        self._expect_corrupt(blob, tmp_path, "share one learning rate")
-
-    # a tree reads flags bits 1, 2 and 4, a one-against-all only bit 4;
-    # other bits used to load silently
-    @pytest.mark.parametrize("kind,bits", [("tree", [8, 16, 32, 64, 128]),
+    # a tree reads flags bits 1 and 4, a one-against-all only bit 4; other
+    # bits used to load silently
+    @pytest.mark.parametrize("kind,bits", [("tree", [2, 8, 16, 32, 64, 128]),
                                            ("oaa", [1, 2, 8, 16, 32, 64, 128])])
     def test_unknown_flags_bit(self, trained, tmp_path, kind, bits):
-        blob, at = (self._oaa_blob(trained, tmp_path), _OAA_STORE - 1) if kind == "oaa" else \
-            (self._tree_blob(trained[0], tmp_path), _TREE_FLAGS)
+        blob = self._blob(trained, tmp_path, kind)
         for bit in bits:
             patched = bytearray(blob)
-            patched[at] |= bit
+            patched[settings_offset(blob)] |= bit
             self._expect_corrupt(patched, tmp_path, f"unknown flags bits {bit:#04x}")
 
-    def test_literal_sign_must_be_retrained(self, trained, tmp_path, capsys):
-        # bit 2 clear marks a tree whose routers trained toward higher entropy
+    def test_the_old_router_sign_bit_is_unknown(self, trained, tmp_path, capsys):
+        # a version 4 file set bit 2 for the router sign that training uses;
+        # no version 5 writer sets it
         blob = self._tree_blob(trained[0], tmp_path)
-        assert blob[_TREE_FLAGS] & 2
-        blob[_TREE_FLAGS] &= ~2
-        path = tmp_path / "literal.bin"
+        assert blob[_TREE_FLAGS] == 1 | 4
+        blob[_TREE_FLAGS] |= 2
+        path = tmp_path / "bit2.bin"
         path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError, match="literal router sign.*retrain") as info:
-            load_model(str(path))
-        assert type(info.value) is ModelFormatError
         data = tmp_path / "data.txt"
         data.write_text("0 0:1\n")
         for argv in (["predict", "--data", str(data)], ["inspect"]):
@@ -680,13 +708,14 @@ class TestHeaderFields:
             assert main([*argv, "--model", str(path)]) == EX_FORMAT
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.splitlines() == [f"error: {info.value}"]
+            assert captured.err.splitlines() == ["error: unknown flags bits 0x02"]
 
+    @pytest.mark.parametrize("kind", ["oaa", "tree"])
     @pytest.mark.parametrize("bits", [9, 31, 255])
-    def test_bits_outside_the_legal_range(self, trained, tmp_path, bits):
-        blob = self._oaa_blob(trained, tmp_path)
-        blob[_OAA_STORE] = bits
-        self._expect_corrupt(blob, tmp_path, "bits")
+    def test_bits_outside_the_legal_range(self, trained, tmp_path, kind, bits):
+        blob = self._blob(trained, tmp_path, kind)
+        blob[settings_offset(blob) + 1] = bits
+        self._expect_corrupt(blob, tmp_path, f"bits must be in \\[10, 30\\], got {bits}")
 
     def test_zero_candidates(self, tmp_path):
         untrained = RecallTreeModel(12, 7, Hyperparams.defaults(12, bits=10))
@@ -694,34 +723,28 @@ class TestHeaderFields:
         struct.pack_into("<I", blob, 6 + struct.calcsize("<IH"), 0)
         self._expect_corrupt(blob, tmp_path, "num_candidates")
 
-    @pytest.mark.parametrize("penalty", [-1.0, float("nan")])
+    @pytest.mark.parametrize("penalty", [-1.0, float("nan"), float("inf")])
     def test_bad_depth_penalty(self, trained, tmp_path, penalty):
         blob = self._tree_blob(trained[0], tmp_path)
         struct.pack_into("<d", blob, 6 + struct.calcsize("<IHI"), penalty)
         self._expect_corrupt(blob, tmp_path, "depth_penalty")
 
-    @pytest.mark.parametrize("multiplier", [float("inf"), float("-inf"), float("nan")])
-    def test_non_finite_bernstein_multiplier(self, trained, tmp_path, multiplier):
-        blob = self._tree_blob(trained[0], tmp_path)
-        struct.pack_into("<d", blob, 6 + struct.calcsize("<IHId"), multiplier)
-        self._expect_corrupt(blob, tmp_path, "bernstein_multiplier")
-
     def test_count_above_the_table_size(self, trained, tmp_path):
         blob = self._oaa_blob(trained, tmp_path)
-        struct.pack_into("<Q", blob, _OAA_STORE + 9, (1 << 14) + 1)
+        struct.pack_into("<Q", blob, _OAA_STORE, (1 << 14) + 1)
         self._expect_corrupt(blob, tmp_path, "lists 16385 slots for bits=14")
 
     def test_count_beyond_the_file_is_rejected_before_reading(self, trained, tmp_path):
         # a sparse count just under a legal 2^30 table would ask for 8 GiB
         blob = self._oaa_blob(trained, tmp_path)
-        blob[_OAA_STORE] = 30
-        struct.pack_into("<Q", blob, _OAA_STORE + 9, (1 << 30) - 1)
+        blob[_OAA_FLAGS + 1] = 30
+        struct.pack_into("<Q", blob, _OAA_STORE, (1 << 30) - 1)
         started = time.perf_counter()
         self._expect_corrupt(blob, tmp_path, "needs 8589934584 bytes, .* are left")
         assert time.perf_counter() - started < 5
 
     def _slots_at(self, blob):
-        count = struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE)[2]
+        (count,) = struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE)
         start = _OAA_STORE + struct.calcsize(_STORE_HEADER)
         return start, count
 
@@ -772,21 +795,22 @@ class TestHeaderFields:
             tracemalloc.stop()
         assert elapsed < 0.5
         assert peak < 1 << 20
-        assert sum(reads) == (_OAA_STORE - 1 if kind == "oaa" else _FIRST_NODE)
+        assert sum(reads) == (_OAA_FLAGS if kind == "oaa" else _FIRST_NODE)
 
 
 class TestFuzz:
     """Cut short or with one byte changed, a valid file loads or raises a
     ModelFormatError, quickly.
 
-    A store's ``bits`` byte is left unchanged, because a change there yields
-    a legal file whose in-memory model is huge (a 2^30 table).  The class
-    count is bounded by ``MAX_CLASSES``, so every byte of it may change.
+    The header's ``bits`` byte is left unchanged, because a change there
+    yields a legal file whose in-memory model is huge (a 2^30 table).  The
+    class count is bounded by ``MAX_CLASSES``, so every byte of it may
+    change.
     """
 
     def _flippable(self, blob: bytes) -> list[int]:
-        skip = set(store_offsets(blob))
-        return [i for i in range(len(blob)) if i not in skip]
+        skip = settings_offset(blob) + 1
+        return [i for i in range(len(blob)) if i != skip]
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data())
@@ -819,7 +843,7 @@ class TestSettingsRoundTrip:
     """
 
     PENALTIES = st.one_of(
-        st.sampled_from([0.0, 1.0, float("inf"), float("nan"), -1.0, float("-inf")]),
+        st.sampled_from([0.0, 1.0, 2.0, float("inf"), float("nan"), -1.0, float("-inf")]),
         st.floats(allow_nan=True, allow_infinity=True))
 
     @settings(max_examples=120, deadline=None)
@@ -831,12 +855,12 @@ class TestSettingsRoundTrip:
             num_candidates=draw(st.sampled_from([1, 2, 3, MAX_CANDIDATES, MAX_CANDIDATES + 1])),
             depth_penalty=draw(self.PENALTIES),
             bits=10,
-            bernstein_multiplier=draw(st.sampled_from([0.0, 1.0, 2.0])),
             path_features=draw(st.booleans()),
             adaptive_lr=draw(st.booleans()),
         )
         legal = (settings_["max_depth"] <= MAX_DEPTH
                  and settings_["num_candidates"] <= MAX_CANDIDATES
+                 and math.isfinite(settings_["depth_penalty"])
                  and settings_["depth_penalty"] >= 0)
         try:
             params = Hyperparams(**settings_)

@@ -20,7 +20,7 @@ WIDTH = raw_feature_width(SPEC)
 VARIANTS = {
     "default": {},
     "no_path_features": dict(path_features=False),
-    "raw_recall": dict(bernstein_multiplier=0.0),
+    "raw_recall": dict(depth_penalty=0.0),
     "depth_zero": dict(max_depth=0),
 }
 

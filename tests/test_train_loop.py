@@ -1,8 +1,8 @@
 """The training loop against a plain reference loop, and its call budget.
 
 ``reference_train_example`` is the loop as it stood before the router step
-was fused: four ``node_entropy`` calls and two ``recall_lower_bound`` calls
-per level, one ``slot_matrix``, a ``batch_learn`` and then a second
+was fused: two ``label_entropies`` calls and two ``recall_lower_bound``
+calls per level, one ``slot_matrix``, a ``batch_learn`` and then a second
 ``batch_margins`` call to route.  ``RecallTreeModel.train_example`` must
 leave the same weights, AdaGrad state, node table and predictions, bit for
 bit.
@@ -43,7 +43,7 @@ from recalltree.tree import (
     Hyperparams,
     RecallTreeModel,
     TreeNode,
-    node_entropy,
+    label_entropies,
     path_feature_index,
     recall_lower_bound,
     update_candidates,
@@ -54,7 +54,6 @@ CONFIGS = {
     "adaptive_lr": {"adaptive_lr": True},
     "no_path_features": {"path_features": False},
     "no_depth_penalty": {"depth_penalty": 0.0},
-    "no_bernstein": {"bernstein_multiplier": 0.0},
 }
 STRUCTURES = ("hierarchical-clusters", "voronoi", "zipf-tail")
 K = 64
@@ -76,7 +75,7 @@ def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
     n = nnz
 
     def bound(node):
-        return recall_lower_bound(node, p.depth_penalty, p.bernstein_multiplier)
+        return recall_lower_bound(node, p.depth_penalty)
 
     nodes = model.nodes
     node = nodes[0]
@@ -90,8 +89,10 @@ def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
         left, right = nodes[node.left], nodes[node.right]
         w_left = left.total / node.total
         w_right = right.total / node.total
-        h_if_left = w_left * node_entropy(left, y) + w_right * node_entropy(right)
-        h_if_right = w_left * node_entropy(left) + w_right * node_entropy(right, y)
+        h_left, h_left_y = label_entropies(left, y)
+        h_right, h_right_y = label_entropies(right, y)
+        h_if_left = w_left * h_left_y + w_right * h_right
+        h_if_right = w_left * h_left + w_right * h_right_y
         delta = h_if_left - h_if_right
         if abs(delta) >= MIN_ROUTER_IMPORTANCE:
             model.router_store.batch_learn(slots, values[:n], -1 if delta > 0 else 1,

@@ -1,4 +1,5 @@
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -20,7 +21,6 @@ from recalltree.tree import (
     TreeNode,
     ceil_log2,
     label_entropies,
-    node_entropy,
     path_feature_index,
     plurality_label,
     ranked_classes,
@@ -40,8 +40,8 @@ def make_node(counts: dict[int, int], num_candidates: int) -> TreeNode:
 
 
 class TestRecallLowerBound:
-    # (candidate mass, node mass, penalty) -> hand-evaluated bound at
-    # multiplier 1: r - sqrt(penalty * r(1-r) / m) - penalty / m
+    # (candidate mass, node mass, penalty) -> hand-evaluated bound:
+    # r - sqrt(penalty * r(1-r) / m) - penalty / m
     TABLE = [
         (90, 100, 1.0, 0.86),
         (4, 4, 1.0, 0.75),
@@ -60,20 +60,15 @@ class TestRecallLowerBound:
     @pytest.mark.parametrize("cand,total,penalty,expected", TABLE)
     def test_hand_evaluated_table(self, cand, total, penalty, expected):
         node = TreeNode(id=0, depth=0, total=total, cand_total=cand)
-        assert recall_lower_bound(node, penalty, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert recall_lower_bound(node, penalty) == pytest.approx(expected, abs=1e-12)
 
-    def test_multiplier_zero_returns_empirical_recall(self):
+    def test_penalty_zero_returns_empirical_recall(self):
         node = TreeNode(id=0, depth=0, total=7, cand_total=3)
-        assert recall_lower_bound(node, 1.0, 0.0) == pytest.approx(3 / 7, abs=1e-15)
+        assert recall_lower_bound(node, 0.0) == 3 / 7
 
     def test_empty_node_is_never_preferred(self):
         node = TreeNode(id=0, depth=0)
-        assert recall_lower_bound(node, 1.0, 1.0) == float("-inf")
-
-    def test_multiplier_scales_both_terms(self):
-        node = TreeNode(id=0, depth=0, total=100, cand_total=90)
-        # r - 2 * (sqrt(0.09/100) + 0.01) = 0.9 - 2 * 0.04
-        assert recall_lower_bound(node, 1.0, 2.0) == pytest.approx(0.82, abs=1e-12)
+        assert recall_lower_bound(node, 1.0) == float("-inf")
 
 
 class TestUpdateCandidates:
@@ -123,45 +118,52 @@ class TestUpdateCandidates:
         assert ranked_classes(classes, counts, 2).tolist() == [2, 4]
 
 
+def entropy(node: TreeNode) -> float:
+    """The node's label entropy, which does not depend on the label asked
+    about."""
+    return label_entropies(node, 0)[0]
+
+
 class TestNodeEntropy:
     def test_uniform_two_classes(self):
-        assert node_entropy(make_node({0: 1, 1: 1}, 4)) == pytest.approx(1.0, abs=1e-12)
+        assert entropy(make_node({0: 1, 1: 1}, 4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert node_entropy(make_node({0: 4}, 4)) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(make_node({0: 4}, 4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_three_one_split(self):
         node = make_node({0: 3, 1: 1}, 4)
-        assert node_entropy(node) == pytest.approx(0.8112781244591328, abs=1e-9)
+        assert entropy(node) == pytest.approx(0.8112781244591328, abs=1e-9)
 
     def test_empty_node(self):
-        assert node_entropy(TreeNode(id=0, depth=0)) == 0.0
+        assert entropy(TreeNode(id=0, depth=0)) == 0.0
 
     def test_empty_node_with_extra_is_point_mass(self):
-        assert node_entropy(TreeNode(id=0, depth=0), extra=3) == 0.0
+        assert label_entropies(TreeNode(id=0, depth=0), 3) == (0.0, 0.0)
 
     def test_extra_matches_fresh_computation(self):
         node = make_node({0: 3, 1: 2, 7: 5}, 4)
         widened = make_node({0: 3, 1: 2, 7: 5, 4: 1}, 4)
-        assert node_entropy(node, extra=4) == pytest.approx(node_entropy(widened), abs=1e-9)
+        assert label_entropies(node, 4)[1] == pytest.approx(entropy(widened), abs=1e-9)
 
     def test_extra_for_existing_class(self):
         node = make_node({0: 3, 1: 1}, 4)
         widened = make_node({0: 3, 1: 2}, 4)
-        assert node_entropy(node, extra=1) == pytest.approx(node_entropy(widened), abs=1e-9)
+        assert label_entropies(node, 1)[1] == pytest.approx(entropy(widened), abs=1e-9)
 
     @given(st.lists(st.integers(0, 9), max_size=60), st.integers(0, 9))
     @settings(max_examples=80, deadline=None)
     def test_entropies_with_a_label_are_those_after_counting_it(self, labels, y):
         # bit for bit: the extra point mass adds to sum_clog2 exactly as
-        # counting it does
+        # counting it does, and the entropy without it is the same whichever
+        # label is asked about
         node = TreeNode(id=0, depth=0)
         for label in labels:
             update_candidates(node, label, 3)
         h, h_with = label_entropies(node, y)
-        assert h == node_entropy(node)
+        assert h == label_entropies(node, (y + 1) % 10)[0]
         update_candidates(node, y, 3)
-        assert h_with == node_entropy(node)
+        assert h_with == entropy(node)
 
 
 class TestPathFeature:
@@ -246,8 +248,8 @@ class TestDescentHalting:
     def test_bound_comparison_case(self):
         parent = TreeNode(id=0, depth=0, total=10, cand_total=5)
         child = TreeNode(id=1, depth=1, total=10, cand_total=10)
-        b_parent = recall_lower_bound(parent, 1.0, 1.0)
-        b_child = recall_lower_bound(child, 1.0, 1.0)
+        b_parent = recall_lower_bound(parent, 1.0)
+        b_child = recall_lower_bound(child, 1.0)
         assert b_parent == pytest.approx(0.241886116991581, abs=1e-12)
         assert b_child == pytest.approx(0.9, abs=1e-12)
         assert not b_parent > b_child  # descent continues
@@ -361,25 +363,27 @@ class TestPredict:
 
 
 class TestInvariants:
-    def _trained(self, multiplier=1.0, seed=3):
+    def _trained(self, depth_penalty=1.0, seed=3):
         spec = SynthSpec("hierarchical-clusters", num_classes=16, dimensions=5,
                          num_examples=4000, noise=0.05, seed=seed)
         data = generate_examples(spec)
-        params = Hyperparams.defaults(16, bits=14, bernstein_multiplier=multiplier,
+        params = Hyperparams.defaults(16, bits=14, depth_penalty=depth_penalty,
                                       adaptive_lr=True)
         return RecallTreeModel(16, raw_feature_width(spec), params).train(data), data
 
     def test_recall_sandwich(self):
-        model, _ = self._trained(multiplier=1.0)
+        model, _ = self._trained(depth_penalty=1.0)
         for node in model.nodes:
             if node.total:
                 assert model.bound(node) <= node.r_hat + 1e-12
 
-    def test_recall_sandwich_equality_at_multiplier_zero(self):
-        model, _ = self._trained(multiplier=0.0)
+    def test_recall_sandwich_equality_at_penalty_zero(self):
+        # exactly: a zero penalty leaves the raw empirical recall, the
+        # setting that a separate multiplier of 0 used to give
+        model, _ = self._trained(depth_penalty=0.0)
         for node in model.nodes:
             if node.total:
-                assert model.bound(node) == pytest.approx(node.r_hat, abs=1e-15)
+                assert model.bound(node) == node.r_hat
 
     def test_histogram_conservation(self):
         model, _ = self._trained()
@@ -449,7 +453,6 @@ class TestHyperparams:
         assert p.num_candidates == 40
         assert p.depth_penalty == 1.0
         assert p.learning_rate == 1.0
-        assert p.bernstein_multiplier == 1.0
         assert p.path_features
 
     def test_single_class_defaults(self):
@@ -466,12 +469,13 @@ class TestHyperparams:
         with pytest.raises(DomainError):
             Hyperparams(max_depth=0, num_candidates=0)
         with pytest.raises(DomainError):
-            Hyperparams(max_depth=0, num_candidates=1, bernstein_multiplier=-0.5)
+            Hyperparams(max_depth=0, num_candidates=1, depth_penalty=-0.5)
 
     @pytest.mark.parametrize("field,good,bad", [
         ("max_depth", MAX_DEPTH, MAX_DEPTH + 1),
         ("num_candidates", MAX_CANDIDATES, MAX_CANDIDATES + 1),
-        ("depth_penalty", float("inf"), float("nan")),
+        ("depth_penalty", sys.float_info.max, float("nan")),
+        ("depth_penalty", sys.float_info.max, float("inf")),
     ])
     def test_limits_of_the_model_file(self, field, good, bad):
         settings = dict(max_depth=0, num_candidates=1)
