@@ -542,6 +542,20 @@ class TestNodeRecordBytes:
         path.write_bytes(bytes(blob))
         expect_corrupt(path, "node 2 histogram stores a count of 0")
 
+    def test_a_stored_count_of_zero_at_the_root(self, tmp_path):
+        # the record is refused as it is read, before the children's counts
+        # are compared with their parent's
+        model = five_node_tree()
+        path = tmp_path / "tree.bin"
+        save_model(model, str(path))
+        blob = bytearray(path.read_bytes())
+        assert model.root.hist == {0: 1, 2: 1, 3: 1}
+        at = _ROOT_HIST_LEN + 4 + 12 + 4  # the root's second entry's count
+        assert struct.unpack_from("<IQ", blob, at - 4) == (2, 1)
+        struct.pack_into("<Q", blob, at, 0)
+        path.write_bytes(bytes(blob))
+        expect_corrupt(path, "node 0 histogram stores a count of 0")
+
     def test_file_cut_inside_a_histogram_block(self, trained, tmp_path):
         blob, path, hist_len = self._root_bytes(trained, tmp_path)
         path.write_bytes(bytes(blob[:_ROOT_HIST_LEN + 4 + 12 * (hist_len // 2) + 5]))
@@ -681,6 +695,27 @@ class TestHeaderFields:
         blob = self._blob(trained, tmp_path, kind)
         struct.pack_into("<d", blob, settings_offset(blob) + 2, lr)
         self._expect_corrupt(blob, tmp_path, "learning_rate")
+
+    @pytest.mark.parametrize("kind", ["oaa", "tree"])
+    def test_the_header_learning_rate_reaches_every_store(self, trained, tmp_path, kind):
+        # a store header holds only its count, so the model header's rate
+        # is the one every store of the loaded model steps with
+        blob = self._blob(trained, tmp_path, kind)
+        original = trained[1] if kind == "oaa" else trained[0]
+        (stored,) = struct.unpack_from("<d", blob, settings_offset(blob) + 2)
+        assert stored != 0.25
+        struct.pack_into("<d", blob, settings_offset(blob) + 2, 0.25)
+        path = tmp_path / "model.bin"
+        path.write_bytes(bytes(blob))
+        loaded = load_model(str(path))
+        names = ["class_store"] if kind == "oaa" else ["router_store", "class_store"]
+        for name in names:
+            store, before = getattr(loaded, name), getattr(original, name)
+            assert store.learning_rate == 0.25
+            assert store.bits == before.bits
+            assert bit_equal(store.weights, before.weights)
+        if kind == "tree":
+            assert loaded.params.learning_rate == 0.25
 
     # a tree reads flags bits 1 and 4, a one-against-all only bit 4; other
     # bits used to load silently
