@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--classes", type=int, default=None,
                        help="class count K (default: inferred as max label + 1)")
     train.add_argument("--raw-features", type=int, default=None,
-                       help="raw feature space width (default: inferred as max index + 1)")
+                       help="raw feature space width, at most 2^63 "
+                            "(default: inferred as max index + 1)")
     train.add_argument("--passes", type=int, default=1,
                        help="training epochs; progressive metrics cover pass 1 only")
     train.add_argument("--permute", action="store_true",
@@ -196,11 +197,13 @@ def cmd_inspect(args) -> int:
     print(f"type=recall-tree classes={model.num_classes} nodes={len(model.nodes)} "
           f"examples_seen={model.examples_seen} max_depth={model.params.max_depth} "
           f"candidates={model.params.num_candidates}")
+    parent = {child: node.id for node in model.nodes if node.left is not None
+              for child in (node.left, node.left + 1)}
     for node in model.nodes:
         bound = model.bound(node)
         cands = ",".join(str(c) for c in node.candidates)
         print(f"node id={node.id} depth={node.depth} "
-              f"parent={-1 if node.parent is None else node.parent} "
+              f"parent={parent.get(node.id, -1)} "
               f"total={node.total} recall_hat={node.r_hat:.6f} "
               f"bound={bound if bound == float('-inf') else round(bound, 6)} "
               f"candidates=[{cands}]")

@@ -102,22 +102,12 @@ class DatasetMeta:
     example_count: int
 
 
-def parse_example(line: str, *, line_number: int | None = None) -> SparseExample:
-    """Parse one ``<label> <idx>:<val> ...`` line.
-
-    Raises :class:`ParseError` naming the line/column of a malformed token
-    and :class:`DomainError` for a negative label.
-    """
-    parsed = _parse_chunk([line])
-    return parsed[0] if parsed else _parse_located(line, line_number)
-
-
 def _parse_chunk(lines: list[str]) -> list[SparseExample] | None:
     """Parse a chunk of lines in bulk, or return None if any line fails a
     check; the caller then re-parses the lines one at a time.
 
     Values go through Python's ``int`` and ``float``, so the grammar
-    (signs, ``_``, non-ASCII digits) is that of :func:`_parse_located`, and
+    (signs, ``_``, non-ASCII digits) is that of :func:`parse_example`, and
     str.split() cuts a line into the tokens ``_TOKEN`` finds.
     """
     try:
@@ -161,9 +151,13 @@ def _parse_lines(lines: list[str], numbers) -> Iterator[SparseExample]:
     yield from parsed
 
 
-def _parse_located(line: str, line_number: int | None) -> SparseExample:
-    """Token-by-token parse that raises at the first malformed token: the
-    error reporter for a line the chunk parser rejects."""
+def parse_example(line: str, *, line_number: int | None = None) -> SparseExample:
+    """Parse one ``<label> <idx>:<val> ...`` line token by token.
+
+    Raises :class:`ParseError` naming the line/column of the first malformed
+    token and :class:`DomainError` for a negative label; the bulk readers
+    re-parse a chunk the chunk parser rejects through here.
+    """
     tokens = _TOKEN.finditer(line)
     first = next(tokens, None)
     if first is None:
@@ -190,8 +184,8 @@ def _parse_located(line: str, line_number: int | None) -> SparseExample:
             idx = int(idx_s)
         except ValueError:
             raise ParseError(f"feature index must be an integer, got {idx_s!r}", line=line_number, column=col) from None
-        if idx < 0:
-            raise ParseError(f"feature index must be non-negative, got {idx}", line=line_number, column=col)
+        if not 0 <= idx < 1 << 63:
+            raise ParseError(f"feature index must be in [0, 2^63), got {idx}", line=line_number, column=col)
         try:
             val = float(val_s)
         except ValueError:
@@ -222,9 +216,11 @@ def stream_dataset(path: str, permute: bool = False, seed: int = 0) -> Iterator[
 
     In-order mode streams lazily in file order, ``_CHUNK_LINES`` lines at a
     time.  Permuted mode materializes the line list and yields a uniformly
-    random permutation determined by ``seed``; the same seed always
+    random permutation determined by ``seed`` (>= 0); the same seed always
     reproduces the same order.
     """
+    if permute and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     # text mode turns \r\n and \r into \n, and lines split on \n only
     with _open_text(path) as fh:
         if not permute:

@@ -277,7 +277,7 @@ def _halting_capable(model: RecallTreeModel, node: TreeNode) -> bool:
         return True
     b = model.bound(node)
     return (b > model.bound(model.nodes[node.left])
-            or b > model.bound(model.nodes[node.right]))
+            or b > model.bound(model.nodes[node.left + 1]))
 
 
 @dataclass

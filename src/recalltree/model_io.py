@@ -15,8 +15,9 @@ reproduces the original's predictions bit for bit.  A node record is::
 
 ``left`` is -1 for no children, and the right child is ``left + 1``.  The
 trained ``sum_clog2`` is kept for resumed training.  The id (the record's
-position), parent, depth, total and top-F candidates are derived on load.
-Every stored count is at least 1.
+position), depth, total and top-F candidates are derived on load, and so
+is the tree's example count: every example is counted at the root.  Every
+stored count is at least 1.
 
 A weight store is ``count u64`` and then whichever of two bodies is fewer
 bytes:
@@ -49,7 +50,7 @@ from .oaa import OaaModel
 from .tree import Hyperparams, RecallTreeModel, TreeNode, check_num_classes, ranked_classes
 
 MAGIC = b"RCLT"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 TYPE_RECALL_TREE = 1
 TYPE_OAA = 2
 
@@ -58,8 +59,8 @@ _FLAG_ADAPTIVE_LR = 4
 
 # the fields, in file order; the writer and the reader share each format
 _VERSION_AND_TYPE = "<BB"
-# K, max_depth, F, penalty, flags, bits, learning rate, width, examples, nodes
-_TREE_HEADER = "<IHIdBBdQQI"
+# K, max_depth, F, penalty, flags, bits, learning rate, width, nodes
+_TREE_HEADER = "<IHIdBBdQI"
 _OAA_HEADER = "<IQ"  # K, examples seen; then the settings
 _OAA_SETTINGS = "<BBd"  # flags, bits, learning rate
 _NODE_HEADER = "<iI"  # left child, histogram length
@@ -227,7 +228,6 @@ def _read_node(fh, nid: int, num_classes: int, num_candidates: int) -> TreeNode:
     return TreeNode(
         id=nid, depth=0,
         left=None if left == -1 else left,
-        right=None if left == -1 else left + 1,
         hist=hist_dict, total=sum(count_list), sum_clog2=sum_clog2,
         candidates=candidates,
         cand_total=sum(hist_dict[c] for c in candidates),
@@ -235,30 +235,32 @@ def _read_node(fh, nid: int, num_classes: int, num_candidates: int) -> TreeNode:
 
 
 def _link_nodes(nodes: list[TreeNode], max_depth: int) -> None:
-    """Set each node's parent and depth in one forward pass.  Children come
-    after their parent, one parent each and none below ``max_depth``, so
-    every descent ends within the buffers sized for it.  Every example a
-    child counted passed through its parent first, so the two children
-    together count no more examples than their parent."""
+    """Set each node's depth in one forward pass.  Children come after
+    their parent, one parent each and none below ``max_depth``, so every
+    descent ends within the buffers sized for it.  Every example a child
+    counted passed through its parent first, so the two children together
+    count no more examples than their parent."""
     if not nodes:
         raise CorruptedModelError("node table has no root")
+    has_parent = [False] * len(nodes)
     for node in nodes:
-        if node.id and node.parent is None:
+        if node.id and not has_parent[node.id]:
             raise CorruptedModelError(f"node {node.id} is not the child of any node")
         if node.left is None:
             continue
         if node.left <= node.id:
             raise CorruptedModelError(f"node {node.id} names child {node.left}, which is not after it")
-        if node.right >= len(nodes):
-            raise CorruptedModelError(f"node {node.id} names child {node.right} beyond the table")
+        if node.left + 1 >= len(nodes):
+            raise CorruptedModelError(f"node {node.id} names child {node.left + 1} beyond the table")
         if node.depth == max_depth:
             raise CorruptedModelError(f"node {node.id} at max_depth {max_depth} has children")
-        for child in (nodes[node.left], nodes[node.right]):
-            if child.parent is not None:
+        children = nodes[node.left], nodes[node.left + 1]
+        for child in children:
+            if has_parent[child.id]:
                 raise CorruptedModelError(f"node {child.id} is the child of two nodes")
-            child.parent = node.id
+            has_parent[child.id] = True
             child.depth = node.depth + 1
-        below = nodes[node.left].total + nodes[node.right].total
+        below = children[0].total + children[1].total
         if below > node.total:
             raise CorruptedModelError(
                 f"node {node.id} has counted {node.total} examples, but its children {below}")
@@ -290,7 +292,6 @@ def _write_model(fh, model, tag: int) -> None:
         p.bits,
         p.learning_rate,
         model.num_raw_features,
-        model.examples_seen,
         len(model.nodes),
     ))
     for node in model.nodes:
@@ -358,7 +359,7 @@ def _expect_eof(fh) -> None:
 
 def _load_tree(fh) -> RecallTreeModel:
     (num_classes, max_depth, num_candidates, depth_penalty, flags, bits, learning_rate,
-     num_raw_features, examples_seen, node_count) = _read_struct(fh, _TREE_HEADER)
+     num_raw_features, node_count) = _read_struct(fh, _TREE_HEADER)
     with _corrupt_if_rejected("tree header"):
         check_num_classes(num_classes)
     _check_flags(flags, _FLAG_PATH_FEATURES | _FLAG_ADAPTIVE_LR)
@@ -384,7 +385,6 @@ def _load_tree(fh) -> RecallTreeModel:
     model._node_keys()
     model.router_store = router_store
     model.class_store = class_store
-    model.examples_seen = examples_seen
     return model
 
 

@@ -67,6 +67,8 @@ class SynthSpec:
             raise DomainError("num_examples must be >= 0")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise DomainError("noise must be >= 0")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -107,15 +107,15 @@ class Hyperparams:
 class TreeNode:
     """One tree node: label histogram, top-F candidate set, and counters.
 
-    ``sum_clog2`` caches sum(c * log2(c)) over histogram counts so label
-    entropy (and entropy with one extra observation) is O(1) per query.
+    A node has no children or two: ``left`` and the right child
+    ``left + 1``.  ``sum_clog2`` caches sum(c * log2(c)) over histogram
+    counts so label entropy (and entropy with one extra observation) is
+    O(1) per query.
     """
 
     id: int
     depth: int
-    parent: int | None = None
     left: int | None = None
-    right: int | None = None
     hist: dict[int, int] = field(default_factory=dict)
     total: int = 0
     sum_clog2: float = 0.0
@@ -269,8 +269,10 @@ class RecallTreeModel:
     def __init__(self, num_classes: int, num_raw_features: int,
                  params: Hyperparams | None = None):
         check_num_classes(num_classes)
-        if num_raw_features < 0:
-            raise DomainError("num_raw_features must be >= 0")
+        # parsed indices are int64, and the path features take the uint64
+        # indices from the width up
+        if not 0 <= num_raw_features <= 1 << 63:
+            raise DomainError(f"num_raw_features must be in [0, 2^63], got {num_raw_features}")
         self.num_classes = num_classes
         self.num_raw_features = num_raw_features
         self.params = params if params is not None else Hyperparams.defaults(num_classes)
@@ -284,13 +286,17 @@ class RecallTreeModel:
         self._path_mixed: list[np.uint64] = []
         self._node_keys()
         self._class_salts = key_salt(ROLE_CLASS, np.arange(num_classes))
-        self.examples_seen = 0
 
     # -- structure ---------------------------------------------------------
 
     @property
     def root(self) -> TreeNode:
         return self.nodes[0]
+
+    @property
+    def examples_seen(self) -> int:
+        """Every training example is counted at the root first."""
+        return self.nodes[0].total
 
     def bound(self, node: TreeNode) -> float:
         return recall_lower_bound(node, self.params.depth_penalty)
@@ -299,10 +305,9 @@ class RecallTreeModel:
         # children exist only below the depth cap; created on first router
         # update so the tree grows along the data distribution
         nid = len(self.nodes)
-        self.nodes.append(TreeNode(id=nid, depth=node.depth + 1, parent=node.id))
-        self.nodes.append(TreeNode(id=nid + 1, depth=node.depth + 1, parent=node.id))
+        self.nodes.append(TreeNode(id=nid, depth=node.depth + 1))
+        self.nodes.append(TreeNode(id=nid + 1, depth=node.depth + 1))
         node.left = nid
-        node.right = nid + 1
         self._node_keys()
 
     def _node_keys(self) -> None:
@@ -376,7 +381,7 @@ class RecallTreeModel:
         the post-update weights, on which the caller routes.  The caller has
         counted ``y`` at ``node``, so its total is at least 1."""
         left = self.nodes[node.left]
-        right = self.nodes[node.right]
+        right = self.nodes[node.left + 1]
         h_left, h_left_y = label_entropies(left, y)
         h_right, h_right_y = label_entropies(right, y)
         w_left = left.total / node.total
@@ -391,11 +396,6 @@ class RecallTreeModel:
         # sign, since the opposite one trains toward higher entropy
         label = -1 if delta > 0 else 1
         return self.router_store.batch_learn(slots, values, label, importance * abs(delta))
-
-    def _candidate_keys(self, node: TreeNode) -> tuple[np.ndarray, np.ndarray]:
-        """The node's candidate ids in ascending order and their class salts."""
-        ids = np.array(sorted(node.candidates), dtype=np.int64)
-        return ids, self._class_salts[ids]
 
     def _update_predictors(self, node: TreeNode, keys: _ExampleKeys, n: int,
                            y: int, importance: float) -> None:
@@ -425,7 +425,7 @@ class RecallTreeModel:
                 self._materialize(node)
             routed = self._update_router(node, self._router_slots(keys, node.id, n),
                                          values[:n], y, x.importance)
-            child = self.nodes[node.left if routed > 0 else node.right]
+            child = self.nodes[node.left if routed > 0 else node.left + 1]
             update_candidates(child, y, params.num_candidates)
             child_bound = self.bound(child)
             if node_bound > child_bound:
@@ -434,7 +434,6 @@ class RecallTreeModel:
             if params.path_features:
                 n = self._append_path_feature(mixed, values, n, node.id)
         self._update_predictors(node, keys, n, y, x.importance)
-        self.examples_seen += 1
 
     def train(self, examples) -> "RecallTreeModel":
         """``train_example`` on each example in order, bit for bit, read in
@@ -491,7 +490,9 @@ class RecallTreeModel:
 
     def predict_full(self, x: SparseExample, _keys: _ExampleKeys | None = None) -> Prediction:
         """Route one example to its halting node without learning, then
-        score the node's candidates."""
+        score the node's candidates.  The root has counted an example, and
+        descent never enters a child that has not (its bound is -inf), so
+        the halting node has at least one candidate."""
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
         keys = self._keys(x, _keys)
@@ -504,7 +505,7 @@ class RecallTreeModel:
             slots = self._router_slots(keys, node.id, n)
             routed = self.router_store.batch_margins(slots, values[:n])
             router_evals += 1
-            child = self.nodes[node.left if routed > 0 else node.right]
+            child = self.nodes[node.left if routed > 0 else node.left + 1]
             child_bound = self.bound(child)
             if node_bound > child_bound:
                 break
@@ -512,8 +513,6 @@ class RecallTreeModel:
             if params.path_features:
                 n = self._append_path_feature(mixed, values, n, node.id)
         assert len(node.candidates) <= params.num_candidates
-        if not node.candidates:
-            return Prediction(0, 0, router_evals, node.id, node.depth)
         ids, slots = self._candidate_slots(keys, node, n)
         margins = self.class_store.batch_margins(slots, values[:n])
         # argmax takes the first maximum, and ids ascend, so ties go to the
@@ -623,16 +622,12 @@ class RecallTreeModel:
         for nid in np.unique(node).tolist():
             halted = np.flatnonzero(node == nid)
             halt = self.nodes[nid]
-            ids, salts = self._candidate_keys(halt)
-            if ids.size:
-                width = nnz + halt.depth if params.path_features else nnz
-                slots = slot_matrix(salts, mixed[halted, None, :width], params.bits)
-                margins = self.class_store.batch_margins(
-                    slots, values[halted, :width, None])[..., 0]
-                # first maximum per row: ties to the smaller class id
-                labels = ids[np.argmax(margins, axis=1)].tolist()
-            else:
-                labels = [0] * halted.size
+            ids = np.array(sorted(halt.candidates), dtype=np.int64)
+            width = nnz + halt.depth if params.path_features else nnz
+            slots = slot_matrix(self._class_salts[ids], mixed[halted, None, :width], params.bits)
+            margins = self.class_store.batch_margins(slots, values[halted, :width, None])[..., 0]
+            # first maximum per row: ties to the smaller class id
+            labels = ids[np.argmax(margins, axis=1)].tolist()
             for i, label, evals in zip(halted.tolist(), labels,
                                        router_evals[halted].tolist()):
                 preds[i] = Prediction(label, ids.size, evals, nid, halt.depth)

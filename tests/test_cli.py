@@ -179,6 +179,47 @@ class TestTrain:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not model_path.exists()
 
+    def test_negative_seed_is_usage_error(self, workdir, capsys):
+        # numpy's permutation rejected it with a ValueError (exit 1)
+        root, data = workdir
+        code, model_path = train_model(root, data, "seed.bin",
+                                       extra=["--permute", "--seed", "-1", "--skip-ledger"])
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not model_path.exists()
+
+    # parsed indices are int64, so 2^63 is the widest raw space; past 2^64
+    # the path features overflowed (exit 1), and at 2^64 - 1 node 1's path
+    # feature wrapped around onto raw index 0
+    @pytest.mark.parametrize("width, code", [(2**64, EX_USAGE), (2**64 - 1, EX_USAGE),
+                                             (2**63 + 1, EX_USAGE), (2**63, EX_OK)])
+    def test_widest_raw_feature_space(self, workdir, capsys, width, code):
+        root, data = workdir
+        got, model_path = train_model(root, data, "wide.bin",
+                                      extra=["--raw-features", str(width), "--skip-ledger"])
+        err = capsys.readouterr().err
+        assert got == code
+        if code == EX_USAGE:
+            assert err == f"error: num_raw_features must be in [0, 2^63], got {width}\n"
+            assert not model_path.exists()
+        else:
+            assert load_model(str(model_path)).num_raw_features == width
+
+    def test_index_past_int64_is_format_error(self, workdir, tmp_path, capsys):
+        # train and predict died with an uncaught OverflowError (exit 1)
+        root, data = workdir
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 0:1\n0 0:1 99999999999999999999:0.5\n")
+        code, model_path = train_model(root, bad, "overflow.bin")
+        want = ("error: feature index must be in [0, 2^63), got 99999999999999999999 "
+                "(line 2, column 7)\n")
+        assert (code, capsys.readouterr().err) == (EX_FORMAT, want)
+        assert not model_path.exists()
+        _, model_path = train_model(root, data, "overflow-predict.bin")
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--data", str(bad)])
+        assert (code, capsys.readouterr().err) == (EX_FORMAT, want)
+
     # routers have one sign, and the recall bound one setting: a depth
     # penalty of 0 gives the raw recall that a multiplier of 0 gave
     @pytest.mark.parametrize("flags", [["--router-sign", "literal"],
@@ -255,6 +296,14 @@ class TestInspect:
 class TestSynth:
     def test_missing_required_flag_is_usage_error(self):
         assert main(["synth", "--structure", "voronoi"]) == EX_USAGE
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # numpy's generator rejected it with a ValueError (exit 1)
+        out = tmp_path / "x.txt"
+        assert main(["synth", "--structure", "voronoi", "--classes", "4", "--dims", "2",
+                     "--examples", "10", "--seed", "-1", "--out", str(out)]) == EX_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_bad_structure_is_usage_error(self, tmp_path):
         assert main(["synth", "--structure", "spiral", "--classes", "4",

@@ -9,8 +9,8 @@ from recalltree.data import (
     _CHUNK_LINES,
     _TOKEN,
     SparseExample,
+    _parse_chunk,
     _parse_lines,
-    _parse_located,
     format_example,
     parse_example,
     read_examples,
@@ -51,6 +51,8 @@ class TestParseExample:
         ("1 3:inf", 3),      # non-finite value
         ("1 3:nan", 3),      # non-finite value
         ("1 -3:1", 3),       # negative index
+        ("0 0:1 99999999999999999999:0.5", 7),  # index past int64
+        ("1 9223372036854775808:1", 3),         # index 2^63
         ("", 1),             # empty line
     ])
     def test_malformed_token_names_column(self, line, column):
@@ -59,6 +61,9 @@ class TestParseExample:
         assert err.value.column == column
         if line:
             assert err.value.line == 17
+
+    def test_largest_index(self):
+        assert parse_example("1 9223372036854775807:1").features() == [(2**63 - 1, 1.0)]
 
     def test_tolerates_extra_whitespace(self):
         ex = parse_example("  4   1:2.5   9:1  ")
@@ -92,26 +97,30 @@ def _lines(draw):
     return line
 
 
-def _outcome(parse, line):
+def _check_fast_path(line: str) -> None:
+    parsed = _parse_chunk([line])
     try:
-        return parse(line, line_number=7)
-    except Exception as err:  # the exception itself is what is compared
-        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+        want = parse_example(line)
+    except (ParseError, DomainError):
+        assert parsed is None
+    else:
+        assert parsed is not None
+        _assert_same_examples(parsed, [want])
 
 
 class TestFastPathMatchesLocatedParse:
-    """parse_example's split-based fast path gives the example, or the
-    error with its line and column, that the token-by-token parse gives."""
+    """The split-based chunk parser, given one line, accepts it exactly
+    when the token-by-token parse_example does, with the same example."""
 
     @given(_lines())
     @settings(max_examples=400, deadline=None)
     def test_same_example_or_same_error(self, line):
-        assert _outcome(parse_example, line) == _outcome(_parse_located, line)
+        _check_fast_path(line)
 
     @pytest.mark.parametrize("line", ["", " \t", "\x85", "-1 x:1", "1 -3:1 x", "4 2:1e999",
                                       "1 99999999999999999999:1"])
     def test_edge_lines(self, line):
-        assert _outcome(parse_example, line) == _outcome(_parse_located, line)
+        _check_fast_path(line)
 
     def test_split_and_token_regex_agree_on_every_code_point(self):
         text = "a".join(map(chr, range(0x110000)))
@@ -189,6 +198,17 @@ class TestStreamDataset:
             list(stream_dataset(path))
         assert err.value.line == 3
 
+    def test_index_past_int64_is_parse_error(self, tmp_dataset):
+        path = tmp_dataset(["1 0:1"] * 5 + ["0 0:1 99999999999999999999:0.5"])
+        with pytest.raises(ParseError) as err:
+            read_examples(path)
+        assert (err.value.line, err.value.column) == (6, 7)
+
+    def test_negative_seed_is_domain_error(self, tmp_dataset):
+        path = tmp_dataset(self._lines(10))
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            next(stream_dataset(path, permute=True, seed=-1))
+
     def test_gzip_input(self, tmp_path):
         path = tmp_path / "data.txt.gz"
         with gzip.open(path, "wt") as fh:
@@ -220,11 +240,11 @@ def _error(err: Exception):
 
 
 def _linewise(lines: list[str], numbers) -> tuple[list, tuple | None]:
-    """The reference: _parse_located one line at a time, up to the first error."""
+    """The reference: parse_example one line at a time, up to the first error."""
     examples = []
     for number in numbers:
         try:
-            examples.append(_parse_located(lines[number - 1], number))
+            examples.append(parse_example(lines[number - 1], line_number=number))
         except Exception as err:  # the exception itself is what is compared
             return examples, _error(err)
     return examples, None
@@ -281,7 +301,7 @@ _SIZE = 2 * _CHUNK_LINES + 100
 
 class TestChunkedReadersMatchLinewise:
     """stream_dataset, read_examples and scan_dataset, which parse a chunk
-    of lines at a time, give what _parse_located gives line by line: the
+    of lines at a time, give what parse_example gives line by line: the
     same examples, and the same error after the same examples."""
 
     def _check(self, path: str, permute: bool = False, seed: int = 0) -> None:

@@ -35,7 +35,6 @@ def depth1_pure_model():
     w = model.router_store.weights
     w[slot_of("router", 0, 0, 14)] = 1.0   # feature 0 routes left
     w[slot_of("router", 0, 1, 14)] = -1.0  # feature 1 routes right
-    model.examples_seen = 100
     return model
 
 

@@ -30,7 +30,7 @@ from recalltree.tree import (
 
 # the first node record starts after the magic, the version and type bytes
 # and the tree header; its histogram length follows its left-child field
-_TREE_HEADER = "<IHIdBBdQQI"
+_TREE_HEADER = "<IHIdBBdQI"
 _FIRST_NODE = 4 + struct.calcsize("<BB") + struct.calcsize(_TREE_HEADER)
 _ROOT_HIST_LEN = _FIRST_NODE + struct.calcsize("<i")
 # the tree's flags byte follows K, max_depth, F and the penalty; then come
@@ -60,7 +60,7 @@ def node_offsets(blob: bytes) -> list[int]:
 
 
 def store_offsets(blob: bytes) -> list[int]:
-    """Offsets of the weight-store headers in a version 5 file.
+    """Offsets of the weight-store headers in a version 6 file.
 
     Walks the payload by the documented layout and checks that the last
     store ends the file.
@@ -119,7 +119,7 @@ def trained():
 
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
-    """Small version 5 files with sparse and dense stores, with and without
+    """Small version 6 files with sparse and dense stores, with and without
     AdaGrad accumulators: a tree whose router store is sparse and whose
     class store is dense, and two one-against-all models, one of each."""
     def data(k, dims):
@@ -295,10 +295,11 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             load_model(str(path))
 
-    # versions 1 to 3 predate the derived node fields, and version 4 stored
-    # a multiplier, a router-sign flag and settings per store; only version
-    # 5 loads
-    @pytest.mark.parametrize("number", [0, 1, 2, 3, 4, 6, 99])
+    # versions 1 to 3 predate the derived node fields, version 4 stored a
+    # multiplier, a router-sign flag and settings per store, and version 5
+    # the example count that the root's histogram holds; only version 6
+    # loads
+    @pytest.mark.parametrize("number", [0, 1, 2, 3, 4, 5, 7, 99])
     def test_version_bump_is_a_clean_format_error(self, trained, tmp_path, number):
         blob, path = self._tree_bytes(trained, tmp_path)
         blob[4] = number  # the version byte follows the 4-byte magic
@@ -306,16 +307,16 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match=f"unsupported format version {number}$"):
             load_model(str(path))
 
-    def test_cli_rejects_a_version_4_file(self, trained, tmp_path, capsys):
+    def test_cli_rejects_a_version_5_file(self, trained, tmp_path, capsys):
         blob, path = self._tree_bytes(trained, tmp_path)
-        blob[4] = 4
+        blob[4] = 5
         path.write_bytes(bytes(blob))
         data = tmp_path / "data.txt"
         data.write_text("0 0:1\n")
         assert main(["predict", "--model", str(path), "--data", str(data)]) == EX_FORMAT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: unsupported format version 4"]
+        assert captured.err.splitlines() == ["error: unsupported format version 5"]
 
     def test_unknown_type_tag(self, trained, tmp_path):
         blob, path = self._tree_bytes(trained, tmp_path)
@@ -357,7 +358,6 @@ def five_node_tree() -> RecallTreeModel:
     for path in ([0, 2], [0, 1, 3], [0, 1, 4]):
         for node_id in path:
             update_candidates(model.nodes[node_id], path[-1] % 4, 2)
-    model.examples_seen = 3
     return model
 
 
@@ -398,7 +398,7 @@ class TestCorruptNodeTables:
         parent = model.root
         child = model.nodes[parent.left]
         cls = next(iter(child.hist))
-        child.hist[cls] += parent.total - child.total - model.nodes[parent.right].total + 1
+        child.hist[cls] += parent.total - child.total - model.nodes[parent.left + 1].total + 1
         child.sum_clog2 = sum(c * math.log2(c) for c in child.hist.values())
         save_model(model, str(path))
         assert main(["inspect", "--model", str(path)]) == EX_FORMAT
@@ -730,7 +730,7 @@ class TestHeaderFields:
 
     def test_the_old_router_sign_bit_is_unknown(self, trained, tmp_path, capsys):
         # a version 4 file set bit 2 for the router sign that training uses;
-        # no version 5 writer sets it
+        # no later writer sets it
         blob = self._tree_blob(trained[0], tmp_path)
         assert blob[_TREE_FLAGS] == 1 | 4
         blob[_TREE_FLAGS] |= 2
@@ -751,6 +751,24 @@ class TestHeaderFields:
         blob = self._blob(trained, tmp_path, kind)
         blob[settings_offset(blob) + 1] = bits
         self._expect_corrupt(blob, tmp_path, f"bits must be in \\[10, 30\\], got {bits}")
+
+    def test_tree_header_fields(self, trained, tmp_path):
+        # the example count is not among them: the loader takes the root's
+        tree = trained[0]
+        blob = self._tree_blob(tree, tmp_path)
+        p = tree.params
+        assert blob[4:6] == bytes([6, model_io.TYPE_RECALL_TREE])
+        assert struct.unpack_from(_TREE_HEADER, blob, 6) == (
+            12, p.max_depth, 3, p.depth_penalty, 1 | 4, 14, p.learning_rate,
+            tree.num_raw_features, len(tree.nodes))
+        assert load_model(str(tmp_path / "tree.bin")).examples_seen == tree.root.total == 3000
+
+    # parsed indices are int64, so no wider raw space can be trained
+    @pytest.mark.parametrize("width", [2**63 + 1, 2**64 - 1])
+    def test_raw_width_past_2_63(self, trained, tmp_path, width):
+        blob = self._tree_blob(trained[0], tmp_path)
+        struct.pack_into("<Q", blob, 6 + struct.calcsize("<IHIdBBd"), width)
+        self._expect_corrupt(blob, tmp_path, r"num_raw_features must be in \[0, 2\^63\]")
 
     def test_zero_candidates(self, tmp_path):
         untrained = RecallTreeModel(12, 7, Hyperparams.defaults(12, bits=10))

@@ -82,11 +82,11 @@ def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
     update_candidates(node, y, p.num_candidates)
     while node.depth < p.max_depth:
         if node.left is None:
-            node.left, node.right = len(nodes), len(nodes) + 1
-            for nid in (node.left, node.right):
-                nodes.append(TreeNode(id=nid, depth=node.depth + 1, parent=node.id))
+            node.left = len(nodes)
+            for nid in (node.left, node.left + 1):
+                nodes.append(TreeNode(id=nid, depth=node.depth + 1))
         slots = slot_matrix(key_salt(ROLE_ROUTER, node.id), mixed[:n], p.bits)
-        left, right = nodes[node.left], nodes[node.right]
+        left, right = nodes[node.left], nodes[node.left + 1]
         w_left = left.total / node.total
         w_right = right.total / node.total
         h_left, h_left_y = label_entropies(left, y)
@@ -98,7 +98,7 @@ def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
             model.router_store.batch_learn(slots, values[:n], -1 if delta > 0 else 1,
                                            importance * abs(delta))
         routed = model.router_store.batch_margins(slots, values[:n])
-        child = nodes[node.left if routed > 0 else node.right]
+        child = nodes[node.left if routed > 0 else node.left + 1]
         update_candidates(child, y, p.num_candidates)
         if bound(node) > bound(child):
             break
@@ -112,7 +112,6 @@ def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
         slots = slot_matrix(key_salt(ROLE_CLASS, ids), mixed[:n], p.bits)
         model.class_store.batch_learn(slots, values[:n], np.where(ids == y, 1.0, -1.0),
                                       importance)
-    model.examples_seen += 1
 
 
 @pytest.fixture(scope="module", params=STRUCTURES)
@@ -322,12 +321,14 @@ def test_a_step_hashes_each_example_router_and_candidate_set_once(monkeypatch):
         # stopped on the bound rather than at a leaf
         visited = set(train_path[:-1])
         if p is not None:
-            node = model.nodes[p.node_id]
-            if p.router_evals > node.depth:
-                visited.add(node.id)
-            while node.parent is not None:
-                node = model.nodes[node.parent]
-                visited.add(node.id)
+            parent = {c: n.id for n in model.nodes if n.left is not None
+                      for c in (n.left, n.left + 1)}
+            node_id = p.node_id
+            if p.router_evals > model.nodes[node_id].depth:
+                visited.add(node_id)
+            while node_id in parent:
+                node_id = parent[node_id]
+                visited.add(node_id)
             shared += p.router_evals + len(train_path) - 1 - len(visited)
         assert sorted(routers) == sorted(int(model._router_salts[i]) for i in visited)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
+from recalltree.evaluation import progressive_eval
 from recalltree.linear import mix64_array, slot_matrix
 from recalltree.model_io import load_model, save_model
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
@@ -175,6 +176,19 @@ class TestPathFeature:
 
     def test_injective_on_node_ids(self):
         assert path_feature_index(3, 50) != path_feature_index(4, 50)
+
+    def test_widest_raw_space(self):
+        # parsed indices are below 2^63, and the path features of a 2^63
+        # wide space start there; at 2^64 - 1, node 1's wrapped around onto
+        # raw index 0
+        model = RecallTreeModel(4, 2**63, Hyperparams.defaults(4, bits=10))
+        model.train_example(SparseExample.from_pairs(1, [(0, 1.0), (2**63 - 1, 0.5)]))
+        assert len(model.nodes) > 1
+        assert model._path_mixed == list(mix64_array(np.arange(len(model.nodes), dtype=np.uint64)
+                                                     + np.uint64(2**63)))
+        for width in (2**63 + 1, 2**64 - 1, 2**64, -1):
+            with pytest.raises(DomainError, match=r"num_raw_features must be in \[0, 2\^63\]"):
+                RecallTreeModel(4, width)
 
 
 ROUTER_CASE_IMPORTANCE = 0.45914791702724467  # half the entropy of a 2:1 split
@@ -362,6 +376,60 @@ class TestPredict:
             assert p.depth <= model.params.max_depth
 
 
+class TestExampleCount:
+    """The example count is the root's: every example is counted there
+    before it routes, so no second counter can disagree with it."""
+
+    def _data(self):
+        spec = SynthSpec("zipf-tail", num_classes=16, dimensions=5, num_examples=900,
+                         noise=0.1, seed=2)
+        return raw_feature_width(spec), generate_examples(spec)
+
+    def test_train_and_progressive_eval(self):
+        width, data = self._data()
+        model = RecallTreeModel(16, width, Hyperparams.defaults(16, bits=12))
+        assert model.examples_seen == model.root.total == 0
+        model.train(data[:300])
+        assert model.examples_seen == model.root.total == 300
+        report = progressive_eval(data[300:600], model)
+        assert report.examples_seen == 300
+        assert model.examples_seen == model.root.total == 600
+
+    def test_save_load_train(self, tmp_path):
+        width, data = self._data()
+        model = RecallTreeModel(16, width, Hyperparams.defaults(16, bits=12)).train(data[:400])
+        path = tmp_path / "tree.bin"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded.examples_seen == 400
+        loaded.train(data[400:])
+        assert loaded.examples_seen == loaded.root.total == 900
+
+    def test_a_step_that_raises_after_the_root_counted(self, monkeypatch):
+        # the root counts the label before the step fails; a counter kept
+        # beside it lagged by one from then on
+        width, data = self._data()
+        model = RecallTreeModel(16, width, Hyperparams.defaults(16, bits=12)).train(data[:50])
+
+        def failing(*args):
+            raise MemoryError("simulated")
+
+        monkeypatch.setattr(model, "_update_predictors", failing)
+        with pytest.raises(MemoryError):
+            model.train_example(data[50])
+        assert model.examples_seen == model.root.total == 51
+        monkeypatch.undo()
+        model.train(data[51:100])
+        assert model.examples_seen == model.root.total == 100
+
+    def test_is_read_only(self):
+        model = RecallTreeModel(4, 2, Hyperparams.defaults(4, bits=10))
+        with pytest.raises(AttributeError):
+            model.examples_seen = 7
+        with pytest.raises(UntrainedModelError):
+            model.predict(SparseExample.from_pairs(0, [(0, 1.0)]))
+
+
 class TestInvariants:
     def _trained(self, depth_penalty=1.0, seed=3):
         spec = SynthSpec("hierarchical-clusters", num_classes=16, dimensions=5,
@@ -390,7 +458,7 @@ class TestInvariants:
         for node in model.nodes:
             assert node.total == sum(node.hist.values())
             if node.left is not None:
-                children = model.nodes[node.left].total + model.nodes[node.right].total
+                children = model.nodes[node.left].total + model.nodes[node.left + 1].total
                 assert children <= node.total
 
     def test_candidates_are_exactly_top_f(self):
