@@ -43,12 +43,15 @@ class SparseExample:
     importance: float = 1.0
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        try:
+            self.indices = np.asarray(self.indices, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("feature indices must be in [0, 2^63)") from None
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.indices.shape != self.values.shape:
             raise DomainError("indices and values must have equal length")
         if self.indices.size and self.indices.min() < 0:
-            raise DomainError("feature indices must be non-negative")
+            raise DomainError("feature indices must be in [0, 2^63)")
         if self.values.size and not np.isfinite(self.values).all():
             raise DomainError("feature values must be finite")
         if not (math.isfinite(self.importance) and self.importance > 0):
@@ -75,9 +78,7 @@ class SparseExample:
 
     @classmethod
     def from_pairs(cls, label: int, pairs, importance: float = 1.0) -> "SparseExample":
-        idx = [i for i, _ in pairs]
-        val = [v for _, v in pairs]
-        return cls(label, np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64), importance)
+        return cls(label, [i for i, _ in pairs], [v for _, v in pairs], importance)
 
     def features(self) -> list[tuple[int, float]]:
         return list(zip(self.indices.tolist(), self.values.tolist()))

@@ -57,17 +57,19 @@ def progressive_eval(stream, learner) -> EvalReport:
     """Predict-then-train over a stream; accuracy counts the prediction
     made strictly before each example's update.
 
-    Each step is one ``learner.predict_then_train(x)``, which hashes the
-    example once for the prediction and the update.  A cold learner cannot
-    predict yet, so the first prediction falls back to class 0 and is
-    scored like any other.
+    The steps are ``learner.predict_then_train(stream)``, which hashes each
+    example once for its prediction and its update.  The tree reads the
+    stream in blocks, up to 256 examples ahead of the one it predicts; if
+    the stream raises, the examples read before it are still predicted and
+    trained, then the error is raised.  A cold learner cannot predict yet,
+    so the first prediction falls back to class 0 and is scored like any
+    other.
     """
     seen = 0
     correct = 0
     scored = 0
     routed = 0
-    for x in stream:
-        p = learner.predict_then_train(x)
+    for x, p in learner.predict_then_train(stream):
         if p is None:
             label, n_scored, n_routed = 0, 0, 0
         else:

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import CorruptedModelError, DomainError, ModelFormatError, ModelTypeError
 from .linear import WeightStore
 from .oaa import OaaModel
-from .tree import Hyperparams, RecallTreeModel, TreeNode, check_num_classes, ranked_classes
+from .tree import Hyperparams, RecallTreeModel, TreeNode, check_num_classes, check_raw_features, ranked_classes
 
 MAGIC = b"RCLT"
 FORMAT_VERSION = 6
@@ -358,29 +358,25 @@ def _expect_eof(fh) -> None:
 
 
 def _load_tree(fh) -> RecallTreeModel:
+    """Every header field is checked before the node table or a weight
+    table is read or allocated."""
     (num_classes, max_depth, num_candidates, depth_penalty, flags, bits, learning_rate,
      num_raw_features, node_count) = _read_struct(fh, _TREE_HEADER)
+    _check_flags(flags, _FLAG_PATH_FEATURES | _FLAG_ADAPTIVE_LR)
     with _corrupt_if_rejected("tree header"):
         check_num_classes(num_classes)
-    _check_flags(flags, _FLAG_PATH_FEATURES | _FLAG_ADAPTIVE_LR)
+        check_raw_features(num_raw_features)
+        params = Hyperparams(max_depth=max_depth, num_candidates=num_candidates,
+                             depth_penalty=depth_penalty, bits=bits, learning_rate=learning_rate,
+                             path_features=bool(flags & _FLAG_PATH_FEATURES),
+                             adaptive_lr=bool(flags & _FLAG_ADAPTIVE_LR))
     nodes = [_read_node(fh, nid, num_classes, num_candidates) for nid in range(node_count)]
     _link_nodes(nodes, max_depth)
-    adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
-    router_store = _read_store(fh, bits, learning_rate, adaptive)
-    class_store = _read_store(fh, bits, learning_rate, adaptive)
+    router_store = _read_store(fh, bits, learning_rate, params.adaptive_lr)
+    class_store = _read_store(fh, bits, learning_rate, params.adaptive_lr)
     _expect_eof(fh)
 
-    with _corrupt_if_rejected("tree header"):
-        params = Hyperparams(
-            max_depth=max_depth,
-            num_candidates=num_candidates,
-            depth_penalty=depth_penalty,
-            bits=bits,
-            learning_rate=learning_rate,
-            path_features=bool(flags & _FLAG_PATH_FEATURES),
-            adaptive_lr=adaptive,
-        )
-        model = RecallTreeModel(num_classes, num_raw_features, params)
+    model = RecallTreeModel(num_classes, num_raw_features, params)
     model.nodes = nodes
     model._node_keys()
     model.router_store = router_store

@@ -52,14 +52,16 @@ class OaaModel:
             self.train_example(x)
         return self
 
-    def predict_then_train(self, x: SparseExample) -> Prediction | None:
-        """``predict_full(x)``, then ``train_example(x)``, bit for bit, with
-        one ``(K, n)`` slot table for both.  Returns the prediction made
-        before the update, or None while the model has seen no example."""
-        slots = self._slots(x)
-        prediction = self.predict_full(x, slots) if self.examples_seen else None
-        self.train_example(x, slots)
-        return prediction
+    def predict_then_train(self, examples):
+        """Per example, ``predict_full(x)`` then ``train_example(x)``, bit for
+        bit, on one ``(K, n)`` slot table.  Yields ``(x, prediction)``: the
+        prediction made before the update, or None while the model has seen
+        no example."""
+        for x in examples:
+            slots = self._slots(x)
+            prediction = self.predict_full(x, slots) if self.examples_seen else None
+            self.train_example(x, slots)
+            yield x, prediction
 
     def predict_full(self, x: SparseExample, _slots: np.ndarray | None = None) -> Prediction:
         if self.examples_seen == 0:

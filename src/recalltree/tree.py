@@ -58,6 +58,13 @@ def check_num_classes(num_classes: int) -> None:
         raise DomainError(f"num_classes must be in [1, {MAX_CLASSES}], got {num_classes}")
 
 
+def check_raw_features(num_raw_features: int) -> None:
+    # parsed indices are int64, and the path features take the uint64
+    # indices from the width up
+    if not 0 <= num_raw_features <= 1 << 63:
+        raise DomainError(f"num_raw_features must be in [0, 2^63], got {num_raw_features}")
+
+
 def ceil_log2(n: int) -> int:
     """Smallest d with 2^d >= n; 0 for n <= 1."""
     if n <= 1:
@@ -89,7 +96,7 @@ class Hyperparams:
         if not (math.isfinite(self.depth_penalty) and self.depth_penalty >= 0):
             raise DomainError("depth_penalty must be finite and >= 0")
         if not 10 <= self.bits <= 30:
-            raise DomainError("bits must be in [10, 30]")
+            raise DomainError(f"bits must be in [10, 30], got {self.bits}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DomainError("learning_rate must be positive")
 
@@ -240,8 +247,8 @@ class Prediction:
 
 class _ExampleKeys:
     """One example's hashed keys, shared by the prediction and the update of
-    a predict-then-train step, or filled ahead by the batched descent of a
-    ``train`` block, so that each is hashed once.
+    a step and filled ahead by the batched descent of its block, so that
+    each is hashed once.
 
     ``mixed`` and ``values`` hold the example's mixed indices and values,
     the first ``nnz`` of them raw; whichever descent runs first fills them.
@@ -249,18 +256,15 @@ class _ExampleKeys:
     A node's features are the raw ones plus the path features of the nodes
     on the way to it, so the slots are a function of (example, node id)
     alone, and a slot hashed ahead on a route training leaves goes unused.
-    ``candidates`` maps a halting node's id to its sorted candidate list,
-    their ids and their slots; the update may change the list, so a
-    stored entry serves only an equal list.  Margins are never shared: the
-    update changes the weights the prediction read.
+    Margins are never shared: the update changes the weights the prediction
+    read.
     """
 
-    __slots__ = ("mixed", "values", "nnz", "routers", "candidates")
+    __slots__ = ("mixed", "values", "nnz", "routers")
 
     def __init__(self):
         self.mixed = None
         self.routers: dict[int, np.ndarray] = {}
-        self.candidates: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
 
 
 class RecallTreeModel:
@@ -269,10 +273,7 @@ class RecallTreeModel:
     def __init__(self, num_classes: int, num_raw_features: int,
                  params: Hyperparams | None = None):
         check_num_classes(num_classes)
-        # parsed indices are int64, and the path features take the uint64
-        # indices from the width up
-        if not 0 <= num_raw_features <= 1 << 63:
-            raise DomainError(f"num_raw_features must be in [0, 2^63], got {num_raw_features}")
+        check_raw_features(num_raw_features)
         self.num_classes = num_classes
         self.num_raw_features = num_raw_features
         self.params = params if params is not None else Hyperparams.defaults(num_classes)
@@ -364,14 +365,8 @@ class RecallTreeModel:
                          n: int) -> tuple[np.ndarray, np.ndarray]:
         """The node's candidate ids in ascending order and the example's
         ``(k, n)`` slots under their scorers."""
-        order = sorted(node.candidates)
-        known = keys.candidates.get(node.id)
-        if known is not None and known[0] == order:
-            return known[1], known[2]
-        ids = np.array(order, dtype=np.int64)
-        slots = slot_matrix(self._class_salts[ids], keys.mixed[:n], self.params.bits)
-        keys.candidates[node.id] = (order, ids, slots)
-        return ids, slots
+        ids = np.array(sorted(node.candidates), dtype=np.int64)
+        return ids, slot_matrix(self._class_salts[ids], keys.mixed[:n], self.params.bits)
 
     # -- learning ------------------------------------------------------------
 
@@ -436,10 +431,25 @@ class RecallTreeModel:
         self._update_predictors(node, keys, n, y, x.importance)
 
     def train(self, examples) -> "RecallTreeModel":
-        """``train_example`` on each example in order, bit for bit, read in
-        blocks of ``BATCH_ROWS``: one batched descent per block, on the
-        weights at its start, hashes ahead most router slots its steps use.
-        Examples read before the iterable raises are trained all the same."""
+        """``train_example`` on each example in order, bit for bit."""
+        for x, keys in self._keyed(examples):
+            self.train_example(x, keys)
+        return self
+
+    def predict_then_train(self, examples):
+        """Per example, ``predict_full(x)`` then ``train_example(x)``, bit for
+        bit, on one set of keys.  Yields ``(x, prediction)``: the prediction
+        made before the update, or None while the model has seen no example."""
+        for x, keys in self._keyed(examples):
+            prediction = self.predict_full(x, keys) if self.examples_seen else None
+            self.train_example(x, keys)
+            yield x, prediction
+
+    def _keyed(self, examples):
+        """Each example with its keys, read in blocks of ``BATCH_ROWS``: one
+        batched descent per block, on the weights at its start, hashes ahead
+        most router slots its steps use.  Examples read before the iterable
+        raises are yielded all the same, then the error is raised."""
         examples = iter(examples)
         while True:
             block = []
@@ -449,42 +459,30 @@ class RecallTreeModel:
                     if len(block) == BATCH_ROWS:
                         break
             finally:
-                for x, keys in zip(block, self._prefetch(block)):
-                    self.train_example(x, keys)
+                yield from zip(block, self._prefetch(block))
             if len(block) < BATCH_ROWS:
-                return self
+                return
 
-    def _prefetch(self, block: list[SparseExample]) -> list[_ExampleKeys | None]:
-        """Per example of a training block, keys holding its mixed features
-        and its router slots along its predicted route; None where
-        ``train_example`` hashes alone: a raw length that fewer than
-        ``MIN_BATCH_ROWS`` examples share, or one with an example outside
-        the raw space, on which ``train_example`` raises in turn."""
-        found: list[_ExampleKeys | None] = [None] * len(block)
+    def _prefetch(self, block: list[SparseExample]) -> list[_ExampleKeys]:
+        """Per example of a block, keys holding its mixed features and its
+        router slots along its predicted route; empty keys, filled by the
+        first step that uses them, where the example hashes alone: a raw
+        length that fewer than ``MIN_BATCH_ROWS`` examples share, or one
+        with an example outside the raw space, on which that step raises."""
+        found = [_ExampleKeys() for _ in block]
         table = self._node_table()
         for group in _length_groups(block):
             rows = group.tolist()
             if len(rows) < MIN_BATCH_ROWS:
                 continue
-            keys = [_ExampleKeys() for _ in rows]
+            keys = [found[i] for i in rows]
             try:
                 mixed, values, _, _ = self._descend([block[i] for i in rows], table, keys)
             except DomainError:
                 continue
             for i, k, m, v in zip(rows, keys, mixed, values):
                 k.mixed, k.values, k.nnz = m, v, block[i].indices.size
-                found[i] = k
         return found
-
-    def predict_then_train(self, x: SparseExample) -> Prediction | None:
-        """``predict_full(x)``, then ``train_example(x)``, bit for bit, with
-        the example's features, router slots and candidate slots hashed once
-        for both.  Returns the prediction made before the update, or None
-        while the model has seen no example."""
-        keys = _ExampleKeys()
-        prediction = self.predict_full(x, keys) if self.examples_seen else None
-        self.train_example(x, keys)
-        return prediction
 
     # -- inference -----------------------------------------------------------
 

@@ -153,6 +153,17 @@ class TestSparseExampleInvariants:
         with pytest.raises(DomainError):
             SparseExample.from_pairs(0, [(-1, 1.0)])
 
+    # these raised numpy's OverflowError ("too large to convert to C long")
+    @pytest.mark.parametrize("index", [2**63, 2**64, -(2**63) - 1])
+    def test_rejects_an_index_outside_int64(self, index):
+        with pytest.raises(DomainError, match=r"feature indices must be in \[0, 2\^63\)"):
+            SparseExample(0, [3, index], [1.0, 2.0])
+        with pytest.raises(DomainError, match=r"feature indices must be in \[0, 2\^63\)"):
+            SparseExample.from_pairs(0, [(3, 1.0), (index, 2.0)])
+
+    def test_largest_index(self):
+        assert SparseExample.from_pairs(0, [(2**63 - 1, 1.0)]).indices.tolist() == [2**63 - 1]
+
     def test_rejects_nonpositive_importance(self):
         with pytest.raises(DomainError):
             SparseExample.from_pairs(0, [(1, 1.0)], importance=0.0)

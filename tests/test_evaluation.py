@@ -36,10 +36,11 @@ class MemorizingStub:
     def train_example(self, x):
         self.seen[self._key(x)] = x.label
 
-    def predict_then_train(self, x):
-        prediction = self.predict_full(x)
-        self.train_example(x)
-        return prediction
+    def predict_then_train(self, examples):
+        for x in examples:
+            prediction = self.predict_full(x)
+            self.train_example(x)
+            yield x, prediction
 
 
 class TestProgressiveEval:

@@ -118,6 +118,19 @@ def trained():
 
 
 @pytest.fixture(scope="module")
+def wide_tree_blob(tmp_path_factory) -> bytes:
+    """The file of a K=64 tree at bits=24: a few KiB on disk, and two 2^24
+    weight tables (128 MiB) once loaded."""
+    spec = SynthSpec("voronoi", num_classes=64, dimensions=8, num_examples=40,
+                     noise=0.1, seed=3)
+    params = Hyperparams.defaults(64, bits=24)
+    tree = RecallTreeModel(64, raw_feature_width(spec), params).train(generate_examples(spec))
+    path = tmp_path_factory.mktemp("wide") / "tree.bin"
+    save_model(tree, str(path))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
     """Small version 6 files with sparse and dense stores, with and without
     AdaGrad accumulators: a tree whose router store is sparse and whose
@@ -824,23 +837,43 @@ class TestHeaderFields:
         struct.pack_into("<I", blob, 6, 0)
         self._expect_corrupt(blob, tmp_path, "num_classes")
 
-    @pytest.mark.parametrize("kind", ["oaa", "tree"])
-    def test_class_count_above_the_limit_is_rejected_at_once(self, trained, tmp_path, kind,
-                                                             monkeypatch):
-        # K = 2^24 + 12, one changed byte in a small file, used to build
-        # 2^24 class salts (0.82 s and 548 MiB) before any check failed;
-        # now nothing past the header is read
-        blob = self._oaa_blob(trained, tmp_path) if kind == "oaa" else \
-            self._tree_blob(trained[0], tmp_path)
-        blob[9] = 1
-        assert struct.unpack_from("<I", blob, 6) == ((1 << 24) + 12,)
+    # (offset in the tree header, struct format, value, message); the depth
+    # cap is 16 bits in the file, so every stored value is legal
+    TREE_FIELDS = {
+        "width": (6 + struct.calcsize("<IHIdBBd"), "<Q", 2**64 - 1,
+                  r"num_raw_features must be in \[0, 2\^63\]"),
+        "depth_penalty": (6 + struct.calcsize("<IHI"), "<d", float("nan"), "depth_penalty"),
+        "candidates": (6 + struct.calcsize("<IH"), "<I", 0, "num_candidates"),
+        "bits": (_TREE_FLAGS + 1, "<B", 31, r"bits must be in \[10, 30\], got 31"),
+        "learning_rate": (_TREE_FLAGS + 2, "<d", float("nan"), "learning_rate"),
+    }
+
+    @pytest.mark.parametrize("kind", ["oaa", "tree", *(f"tree-{f}" for f in TREE_FIELDS)])
+    def test_class_count_above_the_limit_is_rejected_at_once(self, trained, wide_tree_blob,
+                                                             tmp_path, kind, monkeypatch):
+        # K past 2^24, one changed byte in a small file, used to build
+        # 2^24 class salts (0.82 s and 548 MiB) before any check failed, and
+        # a bad tree field was found only after both 2^24 weight tables
+        # (128 MiB) were allocated; now nothing past the header is read
+        if kind == "oaa":
+            blob = self._oaa_blob(trained, tmp_path)
+        else:
+            blob = bytearray(wide_tree_blob)
+            assert blob[settings_offset(blob) + 1] == 24
+        if kind in ("oaa", "tree"):
+            blob[9] = 1
+            assert struct.unpack_from("<I", blob, 6)[0] > MAX_CLASSES
+            match = f"num_classes must be in \\[1, {MAX_CLASSES}\\]"
+        else:
+            offset, fmt, value, match = self.TREE_FIELDS[kind.removeprefix("tree-")]
+            struct.pack_into(fmt, blob, offset, value)
         path = tmp_path / "model.bin"
         path.write_bytes(bytes(blob))
         reads = recorded_reads(monkeypatch)
         tracemalloc.start()
         started = time.perf_counter()
         try:
-            with pytest.raises(CorruptedModelError, match=f"num_classes must be in \\[1, {MAX_CLASSES}\\]"):
+            with pytest.raises(CorruptedModelError, match=match):
                 load_model(str(path))
             elapsed = time.perf_counter() - started
             peak = tracemalloc.get_traced_memory()[1]

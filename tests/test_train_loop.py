@@ -7,13 +7,14 @@ calls per level, one ``slot_matrix``, a ``batch_learn`` and then a second
 leave the same weights, AdaGrad state, node table and predictions, bit for
 bit.
 
-``predict_then_train`` is held to the loop it replaces in progressive
-validation, ``predict_full(x)`` then ``train_example(x)``, and to a budget
-of one hash per example, router and candidate set.
-
-``train`` reads its examples in blocks and hashes each block's router slots
-ahead in one batched descent; it is held to a ``train_example`` loop over
-the same examples, and to a budget that the hashing ahead must meet.
+``train`` and ``predict_then_train`` share one step loop: it reads the
+examples in blocks and hashes each block's router slots ahead in one
+batched descent.  ``train`` is held to a ``train_example`` loop over the
+same examples, and ``predict_then_train``, on both models, to
+``predict_full(x)`` then ``train_example(x)`` per example, on dense and
+ragged streams and on a stream that fails part way.  Over a stream, each
+example's raw indices are mixed once and each (example, router) pair is
+hashed at most once, and the hashing ahead must meet a budget.
 """
 
 from collections import Counter
@@ -195,16 +196,16 @@ def test_one_hash_and_one_router_step_per_level(monkeypatch):
 
 
 class Recording:
-    """A learner that passes every step on and keeps what it returned."""
+    """A learner that passes every step on and keeps each prediction."""
 
     def __init__(self, model):
         self.model = model
         self.predictions = []
 
-    def predict_then_train(self, x):
-        p = self.model.predict_then_train(x)
-        self.predictions.append(p)
-        return p
+    def predict_then_train(self, examples):
+        for x, p in self.model.predict_then_train(examples):
+            self.predictions.append(p)
+            yield x, p
 
 
 def reference_progressive(model, examples):
@@ -247,121 +248,6 @@ def assert_same_model(a, b, tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
-@pytest.mark.parametrize("config", list(CONFIGS))
-def test_tree_step_matches_predict_then_train_bit_for_bit(stream, config, tmp_path):
-    width, data = stream
-    train = data[:1200]
-    params = Hyperparams.defaults(K, bits=14, **CONFIGS[config])
-    step = RecallTreeModel(K, width, params)
-    recording = Recording(step)
-    report = progressive_eval(iter(train), recording)
-    reference = RecallTreeModel(K, width, params)
-    expected = reference_progressive(reference, train)
-
-    assert expected[0] is None and recording.predictions == expected
-    assert report == reference_report(train, expected)
-    assert len(step.nodes) > 7
-    assert_same_model(step, reference, tmp_path)
-
-
-@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
-def test_oaa_step_matches_predict_then_train_bit_for_bit(stream, adaptive_lr, tmp_path):
-    _, data = stream
-    train = data[:1200]
-    step = OaaModel(K, bits=14, adaptive_lr=adaptive_lr)
-    recording = Recording(step)
-    report = progressive_eval(iter(train), recording)
-    reference = OaaModel(K, bits=14, adaptive_lr=adaptive_lr)
-    expected = reference_progressive(reference, train)
-
-    assert expected[0] is None and recording.predictions == expected
-    assert report == reference_report(train, expected)
-    assert_same_model(step, reference, tmp_path)
-
-
-def test_a_step_hashes_each_example_router_and_candidate_set_once(monkeypatch):
-    """Per step: one ``mix64_array`` of the raw indices; one router
-    ``slot_matrix`` per router either descent visits, counted once when both
-    visit it; and no candidate set hashed twice over the same features.
-    With path features a node's features are its own, so (salts, features)
-    names a (node, candidate set) pair."""
-    spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=400,
-                     noise=0.05, seed=5)
-    model = RecallTreeModel(K, raw_feature_width(spec), Hyperparams.defaults(K, bits=14))
-    raw, routers, candidates, train_path = [], [], [], []
-
-    def mixing(a):
-        raw.append(np.asarray(a).tobytes())
-        return mix64_array(a)
-
-    def hashing(salts, mixed, bits):
-        if np.ndim(salts) == 0:
-            routers.append(int(salts))
-        else:
-            candidates.append((salts.tobytes(), mixed.tobytes()))
-        return slot_matrix(salts, mixed, bits)
-
-    def counting(node, y, f):
-        train_path.append(node.id)
-        return update_candidates(node, y, f)
-
-    monkeypatch.setattr(tree, "mix64_array", mixing)
-    monkeypatch.setattr(tree, "slot_matrix", hashing)
-    monkeypatch.setattr(tree, "update_candidates", counting)
-
-    shared = candidate_steps = candidate_hashes = 0
-    for x in generate_examples(spec):
-        for log in (raw, routers, candidates, train_path):
-            log.clear()
-        p = model.predict_then_train(x)
-        assert raw.count(x.indices.tobytes()) == 1
-
-        # train routes at every node it counts but the last; the prediction
-        # at every ancestor of its halting node, and at that node when it
-        # stopped on the bound rather than at a leaf
-        visited = set(train_path[:-1])
-        if p is not None:
-            parent = {c: n.id for n in model.nodes if n.left is not None
-                      for c in (n.left, n.left + 1)}
-            node_id = p.node_id
-            if p.router_evals > model.nodes[node_id].depth:
-                visited.add(node_id)
-            while node_id in parent:
-                node_id = parent[node_id]
-                visited.add(node_id)
-            shared += p.router_evals + len(train_path) - 1 - len(visited)
-        assert sorted(routers) == sorted(int(model._router_salts[i]) for i in visited)
-
-        assert len(set(candidates)) == len(candidates)
-        # train halts at the last node it counts unless that node's bound
-        # fell below its parent's, and updates scorers if the label is a
-        # candidate there
-        parent, last = (model.nodes[i] for i in train_path[-2:])
-        halt = parent if model.bound(parent) > model.bound(last) else last
-        candidate_hashes += len(candidates)
-        candidate_steps += (p is not None and p.classes_scored > 0) + (x.label in halt.candidates)
-    # the two descents shared most routers and most candidate sets
-    assert shared > spec.num_examples
-    assert candidate_hashes < candidate_steps
-
-
-def test_oaa_step_hashes_once(monkeypatch):
-    spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=200,
-                     noise=0.05, seed=5)
-    model = OaaModel(K, bits=14)
-    calls = []
-
-    def hashing(*args):
-        calls.append(1)
-        return slot_matrix(*args)
-
-    monkeypatch.setattr(oaa, "slot_matrix", hashing)
-    for x in generate_examples(spec):
-        calls.clear()
-        model.predict_then_train(x)
-        assert len(calls) == 1
-
-
 def per_example_loop(model, examples):
     """The reference for ``train``: ``train_example`` on each example."""
     for x in examples:
@@ -382,6 +268,148 @@ def ragged(examples, seed=5):
         out.insert(150 * extra, SparseExample(
             x.label, np.tile(x.indices, extra + 1), np.tile(x.values, extra + 1)))
     return out
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("shape", ["dense", "ragged"])
+def test_tree_step_matches_predict_then_train_bit_for_bit(stream, shape, config, tmp_path):
+    width, data = stream
+    train = data[:1200] if shape == "dense" else ragged(data[:1200])
+    params = Hyperparams.defaults(K, bits=14, **CONFIGS[config])
+    step = RecallTreeModel(K, width, params)
+    recording = Recording(step)
+    report = progressive_eval(iter(train), recording)
+    reference = RecallTreeModel(K, width, params)
+    expected = reference_progressive(reference, train)
+
+    assert expected[0] is None and recording.predictions == expected
+    assert report == reference_report(train, expected)
+    assert len(step.nodes) > 7
+    assert_same_model(step, reference, tmp_path)
+
+
+@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+@pytest.mark.parametrize("shape", ["dense", "ragged"])
+def test_oaa_step_matches_predict_then_train_bit_for_bit(stream, shape, adaptive_lr, tmp_path):
+    _, data = stream
+    train = data[:1200] if shape == "dense" else ragged(data[:1200])
+    step = OaaModel(K, bits=14, adaptive_lr=adaptive_lr)
+    recording = Recording(step)
+    report = progressive_eval(iter(train), recording)
+    reference = OaaModel(K, bits=14, adaptive_lr=adaptive_lr)
+    expected = reference_progressive(reference, train)
+
+    assert expected[0] is None and recording.predictions == expected
+    assert report == reference_report(train, expected)
+    assert_same_model(step, reference, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["tree", "oaa"])
+def test_examples_read_before_the_stream_fails_are_predicted_and_trained(stream, kind,
+                                                                         tmp_path):
+    width, data = stream
+    read = BATCH_ROWS + 100
+
+    def failing():
+        yield from data[:read]
+        raise ParseError("bad token", line=read + 1, column=3)
+
+    def model():
+        if kind == "oaa":
+            return OaaModel(K, bits=14)
+        return RecallTreeModel(K, width, Hyperparams.defaults(K, bits=14))
+
+    step = model()
+    recording = Recording(step)
+    with pytest.raises(ParseError):
+        progressive_eval(failing(), recording)
+    reference = model()
+    expected = reference_progressive(reference, data[:read])
+
+    assert step.examples_seen == read
+    assert recording.predictions == expected
+    assert_same_model(step, reference, tmp_path)
+
+
+class _OnceDict(dict):
+    """A router-slot memo that refuses a second entry for a node."""
+
+    def __setitem__(self, node_id, slots):
+        assert node_id not in self, f"router {node_id} hashed twice for one example"
+        super().__setitem__(node_id, slots)
+
+
+@pytest.mark.parametrize("shape", ["dense", "ragged"])
+def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
+    """Over a progressive pass: one mix of each example's raw indices, in a
+    block's batched descent or alone; and one router ``slot_matrix`` row
+    per (example, router), stored in the example's one set of keys and never
+    replaced.  Rows of equal indices mix to equal bytes, so the mixes are
+    counted by content: every example needs one, and there are no more
+    mixes than examples.  Featureless rows have nothing to mix."""
+    spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=700,
+                     noise=0.05, seed=5)
+    examples = generate_examples(spec)
+    if shape == "ragged":
+        examples = ragged(examples)
+    model = RecallTreeModel(K, raw_feature_width(spec), Hyperparams.defaults(K, bits=14))
+    mixed, keys = Counter(), []
+    router_rows = levels = 0
+
+    class Keys(tree._ExampleKeys):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.routers = _OnceDict()
+            keys.append(self)
+
+    def mixing(a):
+        a = np.asarray(a)
+        if a.dtype == np.int64:  # raw indices; path features are uint64
+            mixed.update(row.tobytes() for row in a.reshape(-1, a.shape[-1]))
+        return mix64_array(a)
+
+    def hashing(salts, rows, bits):
+        nonlocal router_rows
+        if np.ndim(salts) != 1:  # a 0-d salt, or a (rows, 1) column of them
+            router_rows += 1 if np.ndim(salts) == 0 else len(salts)
+        return slot_matrix(salts, rows, bits)
+
+    def visiting(node, y, f):
+        nonlocal levels
+        levels += node.id > 0  # train routes once per node it counts below the root
+        return update_candidates(node, y, f)
+
+    monkeypatch.setattr(tree, "_ExampleKeys", Keys)
+    monkeypatch.setattr(tree, "update_candidates", visiting)
+    monkeypatch.setattr(tree, "mix64_array", mixing)
+    monkeypatch.setattr(tree, "slot_matrix", hashing)
+    steps = list(model.predict_then_train(examples))
+
+    assert len(steps) == len(keys) == len(examples)
+    assert mixed == Counter(x.indices.tobytes() for x in examples if x.indices.size)
+    assert router_rows == sum(len(k.routers) for k in keys)
+    # the prediction and the update shared more than one router row per
+    # example
+    routed = sum(p.router_evals for _, p in steps if p is not None)
+    assert router_rows + len(examples) < routed + levels
+
+
+def test_oaa_step_hashes_once(monkeypatch):
+    spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=200,
+                     noise=0.05, seed=5)
+    model = OaaModel(K, bits=14)
+    calls = []
+
+    def hashing(*args):
+        calls.append(1)
+        return slot_matrix(*args)
+
+    monkeypatch.setattr(oaa, "slot_matrix", hashing)
+    for _ in model.predict_then_train(generate_examples(spec)):
+        assert len(calls) == 1
+        calls.clear()
 
 
 @pytest.mark.parametrize("config", ["defaults", "adaptive_lr", "no_path_features"])
