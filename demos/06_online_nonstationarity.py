@@ -8,6 +8,7 @@ usually right even when the features barely separate the classes.
 Permuting the same file destroys that structure.
 """
 
+import os
 import tempfile
 
 from recalltree import (
@@ -23,19 +24,20 @@ from recalltree.synth import raw_feature_width
 
 spec = SynthSpec("nonstationary-blocks", num_classes=32, dimensions=10,
                  num_examples=25_000, noise=0.5, seed=41)
-path = tempfile.mktemp(suffix=".txt")
-synth_generate(spec, path)
 width = raw_feature_width(spec)
 print(f"blocks synthetic: K=32, heavy feature overlap (noise 0.5), "
       f"{spec.num_examples} examples sorted by label")
 
 accs = {}
-for permute in (False, True):
-    model = RecallTreeModel(32, width,
-                            Hyperparams.defaults(32, bits=18, adaptive_lr=True))
-    stream = stream_dataset(path, permute=permute, seed=7)
-    report = progressive_eval(stream, model)
-    accs[permute] = report.progressive_accuracy
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "blocks.txt")
+    synth_generate(spec, path)
+    for permute in (False, True):
+        model = RecallTreeModel(32, width,
+                                Hyperparams.defaults(32, bits=18, adaptive_lr=True))
+        stream = stream_dataset(path, permute=permute, seed=7)
+        report = progressive_eval(stream, model)
+        accs[permute] = report.progressive_accuracy
 
 n = spec.num_examples
 sig = n1_chi_squared(round(accs[False] * n), n, round(accs[True] * n), n)

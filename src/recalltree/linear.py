@@ -41,6 +41,13 @@ def _check_bits(bits: int) -> None:
         raise DomainError(f"bits must be in [10, 30], got {bits}")
 
 
+def check_store_settings(bits: int, learning_rate: float) -> None:
+    """Refuse a table width or a learning rate that no store takes."""
+    _check_bits(bits)
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise DomainError("learning_rate must be a positive finite real")
+
+
 def _finalize(x: np.ndarray) -> None:
     """splitmix64 finalizer, in place on a uint64 array."""
     x += _GOLDEN
@@ -94,17 +101,18 @@ class WeightStore:
     ``adaptive`` turns on an AdaGrad-style per-slot accumulator; it is off
     by default so runs are exactly reproducible.  Saved models keep the
     accumulator, so training resumed after a load takes the same steps.
+    A loader passes ``_zeros``, the ``np.zeros`` stand-in that allocates
+    each table on the pages that suit the slots it is about to fill.
     """
 
-    def __init__(self, bits: int, learning_rate: float = 1.0, adaptive: bool = False):
-        _check_bits(bits)
-        if not (np.isfinite(learning_rate) and learning_rate > 0):
-            raise DomainError("learning_rate must be a positive finite real")
+    def __init__(self, bits: int, learning_rate: float = 1.0, adaptive: bool = False,
+                 *, _zeros=np.zeros):
+        check_store_settings(bits, learning_rate)
         self.bits = bits
         self.learning_rate = float(learning_rate)
         self.adaptive = bool(adaptive)
-        self.weights = np.zeros(1 << bits, dtype=np.float32)
-        self._grad_sq = np.zeros(1 << bits, dtype=np.float64) if adaptive else None
+        self.weights = _zeros(1 << bits, dtype=np.float32)
+        self._grad_sq = _zeros(1 << bits, dtype=np.float64) if adaptive else None
 
     def batch_margins(self, slots: np.ndarray, values: np.ndarray):
         """Sum of value * weight over an example's features; duplicates add.

@@ -29,6 +29,10 @@ bytes:
   accumulators at those slots.  The listed slots are those whose weight or
   accumulator has a nonzero bit pattern, so -0.0 and NaN round-trip.
 
+A loaded store's tables are allocated only after its body's length and
+slots are checked, on pages chosen by ``_zeros_for`` from the slots, and
+the model is built around the stores that were read.
+
 Only ``FORMAT_VERSION`` loads; a file of any other version is a
 ``ModelFormatError``.
 """
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import secrets
 import struct
@@ -45,7 +50,7 @@ import sys
 import numpy as np
 
 from .errors import CorruptedModelError, DomainError, ModelFormatError, ModelTypeError
-from .linear import WeightStore
+from .linear import WeightStore, check_store_settings
 from .oaa import OaaModel
 from .tree import Hyperparams, RecallTreeModel, TreeNode, check_num_classes, check_raw_features, ranked_classes
 
@@ -69,6 +74,15 @@ _SUM_CLOG2 = "<d"
 _STORE_HEADER = "<Q"
 # slots per step of the writer's nonzero scan
 _SCAN_CHUNK = 1 << 18
+# Largest share of its pages a sparse table may touch and still load onto
+# fresh small pages.  Filling a 2^24 float32 table on 4 KiB pages took 0.35
+# ms at 1/64 of the pages, 1.5 ms at 1/16 and 9 ms at 1/4, against about
+# 10 ms at any share on huge pages (2-vCPU Xeon, medians of 7).  Nearer the
+# crossing small pages save little, and every gather after the load pays
+# TLB misses on them: a K=4096 tree whose class store (39% of its pages)
+# went on small pages too loaded in 11-13 ms, against 10 ms with it on
+# huge pages.
+_FRESH_PAGE_SHARE = 1 / 16
 
 
 def _sparse_slots(arrays: list[np.ndarray], limit: int) -> np.ndarray | None:
@@ -94,10 +108,14 @@ def _sparse_slots(arrays: list[np.ndarray], limit: int) -> np.ndarray | None:
     return np.concatenate([(np.flatnonzero(mask) + start).astype("<u4") for start, mask in masks()])
 
 
+def _tables(store: WeightStore) -> list[np.ndarray]:
+    """The store's weights, then its AdaGrad accumulators if it has them."""
+    return [store.weights, store._grad_sq] if store.adaptive else [store.weights]
+
+
 def _write_store(fh, store: WeightStore) -> None:
-    arrays = [store.weights, store._grad_sq] if store.adaptive else [store.weights]
     # little-endian views: the arrays' own buffers on a little-endian host
-    arrays = [a.astype(a.dtype.newbyteorder("<"), copy=False) for a in arrays]
+    arrays = [a.astype(a.dtype.newbyteorder("<"), copy=False) for a in _tables(store)]
     slot_bytes = sum(a.itemsize for a in arrays)
     size = store.weights.size
     # sparse only when strictly fewer bytes: (4 + slot_bytes) * count < slot_bytes * size
@@ -157,12 +175,38 @@ def _read_into(fh, out: np.ndarray) -> None:
         out.byteswap(inplace=True)
 
 
+def _zeros_for(slots: np.ndarray):
+    """The ``np.zeros`` stand-in for a store whose nonzero slots are the
+    ascending ``slots``.
+
+    ``np.zeros`` asks for huge pages for a table of 4 MiB or more, and then
+    the first write into each 2 MiB region zero-fills all of it.  A table
+    whose slots fall on at most ``_FRESH_PAGE_SHARE`` of its pages, each
+    dtype counted by its own itemsize, is put on fresh small pages of an
+    anonymous mapping instead, so that filling it costs what it touches.
+    """
+    def zeros(size: int, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        per_page = mmap.PAGESIZE // dtype.itemsize
+        pages = slots // per_page
+        touched = np.count_nonzero(pages[1:] != pages[:-1]) + 1 if slots.size else 0
+        if touched > _FRESH_PAGE_SHARE * (size // per_page):
+            return np.zeros(size, dtype)
+        table = mmap.mmap(-1, size * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            table.madvise(mmap.MADV_NOHUGEPAGE)
+        # the array keeps the mapping alive, and unmapping follows it
+        return np.frombuffer(table, dtype)
+    return zeros
+
+
 def _read_store(fh, bits: int, learning_rate: float, adaptive: bool) -> WeightStore:
-    """Read one weight store; its settings come from the model header.
+    """Read one weight store; its settings come from the model header,
+    which the caller has checked.
 
     The body's length follows from ``bits`` and the stored count, and it is
-    checked against the bytes left in the file before any table is
-    allocated or read.
+    checked against the bytes left in the file, and a sparse body's slots
+    are checked, before any table is allocated.
     """
     (count,) = _read_struct(fh, _STORE_HEADER)
     size = 1 << bits
@@ -174,18 +218,17 @@ def _read_store(fh, bits: int, learning_rate: float, adaptive: bool) -> WeightSt
     else:
         raise CorruptedModelError(f"weight store lists {count} slots for bits={bits}")
     _check_left(fh, need, "weight store")
-    with _corrupt_if_rejected("model header"):
-        store = WeightStore(bits, learning_rate, adaptive)
-    arrays = [store.weights, store._grad_sq] if adaptive else [store.weights]
     if count == size:
-        for a in arrays:
+        store = WeightStore(bits, learning_rate, adaptive)
+        for a in _tables(store):
             _read_into(fh, a)
         return store
     slots = np.frombuffer(_read_exact(fh, 4 * count), dtype="<u4")
     if count and (slots[-1] >= size or (slots[1:] <= slots[:-1]).any()):
         raise CorruptedModelError(f"weight store slots must ascend within [0, 2^{bits})")
+    store = WeightStore(bits, learning_rate, adaptive, _zeros=_zeros_for(slots))
     # scattered into the store's own zero tables: no second 2^bits array
-    for a in arrays:
+    for a in _tables(store):
         a[slots] = np.frombuffer(_read_exact(fh, a.itemsize * count),
                                  dtype=a.dtype.newbyteorder("<"))
     return store
@@ -372,15 +415,12 @@ def _load_tree(fh) -> RecallTreeModel:
                              adaptive_lr=bool(flags & _FLAG_ADAPTIVE_LR))
     nodes = [_read_node(fh, nid, num_classes, num_candidates) for nid in range(node_count)]
     _link_nodes(nodes, max_depth)
-    router_store = _read_store(fh, bits, learning_rate, params.adaptive_lr)
-    class_store = _read_store(fh, bits, learning_rate, params.adaptive_lr)
+    stores = [_read_store(fh, bits, learning_rate, params.adaptive_lr) for _ in range(2)]
     _expect_eof(fh)
 
-    model = RecallTreeModel(num_classes, num_raw_features, params)
+    model = RecallTreeModel(num_classes, num_raw_features, params, _stores=stores)
     model.nodes = nodes
     model._node_keys()
-    model.router_store = router_store
-    model.class_store = class_store
     return model
 
 
@@ -390,12 +430,11 @@ def _load_oaa(fh) -> OaaModel:
         check_num_classes(num_classes)
     flags, bits, learning_rate = _read_struct(fh, _OAA_SETTINGS)
     _check_flags(flags, _FLAG_ADAPTIVE_LR)
-    adaptive = bool(flags & _FLAG_ADAPTIVE_LR)
-    store = _read_store(fh, bits, learning_rate, adaptive)
-    _expect_eof(fh)
     with _corrupt_if_rejected("one-against-all header"):
-        model = OaaModel(num_classes, bits, learning_rate, adaptive)
-    model.class_store = store
+        check_store_settings(bits, learning_rate)
+    store = _read_store(fh, bits, learning_rate, bool(flags & _FLAG_ADAPTIVE_LR))
+    _expect_eof(fh)
+    model = OaaModel(num_classes, _store=store)
     model.examples_seen = examples_seen
     return model
 

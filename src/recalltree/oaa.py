@@ -17,10 +17,11 @@ class OaaModel:
     """Linear one-against-all over hashed features."""
 
     def __init__(self, num_classes: int, bits: int = 24, learning_rate: float = 1.0,
-                 adaptive_lr: bool = False):
+                 adaptive_lr: bool = False, *, _store: WeightStore | None = None):
         check_num_classes(num_classes)
         self.num_classes = num_classes
-        self.class_store = WeightStore(bits, learning_rate, adaptive_lr)
+        # a loader passes the store it has read, which holds the settings
+        self.class_store = _store or WeightStore(bits, learning_rate, adaptive_lr)
         self._class_salts = key_salt(ROLE_CLASS, np.arange(num_classes))
         self._labels = np.empty(num_classes, dtype=np.float64)
         self.examples_seen = 0

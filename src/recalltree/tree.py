@@ -26,7 +26,8 @@ import numpy as np
 
 from .data import SparseExample
 from .errors import DomainError, UntrainedModelError
-from .linear import ROLE_CLASS, ROLE_ROUTER, WeightStore, key_salt, mix64_array, slot_matrix
+from .linear import (ROLE_CLASS, ROLE_ROUTER, WeightStore, check_store_settings, key_salt,
+                     mix64_array, slot_matrix)
 
 _LOG2 = math.log2
 _NEG_INF = float("-inf")
@@ -95,10 +96,7 @@ class Hyperparams:
             raise DomainError(f"num_candidates must be in [1, {MAX_CANDIDATES}]")
         if not (math.isfinite(self.depth_penalty) and self.depth_penalty >= 0):
             raise DomainError("depth_penalty must be finite and >= 0")
-        if not 10 <= self.bits <= 30:
-            raise DomainError(f"bits must be in [10, 30], got {self.bits}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DomainError("learning_rate must be positive")
+        check_store_settings(self.bits, self.learning_rate)
 
     @classmethod
     def defaults(cls, num_classes: int, **overrides) -> "Hyperparams":
@@ -271,16 +269,15 @@ class RecallTreeModel:
     """Online multiclass learner with polylogarithmic work per example."""
 
     def __init__(self, num_classes: int, num_raw_features: int,
-                 params: Hyperparams | None = None):
+                 params: Hyperparams | None = None, *, _stores=None):
         check_num_classes(num_classes)
         check_raw_features(num_raw_features)
         self.num_classes = num_classes
         self.num_raw_features = num_raw_features
-        self.params = params if params is not None else Hyperparams.defaults(num_classes)
-        self.router_store = WeightStore(self.params.bits, self.params.learning_rate,
-                                        self.params.adaptive_lr)
-        self.class_store = WeightStore(self.params.bits, self.params.learning_rate,
-                                       self.params.adaptive_lr)
+        self.params = p = params if params is not None else Hyperparams.defaults(num_classes)
+        # a loader passes the (router, class) stores it has read
+        self.router_store, self.class_store = _stores or [
+            WeightStore(p.bits, p.learning_rate, p.adaptive_lr) for _ in range(2)]
         self.nodes: list[TreeNode] = [TreeNode(id=0, depth=0)]
         # per node id: router salt and mixed path-feature index
         self._router_salts: list[np.uint64] = []

@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_online_nonstationarity_demo_exits_0(tmp_path):
-    # the demo writes its dataset to a temporary file; keep it under tmp_path
+    # the demo writes its dataset to a temporary directory; keep it under
+    # tmp_path, which it must leave as it found it
     env = {**os.environ, "TMPDIR": str(tmp_path),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
@@ -23,3 +24,4 @@ def test_online_nonstationarity_demo_exits_0(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert "progressive accuracy, in-order stream" in proc.stdout
+    assert list(tmp_path.iterdir()) == []

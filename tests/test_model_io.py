@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import mmap
 import os
 import stat
 import struct
@@ -96,6 +97,22 @@ def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
 
 
+def on_fresh_pages(a: np.ndarray) -> bool:
+    """The table lies on an anonymous mapping of its own, not on memory
+    from ``np.zeros``."""
+    return isinstance(a.base, memoryview) and isinstance(a.base.obj, mmap.mmap)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc saw while ``call()`` ran."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def expect_corrupt(path, match: str) -> None:
     """``load_model`` raises a CorruptedModelError, and ``inspect`` exits 4."""
     with pytest.raises(CorruptedModelError, match=match):
@@ -127,6 +144,18 @@ def wide_tree_blob(tmp_path_factory) -> bytes:
     tree = RecallTreeModel(64, raw_feature_width(spec), params).train(generate_examples(spec))
     path = tmp_path_factory.mktemp("wide") / "tree.bin"
     save_model(tree, str(path))
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def wide_oaa_blob(tmp_path_factory) -> bytes:
+    """The file of a K=64 one-against-all at bits=24: a sparse store of a
+    few thousand slots, and a 2^24 weight table (64 MiB) once loaded."""
+    spec = SynthSpec("voronoi", num_classes=64, dimensions=8, num_examples=40,
+                     noise=0.1, seed=3)
+    oaa = OaaModel(64, bits=24).train(generate_examples(spec))
+    path = tmp_path_factory.mktemp("wide") / "oaa.bin"
+    save_model(oaa, str(path))
     return path.read_bytes()
 
 
@@ -292,6 +321,83 @@ class TestRoundTrip:
             return path.read_bytes()
 
         assert train_and_dump("a.bin") == train_and_dump("b.bin")
+
+
+class TestLoadedTables:
+    """A loaded table goes on fresh small pages when its slots fall on at
+    most a sixteenth of its pages, and on ``np.zeros`` otherwise; either
+    way the model is the one that was saved, and the loader allocates no
+    table it throws away."""
+
+    def test_the_page_share_is_counted_per_dtype(self):
+        size = 1 << 20
+        per_page = mmap.PAGESIZE // 4
+        # one slot on every 16th float32 page, which is every 32nd float64 page
+        slots = np.arange(0, size, 16 * per_page, dtype="<u4")
+        zeros = model_io._zeros_for(slots)
+        for dtype in (np.float32, np.float64):
+            table = zeros(size, dtype)
+            assert on_fresh_pages(table)
+            assert table.dtype == dtype and table.size == size and not table.any()
+            table[slots] = 1.0
+        # one float32 page more is past the share; in float64 it is not
+        denser = np.insert(slots, 1, per_page).astype("<u4")
+        zeros = model_io._zeros_for(denser)
+        assert not on_fresh_pages(zeros(size, np.float32))
+        assert on_fresh_pages(zeros(size, np.float64))
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["sgd", "adagrad"])
+    def test_both_allocations_round_trip(self, tmp_path, adaptive):
+        # at bits=20 a float32 table spans 1,024 pages and AdaGrad's float64
+        # accumulators 2,048 (512 slots a page); this 7-node tree's routers
+        # touch under 5% of them, its 32 class scorers over 25%
+        spec = SynthSpec("voronoi", num_classes=32, dimensions=16, num_examples=900,
+                         noise=0.2, seed=3)
+        data = generate_examples(spec)
+        first, rest, held = data[:300], data[300:600], data[600:]
+
+        def fresh():
+            return RecallTreeModel(32, raw_feature_width(spec), Hyperparams.defaults(
+                32, bits=20, max_depth=2, adaptive_lr=adaptive))
+
+        saved = fresh().train(first)
+        path = tmp_path / "tree.bin"
+        save_model(saved, str(path))
+        loaded = load_model(str(path))
+        assert all(on_fresh_pages(a) for a in model_io._tables(loaded.router_store))
+        assert not any(on_fresh_pages(a) for a in model_io._tables(loaded.class_store))
+
+        expected = [saved.predict_full(x) for x in held]
+        assert len({p.node_id for p in expected}) >= 2
+        assert [loaded.predict_full(x) for x in held] == expected
+        assert loaded.predict_batch(held) == expected
+        again = tmp_path / "again.bin"
+        save_model(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+        whole = fresh().train(first + rest)
+        loaded.train(rest)
+        for name in ("router_store", "class_store"):
+            pairs = zip(model_io._tables(getattr(loaded, name)),
+                        model_io._tables(getattr(whole, name)), strict=True)
+            assert all(bit_equal(a, b) for a, b in pairs)
+        assert loaded.nodes == whole.nodes
+
+    @pytest.mark.parametrize("kind", ["tree", "oaa"])
+    def test_a_load_allocates_no_table_it_throws_away(self, wide_tree_blob, wide_oaa_blob,
+                                                      tmp_path, kind):
+        # the models were built after their stores were read, and each
+        # constructor allocated its own 2^24 tables only for the loader to
+        # replace them: the few-KiB tree file peaked at 256 MiB
+        path = tmp_path / "model.bin"
+        path.write_bytes(wide_tree_blob if kind == "tree" else wide_oaa_blob)
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(load_model(str(path))))
+        (model,) = loaded
+        stores = [model.router_store, model.class_store] if kind == "tree" else [model.class_store]
+        assert all(store.bits == 24 for store in stores)
+        held = sum(a.nbytes for store in stores for a in model_io._tables(store))
+        assert peak < held + (1 << 20)
 
 
 class TestFormatErrors:
@@ -814,23 +920,40 @@ class TestHeaderFields:
         start = _OAA_STORE + struct.calcsize(_STORE_HEADER)
         return start, count
 
-    def test_slots_out_of_order(self, trained, tmp_path):
-        blob = self._oaa_blob(trained, tmp_path)
-        start, _ = self._slots_at(blob)
-        blob[start:start + 8] = blob[start + 4:start + 8] + blob[start:start + 4]
-        self._expect_corrupt(blob, tmp_path, "must ascend")
-
-    def test_repeated_slot(self, trained, tmp_path):
-        blob = self._oaa_blob(trained, tmp_path)
-        start, _ = self._slots_at(blob)
-        blob[start + 4:start + 8] = blob[start:start + 4]
-        self._expect_corrupt(blob, tmp_path, "must ascend")
-
-    def test_slot_beyond_the_table(self, trained, tmp_path):
-        blob = self._oaa_blob(trained, tmp_path)
+    def _wide_slots(self, wide_oaa_blob):
+        blob = bytearray(wide_oaa_blob)
+        assert blob[settings_offset(blob) + 1] == 24
         start, count = self._slots_at(blob)
-        struct.pack_into("<I", blob, start + 4 * (count - 1), 1 << 14)
-        self._expect_corrupt(blob, tmp_path, "must ascend")
+        assert count >= 2
+        return blob, start, count
+
+    def _expect_corrupt_before_any_table(self, blob, tmp_path, match):
+        # the slot list used to be checked only after the store's 2^24
+        # table (64 MiB) was allocated; now it is checked first
+        path = tmp_path / "model.bin"
+        path.write_bytes(bytes(blob))
+
+        def load():
+            with pytest.raises(CorruptedModelError, match=match):
+                load_model(str(path))
+
+        assert traced_peak(load) < 1 << 20
+        expect_corrupt(path, match)
+
+    def test_slots_out_of_order(self, wide_oaa_blob, tmp_path):
+        blob, start, _ = self._wide_slots(wide_oaa_blob)
+        blob[start:start + 8] = blob[start + 4:start + 8] + blob[start:start + 4]
+        self._expect_corrupt_before_any_table(blob, tmp_path, "must ascend")
+
+    def test_repeated_slot(self, wide_oaa_blob, tmp_path):
+        blob, start, _ = self._wide_slots(wide_oaa_blob)
+        blob[start + 4:start + 8] = blob[start:start + 4]
+        self._expect_corrupt_before_any_table(blob, tmp_path, "must ascend")
+
+    def test_slot_beyond_the_table(self, wide_oaa_blob, tmp_path):
+        blob, start, count = self._wide_slots(wide_oaa_blob)
+        struct.pack_into("<I", blob, start + 4 * (count - 1), 1 << 24)
+        self._expect_corrupt_before_any_table(blob, tmp_path, "must ascend")
 
     def test_class_count_of_zero(self, trained, tmp_path):
         blob = self._oaa_blob(trained, tmp_path)
