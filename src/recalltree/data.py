@@ -40,7 +40,6 @@ class SparseExample:
     label: int
     indices: np.ndarray
     values: np.ndarray
-    importance: float = 1.0
 
     def __post_init__(self):
         try:
@@ -54,8 +53,6 @@ class SparseExample:
             raise DomainError("feature indices must be in [0, 2^63)")
         if self.values.size and not np.isfinite(self.values).all():
             raise DomainError("feature values must be finite")
-        if not (math.isfinite(self.importance) and self.importance > 0):
-            raise DomainError("importance must be a positive finite real")
         if self.label < 0:
             raise DomainError(f"label must be non-negative, got {self.label}")
 
@@ -70,15 +67,14 @@ class SparseExample:
         start = 0
         for label, end in zip(labels, ends):
             example = object.__new__(cls)
-            example.label, example.indices, example.values, example.importance = (
-                label, indices[start:end], values[start:end], 1.0)
+            example.label, example.indices, example.values = label, indices[start:end], values[start:end]
             examples.append(example)
             start = end
         return examples
 
     @classmethod
-    def from_pairs(cls, label: int, pairs, importance: float = 1.0) -> "SparseExample":
-        return cls(label, [i for i, _ in pairs], [v for _, v in pairs], importance)
+    def from_pairs(cls, label: int, pairs) -> "SparseExample":
+        return cls(label, [i for i, _ in pairs], [v for _, v in pairs])
 
     def features(self) -> list[tuple[int, float]]:
         return list(zip(self.indices.tolist(), self.values.tolist()))
@@ -88,7 +84,6 @@ class SparseExample:
             return NotImplemented
         return (
             self.label == other.label
-            and self.importance == other.importance
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.values, other.values)
         )

@@ -35,7 +35,7 @@ class CorruptedModelError(ModelFormatError):
 
 
 class ModelTypeError(ModelFormatError):
-    """A model file holds a different model type than the loader expects."""
+    """``save_model`` was given an object that is not a model."""
 
 
 class UntrainedModelError(RecallTreeError, RuntimeError):

@@ -19,15 +19,14 @@ position), depth, total and top-F candidates are derived on load, and so
 is the tree's example count: every example is counted at the root.  Every
 stored count is at least 1.
 
-A weight store is ``count u64`` and then whichever of two bodies is fewer
-bytes:
-
-* dense, ``count == 2^bits``: the raw little-endian float32 weights and,
-  for an AdaGrad store, the raw float64 accumulators;
-* sparse, ``count < 2^bits``: ``count`` strictly ascending u32 slots, the
-  float32 weights at those slots and, for an AdaGrad store, the float64
-  accumulators at those slots.  The listed slots are those whose weight or
-  accumulator has a nonzero bit pattern, so -0.0 and NaN round-trip.
+A weight store is ``count u64``, then ``count`` strictly ascending u32
+slots, the float32 weights at those slots and, for an AdaGrad store, the
+float64 accumulators at those slots.  The listed slots are those whose
+weight or accumulator has a nonzero bit pattern, so -0.0 and NaN
+round-trip.  This is the only body, however many slots are nonzero, so a
+store with more than half its slots nonzero (three quarters with AdaGrad)
+takes more bytes than its raw arrays would: up to twice as many (4/3 as
+many with AdaGrad).
 
 A loaded store's tables are allocated only after its body's length and
 slots are checked, on pages chosen by ``_zeros_for`` from the slots, and
@@ -45,7 +44,6 @@ import mmap
 import os
 import secrets
 import struct
-import sys
 
 import numpy as np
 
@@ -55,7 +53,7 @@ from .oaa import OaaModel
 from .tree import Hyperparams, RecallTreeModel, TreeNode, check_num_classes, check_raw_features, ranked_classes
 
 MAGIC = b"RCLT"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 TYPE_RECALL_TREE = 1
 TYPE_OAA = 2
 
@@ -85,27 +83,21 @@ _SCAN_CHUNK = 1 << 18
 _FRESH_PAGE_SHARE = 1 / 16
 
 
-def _sparse_slots(arrays: list[np.ndarray], limit: int) -> np.ndarray | None:
-    """Ascending slots where any of ``arrays`` has a nonzero bit pattern, or
-    None if there are more than ``limit`` of them.
+def _sparse_slots(arrays: list[np.ndarray]) -> np.ndarray:
+    """Ascending slots where any of ``arrays`` has a nonzero bit pattern.
 
     Scans a chunk of slots at a time, so each bool mask stays small (a
-    whole-table mask of a 2^24 store is 16 MiB), and counts before it lists,
-    so a dense store never builds its slot list.  Listing the nonzeros of a
+    whole-table mask of a 2^24 store is 16 MiB).  Listing the nonzeros of a
     bool mask is about 3x faster than listing those of the uint32 view.
     """
     views = [a.view(f"u{a.itemsize}") for a in arrays]
-
-    def masks():
-        for start in range(0, views[0].size, _SCAN_CHUNK):
-            mask = views[0][start:start + _SCAN_CHUNK] != 0
-            for view in views[1:]:
-                mask |= view[start:start + _SCAN_CHUNK] != 0
-            yield start, mask
-
-    if sum(np.count_nonzero(mask) for _, mask in masks()) > limit:
-        return None
-    return np.concatenate([(np.flatnonzero(mask) + start).astype("<u4") for start, mask in masks()])
+    chunks = []
+    for start in range(0, views[0].size, _SCAN_CHUNK):
+        mask = views[0][start:start + _SCAN_CHUNK] != 0
+        for view in views[1:]:
+            mask |= view[start:start + _SCAN_CHUNK] != 0
+        chunks.append((np.flatnonzero(mask) + start).astype("<u4"))
+    return np.concatenate(chunks)
 
 
 def _tables(store: WeightStore) -> list[np.ndarray]:
@@ -116,19 +108,11 @@ def _tables(store: WeightStore) -> list[np.ndarray]:
 def _write_store(fh, store: WeightStore) -> None:
     # little-endian views: the arrays' own buffers on a little-endian host
     arrays = [a.astype(a.dtype.newbyteorder("<"), copy=False) for a in _tables(store)]
-    slot_bytes = sum(a.itemsize for a in arrays)
-    size = store.weights.size
-    # sparse only when strictly fewer bytes: (4 + slot_bytes) * count < slot_bytes * size
-    slots = _sparse_slots(arrays, (slot_bytes * size - 1) // (4 + slot_bytes))
-    if slots is not None:
-        fh.write(struct.pack(_STORE_HEADER, slots.size))
-        fh.write(slots.data)
-        for a in arrays:
-            fh.write(a[slots].data)
-    else:
-        fh.write(struct.pack(_STORE_HEADER, size))
-        for a in arrays:
-            fh.write(a.data)
+    slots = _sparse_slots(arrays)
+    fh.write(struct.pack(_STORE_HEADER, slots.size))
+    fh.write(slots.data)
+    for a in arrays:
+        fh.write(a[slots].data)
 
 
 @contextlib.contextmanager
@@ -166,15 +150,6 @@ def _read_struct(fh, fmt: str):
     return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
 
 
-def _read_into(fh, out: np.ndarray) -> None:
-    """Fill ``out`` from the file's little-endian bytes."""
-    got = fh.readinto(out.data.cast("B"))
-    if got != out.nbytes:
-        raise CorruptedModelError(f"model file truncated: wanted {out.nbytes} bytes, got {got}")
-    if sys.byteorder == "big":
-        out.byteswap(inplace=True)
-
-
 def _zeros_for(slots: np.ndarray):
     """The ``np.zeros`` stand-in for a store whose nonzero slots are the
     ascending ``slots``.
@@ -204,25 +179,16 @@ def _read_store(fh, bits: int, learning_rate: float, adaptive: bool) -> WeightSt
     """Read one weight store; its settings come from the model header,
     which the caller has checked.
 
-    The body's length follows from ``bits`` and the stored count, and it is
-    checked against the bytes left in the file, and a sparse body's slots
-    are checked, before any table is allocated.
+    The body's length follows from the stored count, and it is checked
+    against the bytes left in the file, and the slots are checked, before
+    any table is allocated.
     """
     (count,) = _read_struct(fh, _STORE_HEADER)
     size = 1 << bits
-    slot_bytes = 12 if adaptive else 4
-    if count == size:
-        need = slot_bytes * count
-    elif count < size:
-        need = (4 + slot_bytes) * count
-    else:
+    if count > size:
         raise CorruptedModelError(f"weight store lists {count} slots for bits={bits}")
-    _check_left(fh, need, "weight store")
-    if count == size:
-        store = WeightStore(bits, learning_rate, adaptive)
-        for a in _tables(store):
-            _read_into(fh, a)
-        return store
+    # a slot, its weight and, with AdaGrad, its accumulator
+    _check_left(fh, (16 if adaptive else 8) * count, "weight store")
     slots = np.frombuffer(_read_exact(fh, 4 * count), dtype="<u4")
     if count and (slots[-1] >= size or (slots[1:] <= slots[:-1]).any()):
         raise CorruptedModelError(f"weight store slots must ascend within [0, 2^{bits})")

@@ -45,7 +45,7 @@ class OaaModel:
         labels.fill(-1.0)
         labels[y] = 1.0
         slots = self._slots(x) if _slots is None else _slots
-        self.class_store.batch_learn(slots, x.values, labels, x.importance)
+        self.class_store.batch_learn(slots, x.values, labels)
         self.examples_seen += 1
 
     def train(self, examples) -> "OaaModel":

@@ -368,7 +368,7 @@ class RecallTreeModel:
     # -- learning ------------------------------------------------------------
 
     def _update_router(self, node: TreeNode, slots: np.ndarray, values: np.ndarray,
-                       y: int, importance: float) -> float:
+                       y: int) -> float:
         """Entropy-objective router update; returns the router's margin with
         the post-update weights, on which the caller routes.  The caller has
         counted ``y`` at ``node``, so its total is at least 1."""
@@ -387,17 +387,16 @@ class RecallTreeModel:
         # paper's objective (a positive margin goes left); there is no other
         # sign, since the opposite one trains toward higher entropy
         label = -1 if delta > 0 else 1
-        return self.router_store.batch_learn(slots, values, label, importance * abs(delta))
+        return self.router_store.batch_learn(slots, values, label, abs(delta))
 
-    def _update_predictors(self, node: TreeNode, keys: _ExampleKeys, n: int,
-                           y: int, importance: float) -> None:
+    def _update_predictors(self, node: TreeNode, keys: _ExampleKeys, n: int, y: int) -> None:
         """One-against-all step restricted to the node's candidates; no
         update at all when the true label is not among them."""
         if y not in node.candidates:
             return
         ids, slots = self._candidate_slots(keys, node, n)
         labels = np.where(ids == y, 1.0, -1.0)
-        self.class_store.batch_learn(slots, keys.values[:n], labels, importance)
+        self.class_store.batch_learn(slots, keys.values[:n], labels)
 
     def train_example(self, x: SparseExample, _keys: _ExampleKeys | None = None) -> None:
         y = x.label
@@ -416,7 +415,7 @@ class RecallTreeModel:
             if node.left is None:
                 self._materialize(node)
             routed = self._update_router(node, self._router_slots(keys, node.id, n),
-                                         values[:n], y, x.importance)
+                                         values[:n], y)
             child = self.nodes[node.left if routed > 0 else node.left + 1]
             update_candidates(child, y, params.num_candidates)
             child_bound = self.bound(child)
@@ -425,7 +424,7 @@ class RecallTreeModel:
             node, node_bound = child, child_bound
             if params.path_features:
                 n = self._append_path_feature(mixed, values, n, node.id)
-        self._update_predictors(node, keys, n, y, x.importance)
+        self._update_predictors(node, keys, n, y)
 
     def train(self, examples) -> "RecallTreeModel":
         """``train_example`` on each example in order, bit for bit."""

@@ -7,6 +7,7 @@ from recalltree.cli import (
     EX_FORMAT,
     EX_IO,
     EX_OK,
+    EX_STATE,
     EX_USAGE,
     build_parser,
     main,
@@ -16,6 +17,7 @@ from recalltree.data import read_examples, scan_examples
 from recalltree.diagnostics import ledger_snapshot
 from recalltree.evaluation import progressive_eval
 from recalltree.model_io import load_model, save_model
+from recalltree.oaa import OaaModel
 from recalltree.tree import Hyperparams, RecallTreeModel
 
 
@@ -149,6 +151,28 @@ class TestTrain:
         assert model_path.read_bytes() == reference_path.read_bytes()
         assert out == f"model={model_path}\n{report.to_kv_text()}\n"
 
+    def test_candidates_flag_reaches_the_saved_header(self, workdir, capsys):
+        root, data = workdir
+        code, model_path = train_model(root, data, "f16.bin",
+                                       extra=["--candidates", "16", "--skip-ledger"])
+        assert code == EX_OK
+        assert load_model(str(model_path)).params.num_candidates == 16
+
+    def test_zero_passes_is_usage_error(self, workdir, capsys):
+        root, data = workdir
+        code, model_path = train_model(root, data, "nopass.bin", extra=["--passes", "0"])
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == "error: --passes must be >= 1\n"
+        assert not model_path.exists()
+
+    def test_empty_training_file_is_usage_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code, model_path = train_model(tmp_path, empty)
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == "error: dataset declares no classes\n"
+        assert not model_path.exists()
+
     def test_missing_data_file_is_io_error(self, workdir, capsys):
         root, _ = workdir
         code = main(["train", "--data", str(root / "nope.txt"),
@@ -257,6 +281,19 @@ class TestPredict:
                      "--output", str(out)]) == EX_OK
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("kind", ["tree", "oaa"])
+    def test_untrained_model_is_state_error(self, workdir, tmp_path, capsys, kind):
+        _, data = workdir
+        model = RecallTreeModel(8, 7, Hyperparams.defaults(8, bits=10)) if kind == "tree" \
+            else OaaModel(8, bits=10)
+        path = tmp_path / "fresh.bin"
+        save_model(model, str(path))
+        out = tmp_path / "out.txt"
+        assert main(["predict", "--model", str(path), "--data", str(data),
+                     "--output", str(out)]) == EX_STATE
+        assert capsys.readouterr().err == "error: model has seen no training examples\n"
+        assert not out.exists()
+
     def test_corrupt_model_is_format_error(self, workdir, tmp_path, capsys):
         root, data = workdir
         bad = tmp_path / "bad.bin"
@@ -284,6 +321,15 @@ class TestInspect:
         out = capsys.readouterr().out
         assert code == EX_OK
         assert out.count("node id=") == 1
+
+    def test_untrained_model_skips_the_ledger(self, workdir, tmp_path, capsys):
+        _, data = workdir
+        path = tmp_path / "fresh.bin"
+        save_model(RecallTreeModel(8, 7, Hyperparams.defaults(8, bits=10)), str(path))
+        assert main(["inspect", "--model", str(path), "--data", str(data)]) == EX_OK
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "ledger=skipped (untrained model)"
+        assert "summary W=" not in out
 
     def test_oaa_inspect(self, workdir, capsys):
         root, data = workdir

@@ -164,9 +164,9 @@ class TestSparseExampleInvariants:
     def test_largest_index(self):
         assert SparseExample.from_pairs(0, [(2**63 - 1, 1.0)]).indices.tolist() == [2**63 - 1]
 
-    def test_rejects_nonpositive_importance(self):
-        with pytest.raises(DomainError):
-            SparseExample.from_pairs(0, [(1, 1.0)], importance=0.0)
+    def test_rejects_indices_and_values_of_unequal_length(self):
+        with pytest.raises(DomainError, match="equal length"):
+            SparseExample(0, [1, 2], [1.0])
 
     def test_rejects_negative_label(self):
         with pytest.raises(DomainError):
@@ -278,7 +278,6 @@ def _assert_same_examples(got: list, want: list) -> None:
         assert a.indices.dtype == np.int64 and a.values.dtype == np.float64
         assert a.indices.tobytes() == b.indices.tobytes()
         assert a.values.tobytes() == b.values.tobytes()
-        assert a.importance == 1.0
 
 
 def _good_lines(n: int, seed: int = 0) -> list[str]:

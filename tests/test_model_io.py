@@ -61,35 +61,41 @@ def node_offsets(blob: bytes) -> list[int]:
 
 
 def store_offsets(blob: bytes) -> list[int]:
-    """Offsets of the weight-store headers in a version 6 file.
+    """Offsets of the weight-store headers in a version 7 file.
 
     Walks the payload by the documented layout and checks that the last
     store ends the file.
     """
-    flags, bits = blob[settings_offset(blob):][:2]
+    flags = blob[settings_offset(blob)]
     if blob[5] == model_io.TYPE_OAA:
         pos, stores = _OAA_STORE, 1
     else:
         pos, stores = node_offsets(blob)[-1], 2
-    slot_bytes = 12 if flags & 4 else 4
+    # a slot, its float32 weight and, with AdaGrad, its float64 accumulator
+    entry_bytes = 16 if flags & 4 else 8
     offsets = []
     for _ in range(stores):
         offsets.append(pos)
         (count,) = struct.unpack_from(_STORE_HEADER, blob, pos)
-        pos += struct.calcsize(_STORE_HEADER)
-        pos += slot_bytes * count if count == 1 << bits else (4 + slot_bytes) * count
+        pos += struct.calcsize(_STORE_HEADER) + entry_bytes * count
     assert pos == len(blob)
     return offsets
 
 
 def recorded_reads(monkeypatch) -> list[int]:
-    """Record the size of every read the loader asks for, bar a dense
-    store's, which fills its table in place."""
+    """Record the size of every read the loader asks for."""
     sizes = []
     read_exact = model_io._read_exact
     monkeypatch.setattr(model_io, "_read_exact",
                         lambda fh, n: sizes.append(n) or read_exact(fh, n))
     return sizes
+
+
+def stores_of(model) -> list:
+    """The model's weight stores in file order."""
+    if isinstance(model, RecallTreeModel):
+        return [model.router_store, model.class_store]
+    return [model.class_store]
 
 
 def bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -161,9 +167,10 @@ def wide_oaa_blob(tmp_path_factory) -> bytes:
 
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
-    """Small version 6 files with sparse and dense stores, with and without
-    AdaGrad accumulators: a tree whose router store is sparse and whose
-    class store is dense, and two one-against-all models, one of each."""
+    """Small files whose stores hold few and many nonzero slots, with and
+    without AdaGrad accumulators: a tree whose router store lists few slots
+    and whose class store most of them, and two one-against-all models, one
+    of each."""
     def data(k, dims):
         spec = SynthSpec("voronoi", num_classes=k, dimensions=dims, num_examples=400,
                          noise=0.2, seed=3)
@@ -174,7 +181,7 @@ def small_files(tmp_path_factory):
     models = {
         "tree": RecallTreeModel(64, width, Hyperparams.defaults(64, bits=10, adaptive_lr=True))
         .train(wide),
-        "oaa_dense": OaaModel(64, bits=10).train(wide),
+        "oaa_full": OaaModel(64, bits=10).train(wide),
         "oaa_sparse": OaaModel(12, bits=10, adaptive_lr=True).train(narrow),
     }
     root = tmp_path_factory.mktemp("small")
@@ -232,29 +239,19 @@ class TestRoundTrip:
             save_model(oaa, str(path))
             assert load_model(str(path)).class_store.adaptive is adaptive
 
-    def test_stores_are_raw_little_endian_float32(self, small_files):
-        # a plain store with at least half its slots nonzero is the raw array
+    def test_a_store_over_half_full_is_still_a_slot_list(self, small_files):
+        # the slot list is then longer than the raw array, and still the
+        # only body
         models, files = small_files
-        weights = models["oaa_dense"].class_store.weights
-        assert 2 * np.count_nonzero(weights) >= weights.size
-        blob = files["oaa_dense"]
+        weights = models["oaa_full"].class_store.weights
+        slots = np.flatnonzero(weights)
+        assert 2 * slots.size > weights.size
+        blob = files["oaa_full"]
         (offset,) = store_offsets(blob)
-        assert struct.unpack_from(_STORE_HEADER, blob, offset) == (weights.size,)
-        assert blob[offset + struct.calcsize(_STORE_HEADER):] == weights.astype("<f4").tobytes()
-
-    @pytest.mark.parametrize("adaptive", [False, True])
-    def test_a_tie_in_bytes_is_written_dense(self, tmp_path, adaptive):
-        # half the slots (a quarter left empty with accumulators) make the
-        # sparse body exactly as long as the dense one
-        oaa = OaaModel(2, bits=10, adaptive_lr=adaptive)
-        filled = 768 if adaptive else 512
-        oaa.class_store.weights[:filled] = 1.0
-        path = tmp_path / "oaa.bin"
-        save_model(oaa, str(path))
-        blob = path.read_bytes()
-        assert struct.unpack_from(_STORE_HEADER, blob, _OAA_STORE) == (1024,)
-        assert blob[_OAA_STORE + struct.calcsize(_STORE_HEADER):][:4096] == \
-            oaa.class_store.weights.astype("<f4").tobytes()
+        body = offset + struct.calcsize(_STORE_HEADER)
+        assert struct.unpack_from(_STORE_HEADER, blob, offset) == (slots.size,)
+        assert blob[body:] == slots.astype("<u4").tobytes() + weights[slots].astype("<f4").tobytes()
+        assert len(blob) - body > weights.nbytes
 
     def test_sparse_store_lists_ascending_slots_and_their_float32_bits(self, trained, tmp_path):
         _, oaa, _ = trained
@@ -273,28 +270,22 @@ class TestRoundTrip:
 
     def test_adagrad_store_appends_its_accumulators(self, small_files):
         models, files = small_files
-        bodies = set()
+        fills = set()
         for name, model in models.items():
-            stores = [model.class_store] if name.startswith("oaa") else \
-                [model.router_store, model.class_store]
-            for store, offset in zip(stores, store_offsets(files[name])):
+            for store, offset in zip(stores_of(model), store_offsets(files[name]), strict=True):
                 body = offset + struct.calcsize(_STORE_HEADER)
-                (count,) = struct.unpack_from(_STORE_HEADER, files[name], offset)
                 arrays = [store.weights.astype("<f4")]
                 if store.adaptive:
                     arrays.append(store._grad_sq.astype("<f8"))
-                if count < store.weights.size:
-                    slots = np.flatnonzero(np.logical_or.reduce(
-                        [a.view(f"u{a.itemsize}") != 0 for a in arrays]))
-                    assert count == slots.size
-                    expected = slots.astype("<u4").tobytes() + \
-                        b"".join(a[slots].tobytes() for a in arrays)
-                else:
-                    expected = b"".join(a.tobytes() for a in arrays)
+                slots = np.flatnonzero(np.logical_or.reduce(
+                    [a.view(f"u{a.itemsize}") != 0 for a in arrays]))
+                assert struct.unpack_from(_STORE_HEADER, files[name], offset) == (slots.size,)
+                expected = slots.astype("<u4").tobytes() + \
+                    b"".join(a[slots].tobytes() for a in arrays)
                 assert files[name][body:body + len(expected)] == expected
-                bodies.add((store.adaptive, count < store.weights.size))
-        # (adaptive, sparse): both bodies with accumulators, a dense one without
-        assert bodies == {(True, True), (True, False), (False, False)}
+                fills.add((store.adaptive, 2 * slots.size > store.weights.size))
+        # (adaptive, over half full): both fills with accumulators, a full one without
+        assert fills == {(True, False), (True, True), (False, True)}
 
     def test_negative_zero_and_nan_round_trip_bit_for_bit(self, trained, tmp_path):
         _, _, data = trained
@@ -321,6 +312,81 @@ class TestRoundTrip:
             return path.read_bytes()
 
         assert train_and_dump("a.bin") == train_and_dump("b.bin")
+
+
+class TestOneStoreBody:
+    """Every store is its slot list, from no slot to every slot of its
+    table, and loads back to the store that was saved."""
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["sgd", "adagrad"])
+    @pytest.mark.parametrize("kind", ["tree", "oaa"])
+    def test_a_full_store_lists_every_slot(self, trained, tmp_path, kind, adaptive):
+        _, _, data = trained
+        first, rest, held = data[:300], data[300:600], data[3000:3500]
+
+        def filled():
+            # every weight nonzero, so each bits=10 store lists all 1,024 slots
+            if kind == "tree":
+                model = RecallTreeModel(12, trained[0].num_raw_features, Hyperparams.defaults(
+                    12, bits=10, num_candidates=3, adaptive_lr=adaptive))
+            else:
+                model = OaaModel(12, bits=10, adaptive_lr=adaptive)
+            model.train(first)
+            for store in stores_of(model):
+                store.weights[store.weights == 0] = 1e-3
+            return model
+
+        def assert_same_tables(a, b):
+            for x, y in zip(stores_of(a), stores_of(b), strict=True):
+                pairs = zip(model_io._tables(x), model_io._tables(y), strict=True)
+                assert all(bit_equal(p, q) for p, q in pairs)
+
+        saved = filled()
+        path = tmp_path / "model.bin"
+        save_model(saved, str(path))
+        blob = path.read_bytes()
+        for offset in store_offsets(blob):
+            body = offset + struct.calcsize(_STORE_HEADER)
+            assert struct.unpack_from(_STORE_HEADER, blob, offset) == (1024,)
+            assert blob[body:body + 4096] == np.arange(1024, dtype="<u4").tobytes()
+
+        loaded = load_model(str(path))
+        assert_same_tables(loaded, saved)
+        # a full table is allocated by np.zeros
+        assert not any(on_fresh_pages(a) for store in stores_of(loaded)
+                       for a in model_io._tables(store))
+        expected = [saved.predict_full(x) for x in held]
+        assert [loaded.predict_full(x) for x in held] == expected
+        assert loaded.predict_batch(held) == expected
+        again = tmp_path / "again.bin"
+        save_model(loaded, str(again))
+        assert again.read_bytes() == blob
+
+        whole = filled().train(rest)
+        loaded.train(rest)
+        assert_same_tables(loaded, whole)
+        if kind == "tree":
+            assert loaded.nodes == whole.nodes
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["sgd", "adagrad"])
+    @pytest.mark.parametrize("kind", ["tree", "oaa"])
+    def test_an_empty_store_is_a_count_of_zero(self, tmp_path, kind, adaptive):
+        model = RecallTreeModel(4, 3, Hyperparams.defaults(4, bits=10, adaptive_lr=adaptive)) \
+            if kind == "tree" else OaaModel(4, bits=10, adaptive_lr=adaptive)
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        blob = path.read_bytes()
+        offsets = store_offsets(blob)
+        assert [struct.unpack_from(_STORE_HEADER, blob, at) for at in offsets] == \
+            [(0,)] * len(stores_of(model))
+        assert offsets[-1] + struct.calcsize(_STORE_HEADER) == len(blob)
+        loaded = load_model(str(path))
+        for store in stores_of(loaded):
+            assert store.adaptive is adaptive and store.bits == 10
+            assert not any(a.any() for a in model_io._tables(store))
+        again = tmp_path / "again.bin"
+        save_model(loaded, str(again))
+        assert again.read_bytes() == blob
 
 
 class TestLoadedTables:
@@ -394,7 +460,7 @@ class TestLoadedTables:
         loaded = []
         peak = traced_peak(lambda: loaded.append(load_model(str(path))))
         (model,) = loaded
-        stores = [model.router_store, model.class_store] if kind == "tree" else [model.class_store]
+        stores = stores_of(model)
         assert all(store.bits == 24 for store in stores)
         held = sum(a.nbytes for store in stores for a in model_io._tables(store))
         assert peak < held + (1 << 20)
@@ -415,10 +481,10 @@ class TestFormatErrors:
             load_model(str(path))
 
     # versions 1 to 3 predate the derived node fields, version 4 stored a
-    # multiplier, a router-sign flag and settings per store, and version 5
-    # the example count that the root's histogram holds; only version 6
-    # loads
-    @pytest.mark.parametrize("number", [0, 1, 2, 3, 4, 5, 7, 99])
+    # multiplier, a router-sign flag and settings per store, version 5 the
+    # example count that the root's histogram holds, and version 6 a store
+    # more than half full as its raw arrays; only version 7 loads
+    @pytest.mark.parametrize("number", [0, 1, 2, 3, 4, 5, 6, 8, 99])
     def test_version_bump_is_a_clean_format_error(self, trained, tmp_path, number):
         blob, path = self._tree_bytes(trained, tmp_path)
         blob[4] = number  # the version byte follows the 4-byte magic
@@ -426,16 +492,20 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match=f"unsupported format version {number}$"):
             load_model(str(path))
 
-    def test_cli_rejects_a_version_5_file(self, trained, tmp_path, capsys):
+    def test_cli_rejects_a_version_6_file(self, trained, tmp_path, capsys):
+        # a version 6 file whose stores all list their slots is this file
+        # with its version byte set to 6
         blob, path = self._tree_bytes(trained, tmp_path)
-        blob[4] = 5
+        blob[4] = 6
         path.write_bytes(bytes(blob))
         data = tmp_path / "data.txt"
         data.write_text("0 0:1\n")
-        assert main(["predict", "--model", str(path), "--data", str(data)]) == EX_FORMAT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == ["error: unsupported format version 5"]
+        for argv in (["predict", "--data", str(data)], ["inspect"]):
+            capsys.readouterr()
+            assert main([*argv, "--model", str(path)]) == EX_FORMAT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == ["error: unsupported format version 6"]
 
     def test_unknown_type_tag(self, trained, tmp_path):
         blob, path = self._tree_bytes(trained, tmp_path)
@@ -876,7 +946,7 @@ class TestHeaderFields:
         tree = trained[0]
         blob = self._tree_blob(tree, tmp_path)
         p = tree.params
-        assert blob[4:6] == bytes([6, model_io.TYPE_RECALL_TREE])
+        assert blob[4:6] == bytes([7, model_io.TYPE_RECALL_TREE])
         assert struct.unpack_from(_TREE_HEADER, blob, 6) == (
             12, p.max_depth, 3, p.depth_penalty, 1 | 4, 14, p.learning_rate,
             tree.num_raw_features, len(tree.nodes))
@@ -901,18 +971,26 @@ class TestHeaderFields:
         struct.pack_into("<d", blob, 6 + struct.calcsize("<IHI"), penalty)
         self._expect_corrupt(blob, tmp_path, "depth_penalty")
 
+    def test_a_node_count_of_zero(self, trained, tmp_path):
+        # the node count is the tree header's last field
+        blob = self._tree_blob(trained[0], tmp_path)
+        assert struct.unpack_from("<I", blob, _FIRST_NODE - 4) == (len(trained[0].nodes),)
+        struct.pack_into("<I", blob, _FIRST_NODE - 4, 0)
+        self._expect_corrupt(blob, tmp_path, "node table has no root")
+
     def test_count_above_the_table_size(self, trained, tmp_path):
         blob = self._oaa_blob(trained, tmp_path)
         struct.pack_into("<Q", blob, _OAA_STORE, (1 << 14) + 1)
         self._expect_corrupt(blob, tmp_path, "lists 16385 slots for bits=14")
 
-    def test_count_beyond_the_file_is_rejected_before_reading(self, trained, tmp_path):
-        # a sparse count just under a legal 2^30 table would ask for 8 GiB
+    # up to every slot of a legal 2^30 table, which would ask for 8 GiB
+    @pytest.mark.parametrize("count", [(1 << 30) - 1, 1 << 30])
+    def test_count_beyond_the_file_is_rejected_before_reading(self, trained, tmp_path, count):
         blob = self._oaa_blob(trained, tmp_path)
         blob[_OAA_FLAGS + 1] = 30
-        struct.pack_into("<Q", blob, _OAA_STORE, (1 << 30) - 1)
+        struct.pack_into("<Q", blob, _OAA_STORE, count)
         started = time.perf_counter()
-        self._expect_corrupt(blob, tmp_path, "needs 8589934584 bytes, .* are left")
+        self._expect_corrupt(blob, tmp_path, f"needs {8 * count} bytes, .* are left")
         assert time.perf_counter() - started < 5
 
     def _slots_at(self, blob):

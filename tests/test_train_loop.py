@@ -67,7 +67,7 @@ def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
     predicting, as a loader does.
     """
     p = model.params
-    y, importance = x.label, x.importance
+    y = x.label
     nnz = x.indices.size
     mixed = np.empty(nnz + p.max_depth, dtype=np.uint64)
     values = np.empty(nnz + p.max_depth, dtype=np.float64)
@@ -96,8 +96,7 @@ def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
         h_if_right = w_left * h_left + w_right * h_right_y
         delta = h_if_left - h_if_right
         if abs(delta) >= MIN_ROUTER_IMPORTANCE:
-            model.router_store.batch_learn(slots, values[:n], -1 if delta > 0 else 1,
-                                           importance * abs(delta))
+            model.router_store.batch_learn(slots, values[:n], -1 if delta > 0 else 1, abs(delta))
         routed = model.router_store.batch_margins(slots, values[:n])
         child = nodes[node.left if routed > 0 else node.left + 1]
         update_candidates(child, y, p.num_candidates)
@@ -111,8 +110,7 @@ def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
     if y in node.candidates:
         ids = np.array(sorted(node.candidates), dtype=np.int64)
         slots = slot_matrix(key_salt(ROLE_CLASS, ids), mixed[:n], p.bits)
-        model.class_store.batch_learn(slots, values[:n], np.where(ids == y, 1.0, -1.0),
-                                      importance)
+        model.class_store.batch_learn(slots, values[:n], np.where(ids == y, 1.0, -1.0))
 
 
 @pytest.fixture(scope="module", params=STRUCTURES)

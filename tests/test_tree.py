@@ -208,7 +208,7 @@ class TestUpdateRouter:
         x = SparseExample.from_pairs(y, [(1, 1.0)])
         mixed = mix64_array(x.indices.astype(np.uint64))
         slots = slot_matrix(model._router_salts[0], mixed, 16)
-        model._update_router(model.root, slots, x.values, y, 1.0)
+        model._update_router(model.root, slots, x.values, y)
 
     def _fill(self, model, left_counts, right_counts):
         root, left, right = model.root, model.nodes[1], model.nodes[2]
