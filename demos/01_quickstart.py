@@ -7,6 +7,9 @@ the tree routes each example to a small candidate set and scores only
 those classes, while the baseline scores all K.
 """
 
+import os
+import tempfile
+
 from recalltree import (
     Hyperparams,
     OaaModel,
@@ -46,7 +49,9 @@ print(f"flat : accuracy={oaa_report.holdout_accuracy:.4f}  "
 print(f"\nwork ratio (flat / tree): "
       f"{oaa_report.scored_classes_mean / (tree_report.scored_classes_mean + tree_report.router_evals_mean):.1f}x")
 
-save_model(tree, "/tmp/quickstart_tree.bin")
-reloaded = load_model("/tmp/quickstart_tree.bin")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "quickstart_tree.bin")
+    save_model(tree, path)
+    reloaded = load_model(path)
 assert all(reloaded.predict(x) == tree.predict(x) for x in test[:200])
-print("\nmodel round-trips through /tmp/quickstart_tree.bin with identical predictions")
+print("\nmodel round-trips through a saved file with identical predictions")

@@ -29,6 +29,10 @@ EX_IO = 3
 EX_FORMAT = 4
 EX_STATE = 5
 
+# the exit code of each error a command may raise, first match in this order
+_EXIT_CODES = {ParseError: EX_FORMAT, ModelFormatError: EX_FORMAT, UntrainedModelError: EX_STATE,
+               DomainError: EX_USAGE, OSError: EX_IO}
+
 DEFAULT_SEED = 42
 
 
@@ -239,21 +243,9 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code not in (0, None) else EX_OK
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_FORMAT
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_FORMAT
-    except UntrainedModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_STATE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

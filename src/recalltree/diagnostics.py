@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .data import SparseExample
 from .errors import DomainError, UntrainedModelError
-from .tree import RecallTreeModel, TreeNode, plurality_label, ranked_classes
+from .tree import RecallTreeModel, TreeNode, check_label, plurality_label, ranked_classes
 
 
 def _entropy_nats(counts) -> float:
@@ -85,12 +85,14 @@ class EntropyLedger:
 
 def ledger_snapshot(model: RecallTreeModel, examples: list[SparseExample]) -> EntropyLedger:
     """Route every example through the frozen model (no learning), group by
-    halting node, and account entropy and plurality error per node."""
+    halting node, and account entropy and plurality error per node.  A label
+    the model cannot have is a ``DomainError``, as in training."""
     if not examples:
         raise DomainError("ledger snapshot needs a non-empty dataset")
     by_node: dict[int, dict[int, int]] = {}
     marginal: dict[int, int] = {}
     for x, p in zip(examples, model.predict_batch(examples)):
+        check_label(x.label, model.num_classes)
         counts = by_node.setdefault(p.node_id, {})
         counts[x.label] = counts.get(x.label, 0) + 1
         marginal[x.label] = marginal.get(x.label, 0) + 1

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .data import SparseExample
 from .errors import DomainError
+from .tree import check_label
 
 
 @dataclass
@@ -89,13 +90,15 @@ def progressive_eval(stream, learner) -> EvalReport:
 
 
 def holdout_eval(examples: list[SparseExample], model) -> EvalReport:
-    """Frozen-model accuracy over a held-out sample (no learning)."""
+    """Frozen-model accuracy over a held-out sample (no learning).  A label
+    the model cannot have is a ``DomainError``, as in training."""
     if not examples:
         raise DomainError("holdout evaluation needs a non-empty sample")
     correct = 0
     scored = 0
     routed = 0
     for x, p in zip(examples, model.predict_batch(examples)):
+        check_label(x.label, model.num_classes)
         correct += int(p.label == x.label)
         scored += p.classes_scored
         routed += p.router_evals

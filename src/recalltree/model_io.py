@@ -384,10 +384,7 @@ def _load_tree(fh) -> RecallTreeModel:
     stores = [_read_store(fh, bits, learning_rate, params.adaptive_lr) for _ in range(2)]
     _expect_eof(fh)
 
-    model = RecallTreeModel(num_classes, num_raw_features, params, _stores=stores)
-    model.nodes = nodes
-    model._node_keys()
-    return model
+    return RecallTreeModel(num_classes, num_raw_features, params, _stores=stores, _nodes=nodes)
 
 
 def _load_oaa(fh) -> OaaModel:

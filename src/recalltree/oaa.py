@@ -8,9 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SparseExample
-from .errors import DomainError, UntrainedModelError
+from .errors import UntrainedModelError
 from .linear import ROLE_CLASS, WeightStore, key_salt, mix64_array, slot_matrix
-from .tree import Prediction, check_num_classes
+from .tree import Prediction, check_label, check_num_classes
 
 
 class OaaModel:
@@ -39,8 +39,7 @@ class OaaModel:
 
     def train_example(self, x: SparseExample, _slots: np.ndarray | None = None) -> None:
         y = x.label
-        if y >= self.num_classes:
-            raise DomainError(f"label {y} out of range for {self.num_classes} classes")
+        check_label(y, self.num_classes)
         labels = self._labels
         labels.fill(-1.0)
         labels[y] = 1.0

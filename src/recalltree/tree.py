@@ -19,6 +19,7 @@ scorers can express tree-shaped decision boundaries.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -57,6 +58,11 @@ MAX_CLASSES = 1 << 20
 def check_num_classes(num_classes: int) -> None:
     if not 1 <= num_classes <= MAX_CLASSES:
         raise DomainError(f"num_classes must be in [1, {MAX_CLASSES}], got {num_classes}")
+
+
+def check_label(label: int, num_classes: int) -> None:
+    if label >= num_classes:
+        raise DomainError(f"label {label} out of range for {num_classes} classes")
 
 
 def check_raw_features(num_raw_features: int) -> None:
@@ -149,7 +155,9 @@ def label_entropies(node: TreeNode, label: int) -> tuple[float, float]:
 
 def ranked_classes(classes, counts, limit: int) -> np.ndarray:
     """The first ``limit`` of ``classes`` in candidate order: larger count
-    first, ties to the smaller class id.  ``counts`` are integers."""
+    first, ties to the smaller class id.  ``counts`` are integers.
+    ``update_candidates`` keeps a node's list in this order incrementally,
+    one count at a time."""
     classes = np.asarray(classes)
     return classes[np.lexsort((classes, ~np.asarray(counts)))[:limit]]
 
@@ -157,10 +165,12 @@ def ranked_classes(classes, counts, limit: int) -> np.ndarray:
 def update_candidates(node: TreeNode, label: int, num_candidates: int) -> None:
     """Count ``label`` at the node and restore the top-F candidate list.
 
-    A single increment can only promote one class, so the ordered list is
-    repaired in O(F) without a full re-sort, and ``cand_total`` changes only
-    by the counts that entered or left the list.  The order is
-    ``ranked_classes``': larger count first, ties to the smaller class id.
+    A single increment can only promote ``label``, so the list is repaired
+    by taking it out (or the last candidate, which it now beats) and
+    putting it back in by bisection, in O(log F) comparisons, and
+    ``cand_total`` changes only by the counts that entered or left the
+    list.  The order is ``ranked_classes``': larger count first, ties to
+    the smaller class id.
     """
     hist = node.hist
     c = hist.get(label, 0)
@@ -169,29 +179,23 @@ def update_candidates(node: TreeNode, label: int, num_candidates: int) -> None:
     node.sum_clog2 += count * _LOG2(count) - (c * _LOG2(c) if c else 0.0)
 
     cands = node.candidates
-    if label in cands:
-        i = cands.index(label)
-        node.cand_total += 1
-    elif len(cands) < num_candidates:
-        i = len(cands)
-        cands.append(label)
-        node.cand_total += count
-    else:
-        i = len(cands) - 1
-        last = cands[i]
+    full = len(cands) >= num_candidates
+    if full:
+        last = cands[-1]
         c_last = hist[last]
+        # every candidate now beats the last one or is it, so a label that
+        # does not stays out: most calls end here, without scanning the list
         if count < c_last or (count == c_last and label > last):
             return
+    if label in cands:
+        cands.remove(label)
+        node.cand_total += 1
+    elif full:
+        cands.pop()
         node.cand_total += count - c_last
-    # shift the classes that ``label`` now beats down by one
-    while i > 0:
-        above = cands[i - 1]
-        c_above = hist[above]
-        if count < c_above or (count == c_above and label > above):
-            break
-        cands[i] = above
-        i -= 1
-    cands[i] = label
+    else:
+        node.cand_total += count
+    bisect.insort(cands, label, key=lambda c: (-hist[c], c))
 
 
 def recall_lower_bound(node: TreeNode, depth_penalty: float) -> float:
@@ -203,10 +207,9 @@ def recall_lower_bound(node: TreeNode, depth_penalty: float) -> float:
     m = node.total
     if m == 0:
         return _NEG_INF
+    # cand_total <= total, in training and on load, so var >= 0
     r = node.cand_total / m
     var = r * (1.0 - r)
-    if var < 0.0:
-        var = 0.0
     return r - (math.sqrt(depth_penalty * var / m) + depth_penalty / m)
 
 
@@ -249,7 +252,7 @@ class _ExampleKeys:
     each is hashed once.
 
     ``mixed`` and ``values`` hold the example's mixed indices and values,
-    the first ``nnz`` of them raw; whichever descent runs first fills them.
+    raw ones first; whichever descent runs first fills them.
     ``routers`` maps a node id to the example's router slots at that node.
     A node's features are the raw ones plus the path features of the nodes
     on the way to it, so the slots are a function of (example, node id)
@@ -258,7 +261,7 @@ class _ExampleKeys:
     read.
     """
 
-    __slots__ = ("mixed", "values", "nnz", "routers")
+    __slots__ = ("mixed", "values", "routers")
 
     def __init__(self):
         self.mixed = None
@@ -269,16 +272,16 @@ class RecallTreeModel:
     """Online multiclass learner with polylogarithmic work per example."""
 
     def __init__(self, num_classes: int, num_raw_features: int,
-                 params: Hyperparams | None = None, *, _stores=None):
+                 params: Hyperparams | None = None, *, _stores=None, _nodes=None):
         check_num_classes(num_classes)
         check_raw_features(num_raw_features)
         self.num_classes = num_classes
         self.num_raw_features = num_raw_features
         self.params = p = params if params is not None else Hyperparams.defaults(num_classes)
-        # a loader passes the (router, class) stores it has read
+        # a loader passes the (router, class) stores and the nodes it has read
         self.router_store, self.class_store = _stores or [
             WeightStore(p.bits, p.learning_rate, p.adaptive_lr) for _ in range(2)]
-        self.nodes: list[TreeNode] = [TreeNode(id=0, depth=0)]
+        self.nodes: list[TreeNode] = _nodes or [TreeNode(id=0, depth=0)]
         # per node id: router salt and mixed path-feature index
         self._router_salts: list[np.uint64] = []
         self._path_mixed: list[np.uint64] = []
@@ -310,7 +313,7 @@ class RecallTreeModel:
 
     def _node_keys(self) -> None:
         """Hash the router salt and path feature of every node that lacks
-        them: the root, new children, or a node table a loader put in place."""
+        them: those the model is built with, or new children."""
         ids = np.arange(len(self._router_salts), len(self.nodes), dtype=np.uint64)
         self._router_salts += list(key_salt(ROLE_ROUTER, ids))
         self._path_mixed += list(mix64_array(path_feature_index(ids, self.num_raw_features)))
@@ -337,7 +340,6 @@ class RecallTreeModel:
             cap = nnz + self.params.max_depth
             keys.mixed = np.empty(cap, dtype=np.uint64)
             keys.values = np.empty(cap, dtype=np.float64)
-            keys.nnz = nnz
             if nnz:
                 keys.mixed[:nnz] = mix64_array(x.indices)
                 keys.values[:nnz] = x.values
@@ -358,12 +360,13 @@ class RecallTreeModel:
                 self._router_salts[node_id], keys.mixed[:n], self.params.bits)
         return slots
 
-    def _candidate_slots(self, keys: _ExampleKeys, node: TreeNode,
-                         n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The node's candidate ids in ascending order and the example's
-        ``(k, n)`` slots under their scorers."""
+    def _candidate_slots(self, node: TreeNode, mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The node's candidate ids in ascending order, so that the first
+        maximum of their margins breaks ties to the smaller class id, and
+        the ``(k, n)`` slots of one example's ``mixed`` features under their
+        scorers, or ``(rows, k, n)`` for a ``(rows, 1, n)`` stack."""
         ids = np.array(sorted(node.candidates), dtype=np.int64)
-        return ids, slot_matrix(self._class_salts[ids], keys.mixed[:n], self.params.bits)
+        return ids, slot_matrix(self._class_salts[ids], mixed, self.params.bits)
 
     # -- learning ------------------------------------------------------------
 
@@ -394,16 +397,15 @@ class RecallTreeModel:
         update at all when the true label is not among them."""
         if y not in node.candidates:
             return
-        ids, slots = self._candidate_slots(keys, node, n)
+        ids, slots = self._candidate_slots(node, keys.mixed[:n])
         labels = np.where(ids == y, 1.0, -1.0)
         self.class_store.batch_learn(slots, keys.values[:n], labels)
 
     def train_example(self, x: SparseExample, _keys: _ExampleKeys | None = None) -> None:
         y = x.label
-        if y >= self.num_classes:
-            raise DomainError(f"label {y} out of range for {self.num_classes} classes")
+        check_label(y, self.num_classes)
         keys = self._keys(x, _keys)
-        mixed, values, n = keys.mixed, keys.values, keys.nnz
+        mixed, values, n = keys.mixed, keys.values, x.indices.size
         params = self.params
 
         node = self.root
@@ -476,8 +478,8 @@ class RecallTreeModel:
                 mixed, values, _, _ = self._descend([block[i] for i in rows], table, keys)
             except DomainError:
                 continue
-            for i, k, m, v in zip(rows, keys, mixed, values):
-                k.mixed, k.values, k.nnz = m, v, block[i].indices.size
+            for k, m, v in zip(keys, mixed, values):
+                k.mixed, k.values = m, v
         return found
 
     # -- inference -----------------------------------------------------------
@@ -490,7 +492,7 @@ class RecallTreeModel:
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
         keys = self._keys(x, _keys)
-        mixed, values, n = keys.mixed, keys.values, keys.nnz
+        mixed, values, n = keys.mixed, keys.values, x.indices.size
         params = self.params
         node = self.root
         node_bound = self.bound(node)
@@ -507,10 +509,8 @@ class RecallTreeModel:
             if params.path_features:
                 n = self._append_path_feature(mixed, values, n, node.id)
         assert len(node.candidates) <= params.num_candidates
-        ids, slots = self._candidate_slots(keys, node, n)
+        ids, slots = self._candidate_slots(node, mixed[:n])
         margins = self.class_store.batch_margins(slots, values[:n])
-        # argmax takes the first maximum, and ids ascend, so ties go to the
-        # smaller class id
         label = int(ids[np.argmax(margins)])
         return Prediction(label, ids.size, router_evals, node.id, node.depth)
 
@@ -616,11 +616,9 @@ class RecallTreeModel:
         for nid in np.unique(node).tolist():
             halted = np.flatnonzero(node == nid)
             halt = self.nodes[nid]
-            ids = np.array(sorted(halt.candidates), dtype=np.int64)
             width = nnz + halt.depth if params.path_features else nnz
-            slots = slot_matrix(self._class_salts[ids], mixed[halted, None, :width], params.bits)
+            ids, slots = self._candidate_slots(halt, mixed[halted, None, :width])
             margins = self.class_store.batch_margins(slots, values[halted, :width, None])[..., 0]
-            # first maximum per row: ties to the smaller class id
             labels = ids[np.argmax(margins, axis=1)].tolist()
             for i, label, evals in zip(halted.tolist(), labels,
                                        router_evals[halted].tolist()):

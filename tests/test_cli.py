@@ -254,6 +254,18 @@ class TestTrain:
         assert code == EX_USAGE
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("algo", ["recall-tree", "oaa"])
+    def test_holdout_label_the_model_cannot_have_is_usage_error(self, workdir, tmp_path,
+                                                                capsys, algo):
+        _, data = workdir
+        held = tmp_path / "held.txt"
+        held.write_text("9 0:1.0\n")
+        model_path = tmp_path / "model.bin"
+        assert main(["train", "--data", str(data), "--model", str(model_path), "--bits", "14",
+                     "--algo", algo, "--holdout", str(held), "--skip-ledger"]) == EX_USAGE
+        assert capsys.readouterr().err == "error: label 9 out of range for 8 classes\n"
+        assert not model_path.exists()
+
 
 class TestPredict:
     def test_one_class_per_line(self, workdir, capsys, tmp_path):
@@ -300,6 +312,17 @@ class TestPredict:
         bad.write_bytes(b"not a model")
         assert main(["predict", "--model", str(bad), "--data", str(data)]) == EX_FORMAT
 
+    def test_labels_are_ignored(self, workdir, tmp_path, capsys):
+        root, data = workdir
+        _, model_path = train_model(root, data, "labels.bin")
+        capsys.readouterr()
+        query = tmp_path / "query.txt"
+        query.write_text("9 0:1.0\n")
+        out = tmp_path / "out.txt"
+        assert main(["predict", "--model", str(model_path), "--data", str(query),
+                     "--output", str(out)]) == EX_OK
+        assert 0 <= int(out.read_text()) < 8
+
 
 class TestInspect:
     def test_root_counts_and_ledger(self, workdir, capsys):
@@ -312,6 +335,17 @@ class TestInspect:
         assert "node id=0 depth=0 parent=-1 total=3000" in out
         assert "epsilon_le_W=True" in out
         assert "summary W=" in out
+
+    def test_ledger_label_the_model_cannot_have_is_usage_error(self, workdir, tmp_path, capsys):
+        root, data = workdir
+        _, model_path = train_model(root, data, "inspect-labels.bin")
+        capsys.readouterr()
+        query = tmp_path / "query.txt"
+        query.write_text("9 0:1.0\n")
+        assert main(["inspect", "--model", str(model_path), "--data", str(query)]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: label 9 out of range for 8 classes\n"
+        assert "plurality=9" not in captured.out
 
     def test_untrained_model_single_node_report(self, tmp_path, capsys):
         model = RecallTreeModel(4, 3, Hyperparams.defaults(4, bits=14))

@@ -89,6 +89,14 @@ class TestLedgerSnapshot:
         with pytest.raises(DomainError):
             ledger_snapshot(model, [])
 
+    def test_label_the_model_cannot_have_is_rejected(self):
+        # a label past K would otherwise become a node's plurality
+        model = depth1_pure_model()
+        outside = SparseExample.from_pairs(model.num_classes, [(0, 1.0)])
+        with pytest.raises(DomainError, match=f"^label {model.num_classes} out of range "
+                                              f"for {model.num_classes} classes$"):
+            ledger_snapshot(model, two_blob_examples() + [outside])
+
     def test_text_rendering_has_one_line_per_node_plus_summary(self):
         model = depth1_pure_model()
         ledger = ledger_snapshot(model, two_blob_examples())

@@ -111,6 +111,15 @@ class TestWorkCounters:
         with pytest.raises(DomainError):
             holdout_eval([], model)
 
+    @pytest.mark.parametrize("kind", ["tree", "oaa"])
+    def test_holdout_label_the_model_cannot_have_is_rejected(self, kind):
+        # a label past K would otherwise count as one more miss
+        data = [SparseExample.from_pairs(y % 8, [(0, 1.0)]) for y in range(50)]
+        model = (RecallTreeModel(8, 1, Hyperparams.defaults(8, bits=12)) if kind == "tree"
+                 else OaaModel(8, bits=12)).train(data)
+        with pytest.raises(DomainError, match="^label 9 out of range for 8 classes$"):
+            holdout_eval(data + [SparseExample.from_pairs(9, [(0, 1.0)])], model)
+
 
 @pytest.fixture(scope="module")
 def frozen_models(tmp_path_factory):
