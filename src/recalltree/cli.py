@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=DEFAULT_SEED)
     train.add_argument("--skip-ledger", action="store_true",
                        help="skip the entropy-ledger summary pass after training")
-    train.add_argument("--row", action="store_true",
-                       help="also print the report as a single tab-separated row")
     _add_hyperparam_flags(train)
     train.set_defaults(func=cmd_train)
 
@@ -173,8 +171,6 @@ def cmd_train(args) -> int:
     save_model(model, args.model)
     print(f"model={args.model}")
     print(report.to_kv_text())
-    if args.row:
-        print(report.to_row())
     return EX_OK
 
 

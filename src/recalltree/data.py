@@ -47,6 +47,8 @@ class SparseExample:
         except OverflowError:
             raise DomainError("feature indices must be in [0, 2^63)") from None
         self.values = np.asarray(self.values, dtype=np.float64)
+        if self.indices.ndim != 1:
+            raise DomainError("indices and values must be 1-D")
         if self.indices.shape != self.values.shape:
             raise DomainError("indices and values must have equal length")
         if self.indices.size and self.indices.min() < 0:

@@ -38,21 +38,6 @@ class EvalReport:
             lines.append(f"ledger_H1={h1:.6f}")
         return "\n".join(lines)
 
-    def to_row(self, delimiter: str = "\t") -> str:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return f"{v:.6f}"
-            return str(v)
-
-        w, eps, h1 = self.ledger_summary if self.ledger_summary else (None, None, None)
-        cells = [
-            self.examples_seen, self.progressive_accuracy, self.holdout_accuracy,
-            self.scored_classes_mean, self.router_evals_mean, w, eps, h1,
-        ]
-        return delimiter.join(fmt(c) for c in cells)
-
 
 def progressive_eval(stream, learner) -> EvalReport:
     """Predict-then-train over a stream; accuracy counts the prediction

@@ -36,17 +36,10 @@ _NEG_INF = float("-inf")
 # Entropy differences below this are treated as zero: no router update.
 MIN_ROUTER_IMPORTANCE = 1e-12
 
-# Rows per block of ``predict_batch`` and ``train``.  The block bounds the
-# transient (rows, k, n) candidate stacks; on a K=4096 tree (2-vCPU Xeon) the
-# time per example hardly changed from 64 to 1,000 rows.
+# Rows per block of ``predict_batch`` and ``train``, of any lengths.  The
+# block bounds the transient (rows, k, n) candidate stacks; on a K=4096 tree
+# (2-vCPU Xeon) the time per example hardly changed from 64 to 1,000 rows.
 BATCH_ROWS = 256
-
-# A batched descent takes the rows of one raw length together and pays a
-# fixed numpy cost per level, however few rows there are.  Lengths shared by
-# fewer rows than this go through ``predict_full``, or in ``train`` are not
-# hashed ahead: on K=64, 1024 and 4096 trees (2-vCPU Xeon) a batch of 3 rows
-# cost about as much as 3 calls to ``predict_full``, a batch of 4 about 0.85.
-MIN_BATCH_ROWS = 4
 
 # The model file stores the depth cap in 16 bits and F in 32.  A model
 # hashes one salt per class when built, so K is bounded too.
@@ -227,12 +220,11 @@ def path_feature_index(node_id: int, num_raw_features: int) -> int:
     return num_raw_features + node_id
 
 
-def _length_groups(examples: list[SparseExample]) -> list[np.ndarray]:
-    """Positions of ``examples`` grouped by raw length, each group in input
+def _runs(keys: np.ndarray) -> list[np.ndarray]:
+    """Positions of ``keys`` grouped by value, each group in ascending
     order."""
-    lengths = np.array([x.indices.size for x in examples])
-    order = np.argsort(lengths, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
 
 @dataclass
@@ -463,23 +455,17 @@ class RecallTreeModel:
 
     def _prefetch(self, block: list[SparseExample]) -> list[_ExampleKeys]:
         """Per example of a block, keys holding its mixed features and its
-        router slots along its predicted route; empty keys, filled by the
-        first step that uses them, where the example hashes alone: a raw
-        length that fewer than ``MIN_BATCH_ROWS`` examples share, or one
-        with an example outside the raw space, on which that step raises."""
+        router slots along its predicted route, from one batched descent.
+        If an example lies outside the raw space, every key is left empty,
+        to be filled by the first step that uses it; the example's own step
+        then raises."""
         found = [_ExampleKeys() for _ in block]
-        table = self._node_table()
-        for group in _length_groups(block):
-            rows = group.tolist()
-            if len(rows) < MIN_BATCH_ROWS:
-                continue
-            keys = [found[i] for i in rows]
-            try:
-                mixed, values, _, _ = self._descend([block[i] for i in rows], table, keys)
-            except DomainError:
-                continue
-            for k, m, v in zip(keys, mixed, values):
-                k.mixed, k.values = m, v
+        try:
+            mixed, values, *_ = self._descend(block, self._node_table(), found)
+        except DomainError:
+            return found
+        for k, m, v in zip(found, mixed, values):
+            k.mixed, k.values = m, v
         return found
 
     # -- inference -----------------------------------------------------------
@@ -521,32 +507,27 @@ class RecallTreeModel:
         """``[self.predict_full(x) for x in examples]``, bit for bit, with the
         descent and the candidate scoring done for many examples at once.
 
-        The rows of one raw length, wherever they sit in ``examples``,
-        descend together in blocks of ``BATCH_ROWS`` through ``_descend``,
-        the batched descent that also hashes ahead each ``train`` block;
-        the rows of a block that halt at one node are then scored as one
-        ``(rows, k, n)`` stack.  Every row's margins come from the same BLAS
-        product, over the same features in the same order, as in
-        ``predict_full``.  So the speed-up depends on many rows sharing a
-        length; a length with fewer than ``MIN_BATCH_ROWS`` rows goes
-        through ``predict_full``.
+        The examples, sorted by raw length, descend in blocks of
+        ``BATCH_ROWS`` through ``_descend``, the batched descent that also
+        hashes ahead each ``train`` block; the rows of a block that halt at
+        one node with one width are then scored as one ``(rows, k, n)``
+        stack.  Every row's margins come from the same BLAS product, over
+        the same features in the same order, as in ``predict_full``.  Rows
+        of any length may share a block; the sort only keeps the blocks
+        mostly of one width, which is faster.
         """
         if not examples:
             return []
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
         table = self._node_table()
+        order = np.argsort([x.indices.size for x in examples], kind="stable")
         preds: list[Prediction] = [None] * len(examples)
-        for group in _length_groups(examples):
-            if group.size < MIN_BATCH_ROWS:
-                for i in group.tolist():
-                    preds[i] = self.predict_full(examples[i])
-                continue
-            for start in range(0, group.size, BATCH_ROWS):
-                block = group[start:start + BATCH_ROWS].tolist()
-                found = self._predict_block([examples[i] for i in block], table)
-                for i, p in zip(block, found):
-                    preds[i] = p
+        for start in range(0, order.size, BATCH_ROWS):
+            block = order[start:start + BATCH_ROWS].tolist()
+            found = self._predict_block([examples[i] for i in block], table)
+            for i, p in zip(block, found):
+                preds[i] = p
         return preds
 
     def _node_table(self):
@@ -564,63 +545,69 @@ class RecallTreeModel:
 
     def _descend(self, block: list[SparseExample], table,
                  keys: list[_ExampleKeys] | None = None):
-        """Route examples of one raw length from the root to where
+        """Route examples of any raw lengths from the root to where
         ``predict_full`` would halt them, with one ``slot_matrix`` and one
-        ``batch_margins`` call per level.  Returns their mixed features and
-        values, one row each, laid out as in ``_keys``, and each row's
-        halting node and router evaluations.  With ``keys``, one per row,
-        each row's router slots at every node it routes at go into them."""
+        ``batch_margins`` call per level for the routing rows of each width.
+        Returns their mixed features and values, one row each, laid out as
+        in ``_keys`` (past a row's width the buffer is padding), and each
+        row's width, halting node and router evaluations.  With ``keys``,
+        one per row, each row's router slots at every node it routes at go
+        into them."""
         router_salts, path_mixed, left, bounds = table
         params = self.params
-        nnz = block[0].indices.size
+        width = np.array([x.indices.size for x in block], dtype=np.int64)
+        nnz = int(width.max(initial=0))
         cap = nnz + params.max_depth  # one path feature per level below the root
         mixed = np.empty((len(block), cap), dtype=np.uint64)
         values = np.empty((len(block), cap), dtype=np.float64)
         if nnz:
-            indices = np.stack([x.indices for x in block])
+            indices = np.concatenate([x.indices for x in block])
             self._check_indices(indices)
-            mixed[:, :nnz] = mix64_array(indices)
-            values[:, :nnz] = np.stack([x.values for x in block])
+            filled = np.arange(nnz) < width[:, None]
+            mixed[:, :nnz][filled] = mix64_array(indices)
+            values[:, :nnz][filled] = np.concatenate([x.values for x in block])
 
         # ``live`` holds the rows still routing, all at one depth
         node = np.zeros(len(block), dtype=np.int64)
         router_evals = np.zeros(len(block), dtype=np.int64)
         live = np.flatnonzero(left[node] >= 0)
-        n = nnz
         while live.size:
             at = node[live]
-            slots = slot_matrix(router_salts[at, None], mixed[live, None, :n], params.bits)
-            if keys is not None:
-                for i, nid, row in zip(live.tolist(), at.tolist(), slots[:, 0]):
-                    keys[i].routers[nid] = row
-            routed = self.router_store.batch_margins(slots, values[live, :n, None])[:, 0, 0]
+            routed = np.empty(live.size)
+            for same in _runs(width[live]):
+                rows = live[same]
+                n = int(width[rows[0]])
+                slots = slot_matrix(router_salts[at[same], None], mixed[rows, None, :n],
+                                    params.bits)
+                if keys is not None:
+                    for i, nid, row in zip(rows.tolist(), at[same].tolist(), slots[:, 0]):
+                        keys[i].routers[nid] = row
+                routed[same] = self.router_store.batch_margins(
+                    slots, values[rows, :n, None])[:, 0, 0]
             router_evals[live] += 1
             child = np.where(routed > 0, left[at], left[at] + 1)
             moves = ~(bounds[at] > bounds[child])
             live = live[moves]
             node[live] = child[moves]
             if params.path_features:
-                mixed[live, n] = path_mixed[node[live]]
-                values[live, n] = 1.0
-                n += 1
+                mixed[live, width[live]] = path_mixed[node[live]]
+                values[live, width[live]] = 1.0
+                width[live] += 1
             live = live[left[node[live]] >= 0]
-        return mixed, values, node, router_evals
+        return mixed, values, width, node, router_evals
 
     def _predict_block(self, block: list[SparseExample], table) -> list[Prediction]:
-        """Predictions for examples that all have the same raw length."""
-        params = self.params
-        nnz = block[0].indices.size
-        mixed, values, node, router_evals = self._descend(block, table)
+        """Predictions for examples of any raw lengths."""
+        mixed, values, width, node, router_evals = self._descend(block, table)
 
         preds: list[Prediction] = [None] * len(block)
-        for nid in np.unique(node).tolist():
-            halted = np.flatnonzero(node == nid)
+        # score the rows that halt at one node with one width together
+        for halted in _runs(node * (int(width.max()) + 1) + width):
+            nid, n = int(node[halted[0]]), int(width[halted[0]])
             halt = self.nodes[nid]
-            width = nnz + halt.depth if params.path_features else nnz
-            ids, slots = self._candidate_slots(halt, mixed[halted, None, :width])
-            margins = self.class_store.batch_margins(slots, values[halted, :width, None])[..., 0]
+            ids, slots = self._candidate_slots(halt, mixed[halted, None, :n])
+            margins = self.class_store.batch_margins(slots, values[halted, :n, None])[..., 0]
             labels = ids[np.argmax(margins, axis=1)].tolist()
-            for i, label, evals in zip(halted.tolist(), labels,
-                                       router_evals[halted].tolist()):
+            for i, label, evals in zip(halted.tolist(), labels, router_evals[halted].tolist()):
                 preds[i] = Prediction(label, ids.size, evals, nid, halt.depth)
         return preds

@@ -61,10 +61,10 @@ class TestTrain:
         assert "scored_classes_mean=" in out
         assert "ledger_W=" in out
 
-    def test_holdout_and_row(self, workdir, capsys):
+    def test_holdout(self, workdir, capsys):
         root, data = workdir
         code, _ = train_model(root, data, "model2.bin",
-                              extra=["--holdout", str(data), "--row", "--skip-ledger"])
+                              extra=["--holdout", str(data), "--skip-ledger"])
         out = capsys.readouterr().out
         assert code == EX_OK
         assert "holdout_accuracy=" in out

@@ -172,6 +172,14 @@ class TestSparseExampleInvariants:
         with pytest.raises(DomainError):
             SparseExample.from_pairs(-3, [(1, 1.0)])
 
+    # a 0-d example trained and predicted one at a time, and a 2-D one
+    # trained the tree; batched prediction and one-against-all then raised
+    # numpy's "could not broadcast" ValueError
+    @pytest.mark.parametrize("indices, values", [(1, 1.0), ([[1, 2]], [[1.0, 2.0]])])
+    def test_rejects_arrays_that_are_not_1d(self, indices, values):
+        with pytest.raises(DomainError, match="must be 1-D"):
+            SparseExample(0, indices, values)
+
 
 class TestStreamDataset:
     def _lines(self, n, seed=0):

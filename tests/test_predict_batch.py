@@ -11,7 +11,7 @@ from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
 from recalltree.model_io import load_model, save_model
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import BATCH_ROWS, MIN_BATCH_ROWS, Hyperparams, RecallTreeModel
+from recalltree.tree import BATCH_ROWS, Hyperparams, RecallTreeModel
 
 SPEC = SynthSpec("hierarchical-clusters", num_classes=32, dimensions=5,
                  num_examples=3000, noise=0.05, seed=11)
@@ -69,7 +69,7 @@ def test_batch_spanning_blocks_equals_per_example(models, name):
     rng = np.random.default_rng(5)
     # held-out rows, half of them cut to random lengths, so that the
     # full-length rows fill more than one block; three rows have lengths no
-    # other row has (duplicate indices), so go one by one
+    # other row has (duplicate indices), and share a block with other lengths
     cuts = np.where(rng.random(len(held)) < 0.5, WIDTH, rng.integers(0, WIDTH, size=len(held)))
     examples = [SparseExample(x.label, x.indices[:k], x.values[:k]) for x, k in zip(held, cuts)]
     for extra in range(1, 4):
@@ -77,11 +77,32 @@ def test_batch_spanning_blocks_equals_per_example(models, name):
         examples.insert(100 * extra, SparseExample(
             x.label, np.tile(x.indices, extra + 1), np.tile(x.values, extra + 1)))
     lengths = np.unique([x.indices.size for x in examples], return_counts=True)[1]
-    assert lengths.max() > BATCH_ROWS and (lengths < MIN_BATCH_ROWS).sum() == 3
+    assert lengths.max() > BATCH_ROWS and (lengths == 1).sum() == 3
     batch = trained[name].predict_batch(examples)
     assert batch == per_example(trained[name], examples)
     if name == "default":
         assert len({p.node_id for p in batch}) > 2
+
+
+def test_rows_of_rare_lengths_descend_in_the_batch(models, monkeypatch):
+    """Lengths that only one, two or three rows hold are predicted in a
+    block with the rest, never one by one."""
+    trained, held = models
+    model = trained["default"]
+    examples = list(held[:300])
+    for copies in (1, 2, 3):
+        x = held[copies]
+        examples[50 * copies:50 * copies] = [SparseExample(
+            x.label, np.tile(x.indices, copies + 1), np.tile(x.values, copies + 1))] * copies
+    lengths = np.unique([x.indices.size for x in examples], return_counts=True)[1]
+    assert sorted(lengths.tolist())[:3] == [1, 2, 3]
+    expected = per_example(model, examples)
+
+    def refused(*args):
+        raise AssertionError("predict_full called")
+
+    monkeypatch.setattr(model, "predict_full", refused)
+    assert model.predict_batch(examples) == expected
 
 
 def test_empty_batch_on_untrained_model():

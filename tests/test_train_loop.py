@@ -39,7 +39,6 @@ from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import (
     BATCH_ROWS,
-    MIN_BATCH_ROWS,
     MIN_ROUTER_IMPORTANCE,
     Hyperparams,
     RecallTreeModel,
@@ -339,12 +338,11 @@ class _OnceDict(dict):
 
 @pytest.mark.parametrize("shape", ["dense", "ragged"])
 def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
-    """Over a progressive pass: one mix of each example's raw indices, in a
-    block's batched descent or alone; and one router ``slot_matrix`` row
-    per (example, router), stored in the example's one set of keys and never
-    replaced.  Rows of equal indices mix to equal bytes, so the mixes are
-    counted by content: every example needs one, and there are no more
-    mixes than examples.  Featureless rows have nothing to mix."""
+    """Over a progressive pass: each raw index of each example is mixed
+    once, in its block's batched descent or alone; and one router
+    ``slot_matrix`` row per (example, router), stored in the example's one
+    set of keys and never replaced.  The mixed indices are counted as a
+    multiset of values, which must be that of every example's indices."""
     spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=700,
                      noise=0.05, seed=5)
     examples = generate_examples(spec)
@@ -365,7 +363,7 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
     def mixing(a):
         a = np.asarray(a)
         if a.dtype == np.int64:  # raw indices; path features are uint64
-            mixed.update(row.tobytes() for row in a.reshape(-1, a.shape[-1]))
+            mixed.update(a.ravel().tolist())
         return mix64_array(a)
 
     def hashing(salts, rows, bits):
@@ -386,7 +384,7 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
     steps = list(model.predict_then_train(examples))
 
     assert len(steps) == len(keys) == len(examples)
-    assert mixed == Counter(x.indices.tobytes() for x in examples if x.indices.size)
+    assert mixed == Counter(i for x in examples for i in x.indices.tolist())
     assert router_rows == sum(len(k.routers) for k in keys)
     # the prediction and the update shared more than one router row per
     # example
@@ -418,8 +416,8 @@ def test_blocked_training_equals_the_per_example_loop(stream, shape, config, tmp
     assert len(examples) > 2 * BATCH_ROWS
     if shape == "ragged":
         lengths = Counter(x.indices.size for x in examples)
-        assert lengths[0] >= MIN_BATCH_ROWS
-        assert sum(count < MIN_BATCH_ROWS for count in lengths.values()) == 3
+        assert lengths[0] > 3
+        assert sum(count == 1 for count in lengths.values()) == 3
     params = Hyperparams.defaults(K, bits=14, **CONFIGS[config])
     blocked = RecallTreeModel(K, width, params).train(x for x in examples)
     reference = per_example_loop(RecallTreeModel(K, width, params), examples)
@@ -427,6 +425,29 @@ def test_blocked_training_equals_the_per_example_loop(stream, shape, config, tmp
     assert len(blocked.nodes) > 7
     assert blocked.examples_seen == len(examples)
     assert_same_model(blocked, reference, tmp_path)
+
+
+def test_every_step_of_a_ragged_stream_is_hashed_ahead(stream, monkeypatch):
+    """Rows of lengths that only one to three rows hold descend in their
+    block with the rest, so every step finds its keys filled."""
+    width, data = stream
+    examples = ragged(data[:1200])
+    for copies in (2, 3):
+        x = data[copies]
+        examples[20 * copies:20 * copies] = [SparseExample(
+            x.label, np.tile(x.indices, copies + 3), np.tile(x.values, copies + 3))] * copies
+    lengths = Counter(x.indices.size for x in examples)
+    assert {1, 2, 3} <= set(lengths.values())
+    model = RecallTreeModel(K, width, Hyperparams.defaults(K, bits=14))
+    step = model.train_example
+
+    def checked(x, keys=None):
+        assert keys is not None and keys.mixed is not None
+        step(x, keys)
+
+    monkeypatch.setattr(model, "train_example", checked)
+    model.train(examples)
+    assert model.examples_seen == len(examples)
 
 
 def test_an_index_outside_the_raw_space_stops_training_at_its_row(stream, tmp_path):
