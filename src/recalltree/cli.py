@@ -141,7 +141,8 @@ def cmd_train(args) -> int:
 
     num_classes = args.classes
     num_raw = args.raw_features
-    if num_classes is None or num_raw is None:
+    # the flat model reads no raw width, so it scans only for a missing K
+    if num_classes is None or (num_raw is None and args.algo == "recall-tree"):
         meta = scan_dataset(args.data) if examples is None else scan_examples(examples)
         num_classes = num_classes if num_classes is not None else meta.num_classes
         num_raw = num_raw if num_raw is not None else meta.num_raw_features

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import operator
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
@@ -42,6 +43,10 @@ class SparseExample:
     values: np.ndarray
 
     def __post_init__(self):
+        try:
+            self.label = operator.index(self.label)
+        except TypeError:
+            raise DomainError(f"label must be an integer, got {self.label!r}") from None
         try:
             self.indices = np.asarray(self.indices, dtype=np.int64)
         except OverflowError:

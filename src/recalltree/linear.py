@@ -135,7 +135,8 @@ class WeightStore:
         margins are read first, clamped to ±MARGIN_CLAMP before the sigmoid
         so weights stay finite, then every delta is applied, so the result
         does not depend on scorer order except through float accumulation
-        at colliding slots.  ``importance == 0`` is a no-op.
+        at colliding slots.  ``importance == 0`` updates nothing; nor does
+        a row with no features, whose deltas are empty.
 
         The 1-D form returns the scorer's margin after the step, as a float
         equal to ``batch_margins`` of the updated weights, so a caller that
@@ -148,7 +149,7 @@ class WeightStore:
         one = slots.ndim == 1
         if one and labels not in (1, -1):
             raise DomainError(f"label must be +1 or -1, got {labels}")
-        if importance == 0.0 or slots.size == 0:
+        if importance == 0.0:
             return float(self.batch_margins(slots, values)) if one else None
         m = self.batch_margins(slots, values)
         if one:

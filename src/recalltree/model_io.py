@@ -379,6 +379,8 @@ def _load_tree(fh) -> RecallTreeModel:
                              depth_penalty=depth_penalty, bits=bits, learning_rate=learning_rate,
                              path_features=bool(flags & _FLAG_PATH_FEATURES),
                              adaptive_lr=bool(flags & _FLAG_ADAPTIVE_LR))
+    # a node record takes at least 16 bytes, and each store's count 8
+    _check_left(fh, 16 * node_count + 16, "node table")
     nodes = [_read_node(fh, nid, num_classes, num_candidates) for nid in range(node_count)]
     _link_nodes(nodes, max_depth)
     stores = [_read_store(fh, bits, learning_rate, params.adaptive_lr) for _ in range(2)]

@@ -238,26 +238,25 @@ class Prediction:
     depth: int
 
 
+@dataclass(slots=True, eq=False)
 class _ExampleKeys:
-    """One example's hashed keys, shared by the prediction and the update of
-    a step and filled ahead by the batched descent of its block, so that
-    each is hashed once.
+    """One example's hashed keys, built whole by ``_keys`` or ``_prefetch``
+    and shared by the prediction and the update of a step, so that each is
+    hashed once.
 
     ``mixed`` and ``values`` hold the example's mixed indices and values,
-    raw ones first; whichever descent runs first fills them.
-    ``routers`` maps a node id to the example's router slots at that node.
-    A node's features are the raw ones plus the path features of the nodes
-    on the way to it, so the slots are a function of (example, node id)
-    alone, and a slot hashed ahead on a route training leaves goes unused.
-    Margins are never shared: the update changes the weights the prediction
-    read.
+    raw ones first, with room for one path feature per level below the
+    root.  ``routers`` maps a node id to the example's router slots at that
+    node.  A node's features are the raw ones plus the path features of the
+    nodes on the way to it, so the slots are a function of (example, node
+    id) alone, and a slot hashed ahead on a route training leaves goes
+    unused.  Margins are never shared: the update changes the weights the
+    prediction read.
     """
 
-    __slots__ = ("mixed", "values", "routers")
-
-    def __init__(self):
-        self.mixed = None
-        self.routers: dict[int, np.ndarray] = {}
+    mixed: np.ndarray
+    values: np.ndarray
+    routers: dict[int, np.ndarray]
 
 
 class RecallTreeModel:
@@ -319,29 +318,18 @@ class RecallTreeModel:
                 f"raw feature space of width {self.num_raw_features}"
             )
 
-    def _keys(self, x: SparseExample, keys: _ExampleKeys | None) -> _ExampleKeys:
-        """``keys``, or a fresh state for a one-shot call, holding the checked
-        example's mixed indices and values in buffers with room for one path
-        feature per level below the root.  Keys that ``_descend`` filled, in
-        the same layout and after the same check, pass through unchanged."""
-        if keys is None:
-            keys = _ExampleKeys()
-        if keys.mixed is None:
-            self._check_indices(x.indices)
-            nnz = x.indices.size
-            cap = nnz + self.params.max_depth
-            keys.mixed = np.empty(cap, dtype=np.uint64)
-            keys.values = np.empty(cap, dtype=np.float64)
-            if nnz:
-                keys.mixed[:nnz] = mix64_array(x.indices)
-                keys.values[:nnz] = x.values
-        return keys
-
-    def _append_path_feature(self, mixed: np.ndarray, values: np.ndarray,
-                             n: int, node_id: int) -> int:
-        mixed[n] = self._path_mixed[node_id]
-        values[n] = 1.0
-        return n + 1
+    def _keys(self, x: SparseExample) -> _ExampleKeys:
+        """Keys for a one-shot call: the checked example's mixed indices and
+        values, laid out as ``_descend`` lays out a row, and no router slots
+        yet."""
+        self._check_indices(x.indices)
+        nnz = x.indices.size
+        cap = nnz + self.params.max_depth
+        mixed = np.empty(cap, dtype=np.uint64)
+        values = np.empty(cap, dtype=np.float64)
+        mixed[:nnz] = mix64_array(x.indices)
+        values[:nnz] = x.values
+        return _ExampleKeys(mixed, values, {})
 
     def _router_slots(self, keys: _ExampleKeys, node_id: int, n: int) -> np.ndarray:
         """The example's slots under a node's router; ``n`` is the width of
@@ -376,13 +364,13 @@ class RecallTreeModel:
         h_if_left = w_left * h_left_y + w_right * h_right
         h_if_right = w_left * h_left + w_right * h_right_y
         delta = h_if_left - h_if_right
-        if abs(delta) < MIN_ROUTER_IMPORTANCE:
-            return self.router_store.batch_margins(slots, values)
         # train toward the side whose choice lowers expected entropy, the
         # paper's objective (a positive margin goes left); there is no other
-        # sign, since the opposite one trains toward higher entropy
+        # sign, since the opposite one trains toward higher entropy.  Below
+        # the threshold, importance 0 only reads the margin.
+        importance = abs(delta) if abs(delta) >= MIN_ROUTER_IMPORTANCE else 0.0
         label = -1 if delta > 0 else 1
-        return self.router_store.batch_learn(slots, values, label, abs(delta))
+        return self.router_store.batch_learn(slots, values, label, importance)
 
     def _update_predictors(self, node: TreeNode, keys: _ExampleKeys, n: int, y: int) -> None:
         """One-against-all step restricted to the node's candidates; no
@@ -396,7 +384,7 @@ class RecallTreeModel:
     def train_example(self, x: SparseExample, _keys: _ExampleKeys | None = None) -> None:
         y = x.label
         check_label(y, self.num_classes)
-        keys = self._keys(x, _keys)
+        keys = self._keys(x) if _keys is None else _keys
         mixed, values, n = keys.mixed, keys.values, x.indices.size
         params = self.params
 
@@ -417,7 +405,8 @@ class RecallTreeModel:
                 break
             node, node_bound = child, child_bound
             if params.path_features:
-                n = self._append_path_feature(mixed, values, n, node.id)
+                mixed[n], values[n] = self._path_mixed[node.id], 1.0
+                n += 1
         self._update_predictors(node, keys, n, y)
 
     def train(self, examples) -> "RecallTreeModel":
@@ -453,20 +442,17 @@ class RecallTreeModel:
             if len(block) < BATCH_ROWS:
                 return
 
-    def _prefetch(self, block: list[SparseExample]) -> list[_ExampleKeys]:
+    def _prefetch(self, block: list[SparseExample]) -> list[_ExampleKeys | None]:
         """Per example of a block, keys holding its mixed features and its
-        router slots along its predicted route, from one batched descent.
-        If an example lies outside the raw space, every key is left empty,
-        to be filled by the first step that uses it; the example's own step
-        then raises."""
-        found = [_ExampleKeys() for _ in block]
+        router slots along its predicted route, from one batched descent; or
+        None for each if one lies outside the raw space, so that every step
+        builds its own keys and checks the example as it does alone."""
+        routers = [{} for _ in block]
         try:
-            mixed, values, *_ = self._descend(block, self._node_table(), found)
+            mixed, values, *_ = self._descend(block, self._node_table(), routers)
         except DomainError:
-            return found
-        for k, m, v in zip(found, mixed, values):
-            k.mixed, k.values = m, v
-        return found
+            return [None] * len(block)
+        return [_ExampleKeys(*row) for row in zip(mixed, values, routers)]
 
     # -- inference -----------------------------------------------------------
 
@@ -477,7 +463,7 @@ class RecallTreeModel:
         the halting node has at least one candidate."""
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        keys = self._keys(x, _keys)
+        keys = self._keys(x) if _keys is None else _keys
         mixed, values, n = keys.mixed, keys.values, x.indices.size
         params = self.params
         node = self.root
@@ -493,7 +479,8 @@ class RecallTreeModel:
                 break
             node, node_bound = child, child_bound
             if params.path_features:
-                n = self._append_path_feature(mixed, values, n, node.id)
+                mixed[n], values[n] = self._path_mixed[node.id], 1.0
+                n += 1
         assert len(node.candidates) <= params.num_candidates
         ids, slots = self._candidate_slots(node, mixed[:n])
         margins = self.class_store.batch_margins(slots, values[:n])
@@ -544,15 +531,15 @@ class RecallTreeModel:
         )
 
     def _descend(self, block: list[SparseExample], table,
-                 keys: list[_ExampleKeys] | None = None):
+                 routers: list[dict[int, np.ndarray]] | None = None):
         """Route examples of any raw lengths from the root to where
         ``predict_full`` would halt them, with one ``slot_matrix`` and one
         ``batch_margins`` call per level for the routing rows of each width.
         Returns their mixed features and values, one row each, laid out as
         in ``_keys`` (past a row's width the buffer is padding), and each
-        row's width, halting node and router evaluations.  With ``keys``,
-        one per row, each row's router slots at every node it routes at go
-        into them."""
+        row's width, halting node and router evaluations.  With
+        ``routers``, one dict per row, each row's router slots at every node
+        it routes at go into its dict, keyed by node id."""
         router_salts, path_mixed, left, bounds = table
         params = self.params
         width = np.array([x.indices.size for x in block], dtype=np.int64)
@@ -579,9 +566,9 @@ class RecallTreeModel:
                 n = int(width[rows[0]])
                 slots = slot_matrix(router_salts[at[same], None], mixed[rows, None, :n],
                                     params.bits)
-                if keys is not None:
+                if routers is not None:
                     for i, nid, row in zip(rows.tolist(), at[same].tolist(), slots[:, 0]):
-                        keys[i].routers[nid] = row
+                        routers[i][nid] = row
                 routed[same] = self.router_store.batch_margins(
                     slots, values[rows, :n, None])[:, 0, 0]
             router_evals[live] += 1

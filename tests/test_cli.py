@@ -92,12 +92,14 @@ class TestTrain:
         (["--permute"], 2, 2),
         (["--permute", "--passes", "2"], 3, 3),
         (["--algo", "oaa"], 2, 2),
-    ], ids=["defaults", "passes", "adagrad", "permute", "permute-passes", "oaa"])
+        (["--algo", "oaa", "--classes", "8"], 1, 1),
+    ], ids=["defaults", "passes", "adagrad", "permute", "permute-passes", "oaa", "oaa-classes"])
     def test_the_file_is_parsed_once_when_the_ledger_runs(self, workdir, capsys, monkeypatch,
                                                           extra, parses, streamed_parses):
         # the ledger's list serves the scan and every in-order pass; a
         # permuted pass permutes lines, so it streams.  Without the ledger
-        # (--skip-ledger, or oaa) the scan and every pass stream.
+        # (--skip-ledger, or oaa) the scan and every pass stream; the flat
+        # model given its class count needs no scan.
         root, data = workdir
         parse_chunk = data_module._parse_chunk
         lines = []

@@ -172,6 +172,19 @@ class TestSparseExampleInvariants:
         with pytest.raises(DomainError):
             SparseExample.from_pairs(-3, [(1, 1.0)])
 
+    # a label of 2.5 trained a tree whose root histogram held 2.5, read back
+    # as 2 after a save and load; one-against-all raised a raw IndexError
+    # on it, and a string label raised a raw TypeError
+    @pytest.mark.parametrize("label", [2.5, 2.0, np.float64(1), "2", None])
+    def test_rejects_a_label_that_is_not_an_integer(self, label):
+        with pytest.raises(DomainError, match="label must be an integer"):
+            SparseExample(label, [0, 1], [1.0, 2.0])
+
+    @pytest.mark.parametrize("label", [np.int64(2), np.uint8(2), True])
+    def test_an_integer_label_is_kept_as_an_int(self, label):
+        example = SparseExample(label, [0, 1], [1.0, 2.0])
+        assert type(example.label) is int and example.label == label
+
     # a 0-d example trained and predicted one at a time, and a 2-D one
     # trained the tree; batched prediction and one-against-all then raised
     # numpy's "could not broadcast" ValueError

@@ -978,6 +978,19 @@ class TestHeaderFields:
         struct.pack_into("<I", blob, _FIRST_NODE - 4, 0)
         self._expect_corrupt(blob, tmp_path, "node table has no root")
 
+    # the loader read node records until the file ran out: 6 of them, the
+    # last made of store bytes, which failed its sum_clog2 check
+    def test_a_node_count_beyond_the_file_reads_no_node(self, tmp_path, monkeypatch):
+        blob = self._tree_blob(five_node_tree(), tmp_path)
+        struct.pack_into("<I", blob, _FIRST_NODE - 4, 1_000_000)
+        read_node = model_io._read_node
+        read = []
+        monkeypatch.setattr(model_io, "_read_node",
+                            lambda fh, nid, *rest: read.append(nid) or read_node(fh, nid, *rest))
+        # 16 bytes per record at least, and 8 for each store count
+        self._expect_corrupt(blob, tmp_path, f"node table needs {16 * 1_000_000 + 16} bytes")
+        assert read == []
+
     def test_count_above_the_table_size(self, trained, tmp_path):
         blob = self._oaa_blob(trained, tmp_path)
         struct.pack_into("<Q", blob, _OAA_STORE, (1 << 14) + 1)

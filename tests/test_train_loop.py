@@ -355,9 +355,10 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
     class Keys(tree._ExampleKeys):
         __slots__ = ()
 
-        def __init__(self):
-            super().__init__()
-            self.routers = _OnceDict()
+        def __init__(self, mixed, values, routers):
+            # the rows the batched descent stored; a step may add a row
+            # for a node it has not, never replace one
+            super().__init__(mixed, values, _OnceDict(routers))
             keys.append(self)
 
     def mixing(a):
@@ -450,9 +451,12 @@ def test_every_step_of_a_ragged_stream_is_hashed_ahead(stream, monkeypatch):
     assert model.examples_seen == len(examples)
 
 
-def test_an_index_outside_the_raw_space_stops_training_at_its_row(stream, tmp_path):
+@pytest.mark.parametrize("run", ["train", "progressive_eval"])
+def test_an_index_outside_the_raw_space_stops_training_at_its_row(stream, run, tmp_path):
     """The bad row sits mid-block and has its block's common length, so the
-    rows before it are trained, then its ``DomainError`` is raised."""
+    rows before it are trained (under ``progressive_eval``, each predicted
+    first), then its ``DomainError`` is raised.  Its block's batched
+    descent fails, so every step in that block hashes its own keys."""
     width, data = stream
     examples = list(data[:3 * BATCH_ROWS])
     bad = BATCH_ROWS + 100
@@ -460,14 +464,22 @@ def test_an_index_outside_the_raw_space_stops_training_at_its_row(stream, tmp_pa
     examples[bad] = SparseExample(x.label, np.append(x.indices[:-1], width), x.values)
     params = Hyperparams.defaults(K, bits=14)
     blocked = RecallTreeModel(K, width, params)
+    recording = Recording(blocked)
     with pytest.raises(DomainError) as raised:
-        blocked.train(examples)
-    reference = per_example_loop(RecallTreeModel(K, width, params), examples[:bad])
+        if run == "train":
+            blocked.train(examples)
+        else:
+            progressive_eval(examples, recording)
+    reference = RecallTreeModel(K, width, params)
+    step = per_example_loop if run == "train" else reference_progressive
+    predictions = step(reference, examples[:bad])
     with pytest.raises(DomainError) as expected:
-        reference.train_example(examples[bad])
+        step(reference, examples[bad:bad + 1])
 
     assert str(raised.value) == str(expected.value)
     assert blocked.examples_seen == bad
+    if run == "progressive_eval":
+        assert recording.predictions == predictions
     assert_same_model(blocked, reference, tmp_path)
 
 
