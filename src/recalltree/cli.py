@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .data import read_examples, scan_dataset, scan_examples, stream_dataset
+from .data import read_examples, scan_dataset, stream_dataset
 from .diagnostics import ledger_snapshot
 from .errors import (
     DomainError,
@@ -21,7 +21,7 @@ from .evaluation import holdout_eval, progressive_eval
 from .model_io import load_model, save_model
 from .oaa import OaaModel
 from .synth import SynthSpec, synth_generate
-from .tree import Hyperparams, RecallTreeModel
+from .tree import Hyperparams, RecallTreeModel, check_label
 
 EX_OK = 0
 EX_USAGE = 2
@@ -35,21 +35,27 @@ _EXIT_CODES = {ParseError: EX_FORMAT, ModelFormatError: EX_FORMAT, UntrainedMode
 
 DEFAULT_SEED = 42
 
+# the flags only the recall tree reads; each defaults to None, so that one
+# given to the flat model can be refused
+_TREE_ONLY_FLAGS = ("--max-depth", "--candidates", "--depth-penalty", "--no-path-features",
+                    "--raw-features")
+
 
 def _add_hyperparam_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", type=int, default=None,
-                   help="depth cap (default: log2 of the class count)")
+                   help="depth cap (default: log2 of the class count; recall-tree only)")
     p.add_argument("--candidates", type=int, default=None,
-                   help="candidate classes per node (default: 4 * log2 of the class count)")
-    p.add_argument("--depth-penalty", type=float, default=1.0,
+                   help="candidate classes per node (default: 4 * log2 of the class count; "
+                        "recall-tree only)")
+    p.add_argument("--depth-penalty", type=float, default=None,
                    help="penalty constant in the recall lower bound; 0 uses raw "
-                        "empirical recall (default: 1)")
+                        "empirical recall (default: 1; recall-tree only)")
     p.add_argument("--bits", type=int, default=24,
                    help="log2 size of each hashed weight store (default: 24)")
     p.add_argument("--learning-rate", type=float, default=1.0,
                    help="logistic SGD learning rate (default: 1)")
-    p.add_argument("--no-path-features", action="store_true",
-                   help="do not append traversal indicator features")
+    p.add_argument("--no-path-features", action="store_true", default=None,
+                   help="do not append traversal indicator features (recall-tree only)")
     p.add_argument("--adagrad", action="store_true",
                    help="per-slot adaptive learning rate (off by default for reproducibility)")
 
@@ -61,7 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train a model and write it to disk")
+    train = sub.add_parser(
+        "train", help="train a model and write it to disk",
+        description="Train a model, streaming --data once per pass (after one scan "
+                    "for a class count or raw width the flags do not give), and write "
+                    "it to disk.  The entropy ledger of the saved model is reported by "
+                    "'recalltree inspect --model M --data D'.")
     train.add_argument("--algo", choices=["recall-tree", "oaa"], default="recall-tree")
     train.add_argument("--data", required=True, help="training dataset (text, .gz accepted)")
     train.add_argument("--model", required=True, help="output model path")
@@ -70,14 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="class count K (default: inferred as max label + 1)")
     train.add_argument("--raw-features", type=int, default=None,
                        help="raw feature space width, at most 2^63 "
-                            "(default: inferred as max index + 1)")
+                            "(default: inferred as max index + 1; recall-tree only)")
     train.add_argument("--passes", type=int, default=1,
                        help="training epochs; progressive metrics cover pass 1 only")
     train.add_argument("--permute", action="store_true",
                        help="train on a seeded random permutation instead of file order")
     train.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    train.add_argument("--skip-ledger", action="store_true",
-                       help="skip the entropy-ledger summary pass after training")
     _add_hyperparam_flags(train)
     train.set_defaults(func=cmd_train)
 
@@ -110,44 +119,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args, num_classes: int) -> Hyperparams:
-    overrides = dict(
-        depth_penalty=args.depth_penalty,
-        bits=args.bits,
-        learning_rate=args.learning_rate,
-        path_features=not args.no_path_features,
-        adaptive_lr=args.adagrad,
-    )
-    if args.max_depth is not None:
-        overrides["max_depth"] = args.max_depth
-    if args.candidates is not None:
-        overrides["num_candidates"] = args.candidates
-    return Hyperparams.defaults(num_classes, **overrides)
+    given = dict(max_depth=args.max_depth, num_candidates=args.candidates,
+                 depth_penalty=args.depth_penalty)
+    return Hyperparams.defaults(
+        num_classes, bits=args.bits, learning_rate=args.learning_rate,
+        path_features=not args.no_path_features, adaptive_lr=args.adagrad,
+        **{name: value for name, value in given.items() if value is not None})
 
 
 def cmd_train(args) -> int:
     if args.passes < 1:
         raise DomainError("--passes must be >= 1")
-    # the ledger needs the file in order, so when it runs one parse serves
-    # the scan, every in-order pass and the ledger; otherwise each pass
-    # streams.  A permuted pass permutes lines, so it streams either way.
-    examples = None
-    if args.algo == "recall-tree" and not args.skip_ledger:
-        examples = read_examples(args.data)
-
-    def data_pass(number: int):
-        if examples is None or args.permute:
-            return stream_dataset(args.data, permute=args.permute, seed=args.seed + number)
-        return examples
+    if args.algo == "oaa":
+        for flag in _TREE_ONLY_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise DomainError(f"{flag} applies only to --algo recall-tree")
 
     num_classes = args.classes
     num_raw = args.raw_features
     # the flat model reads no raw width, so it scans only for a missing K
     if num_classes is None or (num_raw is None and args.algo == "recall-tree"):
-        meta = scan_dataset(args.data) if examples is None else scan_examples(examples)
+        meta = scan_dataset(args.data)
         num_classes = num_classes if num_classes is not None else meta.num_classes
         num_raw = num_raw if num_raw is not None else meta.num_raw_features
     if num_classes < 1:
         raise DomainError("dataset declares no classes")
+    # read and check the holdout before any pass, so that a bad one costs no training
+    held = read_examples(args.holdout) if args.holdout else []
+    if args.holdout and not held:
+        raise DomainError("--holdout holds no examples")
+    for x in held:
+        check_label(x.label, num_classes)
 
     if args.algo == "oaa":
         model = OaaModel(num_classes, bits=args.bits, learning_rate=args.learning_rate,
@@ -155,19 +157,15 @@ def cmd_train(args) -> int:
     else:
         model = RecallTreeModel(num_classes, num_raw, _params_from_args(args, num_classes))
 
-    report = progressive_eval(data_pass(0), model)
-    for extra_pass in range(1, args.passes):
-        model.train(data_pass(extra_pass))
+    # each pass parses the file anew instead of keeping its examples, so an
+    # in-order run holds one chunk of lines at a time
+    report = progressive_eval(stream_dataset(args.data, args.permute, args.seed), model)
+    for number in range(1, args.passes):
+        model.train(stream_dataset(args.data, args.permute, args.seed + number))
         report.examples_seen = model.examples_seen
 
     if args.holdout:
-        held = holdout_eval(read_examples(args.holdout), model)
-        report.holdout_accuracy = held.holdout_accuracy
-
-    if examples is not None:
-        ledger = ledger_snapshot(model, examples)
-        report.ledger_summary = (ledger.weighted_entropy, ledger.error_rate,
-                                 ledger.marginal_entropy)
+        report.holdout_accuracy = holdout_eval(held, model).holdout_accuracy
 
     save_model(model, args.model)
     print(f"model={args.model}")
@@ -193,6 +191,8 @@ def cmd_inspect(args) -> int:
     if isinstance(model, OaaModel):
         print(f"type=oaa classes={model.num_classes} bits={model.bits} "
               f"examples_seen={model.examples_seen}")
+        if args.data:
+            print("ledger=skipped (one-against-all model)")
         return EX_OK
 
     print(f"type=recall-tree classes={model.num_classes} nodes={len(model.nodes)} "

@@ -21,7 +21,6 @@ class EvalReport:
     holdout_accuracy: float | None = None
     scored_classes_mean: float = 0.0
     router_evals_mean: float = 0.0
-    ledger_summary: tuple[float, float, float] | None = None  # (W, epsilon, H1)
 
     def to_kv_text(self) -> str:
         lines = [f"examples_seen={self.examples_seen}"]
@@ -31,11 +30,6 @@ class EvalReport:
             lines.append(f"holdout_accuracy={self.holdout_accuracy:.6f}")
         lines.append(f"scored_classes_mean={self.scored_classes_mean:.4f}")
         lines.append(f"router_evals_mean={self.router_evals_mean:.4f}")
-        if self.ledger_summary is not None:
-            w, eps, h1 = self.ledger_summary
-            lines.append(f"ledger_W={w:.6f}")
-            lines.append(f"ledger_epsilon={eps:.6f}")
-            lines.append(f"ledger_H1={h1:.6f}")
         return "\n".join(lines)
 
 

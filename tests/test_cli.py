@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -12,8 +13,9 @@ from recalltree.cli import (
     build_parser,
     main,
 )
+from recalltree import cli as cli_module
 from recalltree import data as data_module
-from recalltree.data import read_examples, scan_examples
+from recalltree.data import read_examples, scan_dataset, stream_dataset
 from recalltree.diagnostics import ledger_snapshot
 from recalltree.evaluation import progressive_eval
 from recalltree.model_io import load_model, save_model
@@ -59,12 +61,13 @@ class TestTrain:
         assert model_path.exists()
         assert "progressive_accuracy=" in out
         assert "scored_classes_mean=" in out
-        assert "ledger_W=" in out
+        # the entropy ledger is inspect's, not train's
+        assert "ledger_" not in out
 
     def test_holdout(self, workdir, capsys):
         root, data = workdir
         code, _ = train_model(root, data, "model2.bin",
-                              extra=["--holdout", str(data), "--skip-ledger"])
+                              extra=["--holdout", str(data)])
         out = capsys.readouterr().out
         assert code == EX_OK
         assert "holdout_accuracy=" in out
@@ -85,21 +88,20 @@ class TestTrain:
         # every prediction scores all 8 classes except the cold-start fallback
         assert 8.0 - 0.01 <= scored <= 8.0
 
-    @pytest.mark.parametrize("extra, parses, streamed_parses", [
-        ([], 1, 2),
-        (["--passes", "2"], 1, 3),
-        (["--adagrad"], 1, 2),
-        (["--permute"], 2, 2),
-        (["--permute", "--passes", "2"], 3, 3),
-        (["--algo", "oaa"], 2, 2),
-        (["--algo", "oaa", "--classes", "8"], 1, 1),
-    ], ids=["defaults", "passes", "adagrad", "permute", "permute-passes", "oaa", "oaa-classes"])
-    def test_the_file_is_parsed_once_when_the_ledger_runs(self, workdir, capsys, monkeypatch,
-                                                          extra, parses, streamed_parses):
-        # the ledger's list serves the scan and every in-order pass; a
-        # permuted pass permutes lines, so it streams.  Without the ledger
-        # (--skip-ledger, or oaa) the scan and every pass stream; the flat
-        # model given its class count needs no scan.
+    @pytest.mark.parametrize("extra, parses", [
+        ([], 2),
+        (["--passes", "2"], 3),
+        (["--adagrad"], 2),
+        (["--permute"], 2),
+        (["--permute", "--passes", "2"], 3),
+        (["--classes", "8", "--raw-features", "7"], 1),
+        (["--algo", "oaa"], 2),
+        (["--algo", "oaa", "--classes", "8"], 1),
+    ], ids=["defaults", "passes", "adagrad", "permute", "permute-passes", "tree-given-shape",
+            "oaa", "oaa-classes"])
+    def test_each_pass_streams_the_file(self, workdir, capsys, monkeypatch, extra, parses):
+        # the scan, when a value the learner reads is missing, and every
+        # pass each parse the file; the flat model reads no raw width
         root, data = workdir
         parse_chunk = data_module._parse_chunk
         lines = []
@@ -109,24 +111,12 @@ class TestTrain:
             return parse_chunk(chunk)
 
         monkeypatch.setattr(data_module, "_parse_chunk", counting)
-        code, model_path = train_model(root, data, "once.bin", extra=extra)
-        out = capsys.readouterr().out
+        code, _ = train_model(root, data, "streamed.bin", extra=extra)
+        capsys.readouterr()
         assert code == EX_OK
         assert sum(lines) == parses * 3000
 
-        lines.clear()
-        code, streamed_path = train_model(root, data, "streamed.bin",
-                                          extra=[*extra, "--skip-ledger"])
-        streamed = capsys.readouterr().out
-        assert code == EX_OK
-        assert sum(lines) == streamed_parses * 3000
-        # the same model and report either way, but for the ledger's lines
-        assert model_path.read_bytes() == streamed_path.read_bytes()
-        assert [line for line in out.splitlines()[1:] if not line.startswith("ledger_")] == \
-            streamed.splitlines()[1:]
-
-    @pytest.mark.parametrize("extra", [[], ["--skip-ledger"], ["--permute"]],
-                             ids=["ledger", "skip-ledger", "permute"])
+    @pytest.mark.parametrize("extra", [[], ["--permute"]], ids=["in-order", "permute"])
     def test_extra_passes_equal_a_per_example_loop(self, deep_workdir, capsys, extra):
         # the second pass goes through ``model.train``; the reference trains
         # it one ``train_example`` at a time
@@ -135,8 +125,7 @@ class TestTrain:
         out = capsys.readouterr().out
         assert code == EX_OK
 
-        examples = read_examples(str(data))
-        meta = scan_examples(examples)
+        meta = scan_dataset(str(data))
         model = RecallTreeModel(meta.num_classes, meta.num_raw_features,
                                 Hyperparams.defaults(meta.num_classes, bits=14))
         permute = "--permute" in extra
@@ -144,10 +133,6 @@ class TestTrain:
         for x in read_examples(str(data), permute, DEFAULT_SEED + 1):
             model.train_example(x)
         report.examples_seen = model.examples_seen
-        if "--skip-ledger" not in extra:
-            ledger = ledger_snapshot(model, examples)
-            report.ledger_summary = (ledger.weighted_entropy, ledger.error_rate,
-                                     ledger.marginal_entropy)
         reference_path = root / "passes2-reference.bin"
         save_model(model, str(reference_path))
         assert model_path.read_bytes() == reference_path.read_bytes()
@@ -156,7 +141,7 @@ class TestTrain:
     def test_candidates_flag_reaches_the_saved_header(self, workdir, capsys):
         root, data = workdir
         code, model_path = train_model(root, data, "f16.bin",
-                                       extra=["--candidates", "16", "--skip-ledger"])
+                                       extra=["--candidates", "16"])
         assert code == EX_OK
         assert load_model(str(model_path)).params.num_candidates == 16
 
@@ -209,7 +194,7 @@ class TestTrain:
         # numpy's permutation rejected it with a ValueError (exit 1)
         root, data = workdir
         code, model_path = train_model(root, data, "seed.bin",
-                                       extra=["--permute", "--seed", "-1", "--skip-ledger"])
+                                       extra=["--permute", "--seed", "-1"])
         assert code == EX_USAGE
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not model_path.exists()
@@ -222,7 +207,7 @@ class TestTrain:
     def test_widest_raw_feature_space(self, workdir, capsys, width, code):
         root, data = workdir
         got, model_path = train_model(root, data, "wide.bin",
-                                      extra=["--raw-features", str(width), "--skip-ledger"])
+                                      extra=["--raw-features", str(width)])
         err = capsys.readouterr().err
         assert got == code
         if code == EX_USAGE:
@@ -264,9 +249,75 @@ class TestTrain:
         held.write_text("9 0:1.0\n")
         model_path = tmp_path / "model.bin"
         assert main(["train", "--data", str(data), "--model", str(model_path), "--bits", "14",
-                     "--algo", algo, "--holdout", str(held), "--skip-ledger"]) == EX_USAGE
+                     "--algo", algo, "--holdout", str(held)]) == EX_USAGE
         assert capsys.readouterr().err == "error: label 9 out of range for 8 classes\n"
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("algo", ["recall-tree", "oaa"])
+    @pytest.mark.parametrize("holdout, code", [
+        (None, EX_IO),
+        ("1 0:1.0\n0 0:1.0 2\n", EX_FORMAT),
+        ("1 0:1.0\n9 0:1.0\n", EX_USAGE),
+        ("", EX_USAGE),
+    ], ids=["missing", "bad-line", "label-past-k", "empty"])
+    def test_a_bad_holdout_fails_before_training(self, workdir, tmp_path, capsys, monkeypatch,
+                                                 algo, holdout, code):
+        # the holdout was read after the last pass, so a bad one failed
+        # only after the whole run had trained
+        _, data = workdir
+        held = tmp_path / "held.txt"
+        if holdout is not None:
+            held.write_text(holdout)
+        trained = []
+        monkeypatch.setattr(cli_module, "progressive_eval", lambda *a: trained.append(a))
+        model_path = tmp_path / "model.bin"
+        assert main(["train", "--data", str(data), "--model", str(model_path), "--bits", "14",
+                     "--algo", algo, "--holdout", str(held)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert trained == []
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--max-depth", "3", "--candidates", "2"], "--max-depth"),
+        (["--max-depth", "0"], "--max-depth"),
+        (["--candidates", "2"], "--candidates"),
+        (["--depth-penalty", "1"], "--depth-penalty"),
+        (["--depth-penalty", "0"], "--depth-penalty"),
+        (["--no-path-features"], "--no-path-features"),
+        (["--raw-features", "6"], "--raw-features"),
+    ])
+    def test_the_flat_model_refuses_a_tree_only_flag(self, workdir, capsys, flags, named):
+        # the flat model ignored these flags and exited 0
+        root, data = workdir
+        code, model_path = train_model(root, data, "oaa-tree-flag.bin",
+                                       extra=["--algo", "oaa", *flags])
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == f"error: {named} applies only to --algo recall-tree\n"
+        assert not model_path.exists()
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path, capsys):
+        # a pass streams its file one chunk at a time; an in-memory copy of
+        # the file took the peak from 2.3 MiB at 1,500 lines to 4.5 MiB at 6,000
+        big = tmp_path / "big.txt"
+        assert main(["synth", "--structure", "hierarchical-clusters", "--classes", "64",
+                     "--dims", "8", "--examples", "6000", "--noise", "0.05",
+                     "--out", str(big)]) == EX_OK
+        small = tmp_path / "small.txt"
+        small.write_text("".join(big.read_text().splitlines(keepends=True)[:1500]))
+
+        def peak(data):
+            tracemalloc.start()
+            try:
+                assert train_model(tmp_path, data)[0] == EX_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a first run pays the one-time costs of imports and caches
+        assert train_model(tmp_path, small)[0] == EX_OK
+        small_peak, big_peak = peak(small), peak(big)
+        capsys.readouterr()
+        assert big_peak <= 1.25 * small_peak, (small_peak, big_peak)
 
 
 class TestPredict:
@@ -373,6 +424,25 @@ class TestInspect:
         capsys.readouterr()
         assert main(["inspect", "--model", str(model_path)]) == EX_OK
         assert "type=oaa" in capsys.readouterr().out
+        # the ledger is the tree's; the flat model ignored --data silently
+        assert main(["inspect", "--model", str(model_path), "--data", str(data)]) == EX_OK
+        assert capsys.readouterr().out.splitlines()[1:] == ["ledger=skipped (one-against-all model)"]
+
+    def test_the_ledger_of_a_trained_model_is_the_librarys(self, deep_workdir, capsys):
+        # train printed a summary of this ledger; inspect prints all of it
+        root, data = deep_workdir
+        _, model_path = train_model(root, data, "ledger.bin")
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model_path), "--data", str(data)]) == EX_OK
+        out = capsys.readouterr().out
+
+        meta = scan_dataset(str(data))
+        model = RecallTreeModel(meta.num_classes, meta.num_raw_features,
+                                Hyperparams.defaults(meta.num_classes, bits=14))
+        progressive_eval(stream_dataset(str(data)), model)
+        ledger = ledger_snapshot(model, read_examples(str(data)))
+        assert out.endswith(f"\n{ledger.to_text()}\n"
+                            f"epsilon_le_W={ledger.error_rate <= ledger.weighted_entropy}\n")
 
 
 class TestSynth:
@@ -397,7 +467,8 @@ class TestFlagDefaults:
     def test_defaults_match_the_stock_table(self):
         args = build_parser().parse_args(["train", "--data", "d", "--model", "m"])
         assert args.learning_rate == 1.0
-        assert args.depth_penalty == 1.0
+        # a depth penalty not given is Hyperparams' stock one
+        assert cli_module._params_from_args(args, 8).depth_penalty == 1.0
         assert args.bits == 24
         assert args.passes == 1
         assert args.seed == 42

@@ -204,9 +204,7 @@ class TestChiSquared:
 class TestEvalReport:
     def test_kv_text(self):
         report = EvalReport(examples_seen=10, progressive_accuracy=0.5,
-                            scored_classes_mean=3.0, router_evals_mean=1.5,
-                            ledger_summary=(0.4, 0.2, 0.9))
+                            scored_classes_mean=3.0, router_evals_mean=1.5)
         text = report.to_kv_text()
         assert "examples_seen=10" in text
         assert "progressive_accuracy=0.500000" in text
-        assert "ledger_W=0.400000" in text
