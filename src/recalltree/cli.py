@@ -212,7 +212,7 @@ def cmd_inspect(args) -> int:
         if model.examples_seen == 0:
             print("ledger=skipped (untrained model)")
             return EX_OK
-        ledger = ledger_snapshot(model, read_examples(args.data))
+        ledger = ledger_snapshot(model, stream_dataset(args.data))
         print(ledger.to_text())
         print(f"epsilon_le_W={ledger.error_rate <= ledger.weighted_entropy}")
     return EX_OK

@@ -20,11 +20,13 @@ ln(1/(1-eps)) >= eps; router training elsewhere uses bits.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .data import SparseExample
 from .errors import DomainError, UntrainedModelError
-from .tree import RecallTreeModel, TreeNode, check_label, plurality_label, ranked_classes
+from .tree import (RecallTreeModel, TreeNode, check_label, plurality_label, ranked_classes,
+                   read_blocks)
 
 
 def _entropy_nats(counts) -> float:
@@ -83,21 +85,25 @@ class EntropyLedger:
         return "\n".join(lines)
 
 
-def ledger_snapshot(model: RecallTreeModel, examples: list[SparseExample]) -> EntropyLedger:
+def ledger_snapshot(model: RecallTreeModel, examples: Iterable[SparseExample]) -> EntropyLedger:
     """Route every example through the frozen model (no learning), group by
-    halting node, and account entropy and plurality error per node.  A label
-    the model cannot have is a ``DomainError``, as in training."""
-    if not examples:
-        raise DomainError("ledger snapshot needs a non-empty dataset")
+    halting node, and account entropy and plurality error per node.  The
+    examples are read and routed one ``read_blocks`` block at a time, so a
+    stream is never held whole.  A label the model cannot have is a
+    ``DomainError``, as in training."""
     by_node: dict[int, dict[int, int]] = {}
     marginal: dict[int, int] = {}
-    for x, p in zip(examples, model.predict_batch(examples)):
-        check_label(x.label, model.num_classes)
-        counts = by_node.setdefault(p.node_id, {})
-        counts[x.label] = counts.get(x.label, 0) + 1
-        marginal[x.label] = marginal.get(x.label, 0) + 1
+    total = 0
+    for block in read_blocks(examples):
+        for x, p in zip(block, model.predict_batch(block)):
+            check_label(x.label, model.num_classes)
+            counts = by_node.setdefault(p.node_id, {})
+            counts[x.label] = counts.get(x.label, 0) + 1
+            marginal[x.label] = marginal.get(x.label, 0) + 1
+        total += len(block)
+    if not total:
+        raise DomainError("ledger snapshot needs a non-empty dataset")
 
-    total = len(examples)
     records = []
     weighted_entropy = 0.0
     error_rate = 0.0

@@ -36,9 +36,10 @@ _NEG_INF = float("-inf")
 # Entropy differences below this are treated as zero: no router update.
 MIN_ROUTER_IMPORTANCE = 1e-12
 
-# Rows per block of ``predict_batch`` and ``train``, of any lengths.  The
-# block bounds the transient (rows, k, n) candidate stacks; on a K=4096 tree
-# (2-vCPU Xeon) the time per example hardly changed from 64 to 1,000 rows.
+# Rows per block of ``predict_batch`` and ``train``, of any lengths, for
+# both models.  The block bounds the transient (rows, k, n) candidate stacks;
+# on a K=4096 tree (2-vCPU Xeon) the time per example hardly changed from 64
+# to 1,000 rows.
 BATCH_ROWS = 256
 
 # The model file stores the depth cap in 16 bits and F in 32.  A model
@@ -63,6 +64,25 @@ def check_raw_features(num_raw_features: int) -> None:
     # indices from the width up
     if not 0 <= num_raw_features <= 1 << 63:
         raise DomainError(f"num_raw_features must be in [0, 2^63], got {num_raw_features}")
+
+
+def read_blocks(examples):
+    """The examples in lists of ``BATCH_ROWS``, the last one shorter.  Examples
+    read before the iterable raises are yielded all the same, as a last
+    block, then the error is raised."""
+    examples = iter(examples)
+    while True:
+        block = []
+        try:
+            for x in examples:
+                block.append(x)
+                if len(block) == BATCH_ROWS:
+                    break
+        finally:
+            if block:
+                yield block
+        if len(block) < BATCH_ROWS:
+            return
 
 
 def ceil_log2(n: int) -> int:
@@ -425,22 +445,11 @@ class RecallTreeModel:
             yield x, prediction
 
     def _keyed(self, examples):
-        """Each example with its keys, read in blocks of ``BATCH_ROWS``: one
-        batched descent per block, on the weights at its start, hashes ahead
-        most router slots its steps use.  Examples read before the iterable
-        raises are yielded all the same, then the error is raised."""
-        examples = iter(examples)
-        while True:
-            block = []
-            try:
-                for x in examples:
-                    block.append(x)
-                    if len(block) == BATCH_ROWS:
-                        break
-            finally:
-                yield from zip(block, self._prefetch(block))
-            if len(block) < BATCH_ROWS:
-                return
+        """Each example with its keys, read by ``read_blocks``: one batched
+        descent per block, on the weights at its start, hashes ahead most
+        router slots its steps use."""
+        for block in read_blocks(examples):
+            yield from zip(block, self._prefetch(block))
 
     def _prefetch(self, block: list[SparseExample]) -> list[_ExampleKeys | None]:
         """Per example of a block, keys holding its mixed features and its

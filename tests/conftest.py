@@ -29,6 +29,26 @@ def quadrant_examples(n: int, seed: int, margin: float = 0.1, scale: float = 1.0
     return [SparseExample(int(labels[i]), idx, pts[i] * scale) for i in range(n)]
 
 
+def wide_examples(n: int, num_classes: int, seed: int, pool: int | None = None):
+    """Rows of 12 random indices from [0, 2^40), with random labels.  With
+    ``pool``, each row draws its indices from one set of ``pool`` such
+    indices, so that rows share them; without, rows hardly share one.
+    Every 50th row has no features, and every 50th, from the 25th, holds its
+    first index three times."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.integers(0, 1 << 40, size=pool) if pool else None
+    rows = []
+    for i in range(n):
+        indices = rng.choice(drawn, size=12) if pool else rng.integers(0, 1 << 40, size=12)
+        if i % 50 == 0:
+            indices = indices[:0]
+        elif i % 50 == 25:
+            indices[1:3] = indices[0]
+        rows.append(SparseExample(int(rng.integers(num_classes)), indices,
+                                  rng.uniform(-1, 1, size=indices.size)))
+    return rows
+
+
 def accuracy(model, examples) -> float:
     return sum(model.predict(x) == x.label for x in examples) / len(examples)
 

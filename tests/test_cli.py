@@ -335,6 +335,19 @@ class TestPredict:
         model = load_model(str(model_path))
         assert [int(v) for v in lines] == [model.predict(x) for x in read_examples(str(data))]
 
+    def test_a_flat_model_writes_the_labels_of_predict_full(self, workdir, capsys, tmp_path):
+        root, data = workdir
+        _, model_path = train_model(root, data, "pred-oaa.bin", extra=["--algo", "oaa"])
+        capsys.readouterr()
+        out_path = tmp_path / "preds.txt"
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--output", str(out_path)]) == EX_OK
+        model = load_model(str(model_path))
+        assert isinstance(model, OaaModel)
+        expected = [model.predict_full(x).label for x in read_examples(str(data))]
+        assert out_path.read_text() == "".join(f"{label}\n" for label in expected)
+        assert len(set(expected)) > 1
+
     def test_empty_input_gives_empty_output(self, workdir, tmp_path, capsys):
         root, data = workdir
         _, model_path = train_model(root, data, "empty.bin")

@@ -13,7 +13,13 @@ from recalltree.diagnostics import (
 )
 from recalltree.errors import DomainError, UntrainedModelError
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import Hyperparams, RecallTreeModel, plurality_label, update_candidates
+from recalltree.tree import (
+    BATCH_ROWS,
+    Hyperparams,
+    RecallTreeModel,
+    plurality_label,
+    update_candidates,
+)
 
 from conftest import slot_of
 
@@ -88,6 +94,35 @@ class TestLedgerSnapshot:
         model = depth1_pure_model()
         with pytest.raises(DomainError):
             ledger_snapshot(model, [])
+
+    def test_a_stream_is_read_one_block_at_a_time(self, monkeypatch):
+        """A generator gives the ledger of its list, routed one
+        ``BATCH_ROWS`` block at a time, with no more than one block read
+        ahead of the examples counted."""
+        model = depth1_pure_model()
+        data = two_blob_examples(300)
+        expected = ledger_snapshot(model, data)
+        read = 0
+
+        def stream():
+            nonlocal read
+            for x in data:
+                read += 1
+                yield x
+
+        blocks = []
+        predict_batch = model.predict_batch
+
+        def predicting(block):
+            blocks.append((len(block), read))
+            return predict_batch(block)
+
+        monkeypatch.setattr(model, "predict_batch", predicting)
+        assert ledger_snapshot(model, stream()) == expected
+        assert [size for size, _ in blocks] == [BATCH_ROWS, BATCH_ROWS, len(data) - 2 * BATCH_ROWS]
+        assert [at for _, at in blocks] == [BATCH_ROWS, 2 * BATCH_ROWS, len(data)]
+        with pytest.raises(DomainError, match="non-empty dataset"):
+            ledger_snapshot(model, iter([]))
 
     def test_label_the_model_cannot_have_is_rejected(self):
         # a label past K would otherwise become a node's plurality

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from recalltree import oaa
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
-from recalltree.oaa import OaaModel
+from recalltree.linear import slot_matrix
+from recalltree.model_io import load_model, save_model
+from recalltree.oaa import MAX_TABLE_ENTRIES, OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
-from recalltree.tree import MAX_CLASSES, Hyperparams, RecallTreeModel
+from recalltree.tree import BATCH_ROWS, MAX_CLASSES, Hyperparams, RecallTreeModel
 
-from conftest import accuracy, quadrant_examples, slot_of
+from conftest import accuracy, quadrant_examples, slot_of, wide_examples
 
 
 class TestTraining:
@@ -80,3 +85,138 @@ class TestDepthZeroEquivalence:
         oaa = OaaModel(6, bits=16).train(train)
         agree = sum(tree.predict(x) == oaa.predict(x) for x in held)
         assert agree == len(held)
+
+
+def _blocked_streams():
+    """(K, training rows, rows to predict) per kind of stream: dense rows;
+    rows of any length with duplicate indices and rows of no features; wide
+    rows at large K that share indices, whose blocks the table bound cuts;
+    and wide rows that share none, each hashed alone."""
+    spec = SynthSpec("voronoi", num_classes=16, dimensions=8, num_examples=1400,
+                     noise=0.05, seed=4)
+    dense = generate_examples(spec)
+    rng = np.random.default_rng(2)
+    ragged = []
+    for i, x in enumerate(dense):
+        n = int(rng.integers(0, x.indices.size + 1))
+        indices, values = x.indices[:n], x.values[:n]
+        if i % 7 == 0:
+            indices, values = np.tile(indices, 2), np.tile(values, 2)
+        ragged.append(SparseExample(x.label, indices, values))
+    wide = wide_examples(900, 2048, seed=6, pool=300)
+    lone = wide_examples(900, 2048, seed=7)
+    return {"dense": (16, dense[:800], dense[800:]),
+            "ragged": (16, ragged[:800], ragged[800:]),
+            "wide": (2048, wide[:300], wide[300:]),
+            "lone": (2048, lone[:300], lone[300:])}
+
+
+class TestBlocks:
+    """``train``, ``predict_then_train`` and ``predict_batch`` read blocks
+    and hash each block's distinct (class, index) pairs once; the weights,
+    AdaGrad state and predictions stay those of one example at a time."""
+
+    @pytest.fixture(scope="class")
+    def streams(self):
+        return _blocked_streams()
+
+    @pytest.mark.parametrize("kind", ["dense", "ragged", "wide", "lone"])
+    @pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_predict_batch_is_predict_full_bit_for_bit(self, streams, kind, adaptive_lr,
+                                                       loaded, monkeypatch, tmp_path):
+        k, train, rows = streams[kind]
+        model = OaaModel(k, bits=14, adaptive_lr=adaptive_lr).train(train)
+        if loaded:
+            save_model(model, str(tmp_path / "oaa.bin"))
+            model = load_model(str(tmp_path / "oaa.bin"))
+        scores = []
+        prediction = OaaModel._prediction
+
+        def scoring(self, margins):
+            scores.append(margins.tobytes())
+            return prediction(self, margins)
+
+        monkeypatch.setattr(OaaModel, "_prediction", scoring)
+        expected = [model.predict_full(x) for x in rows]
+        each = scores[:]
+        scores.clear()
+        assert len(rows) > 2 * BATCH_ROWS
+        assert model.predict_batch(rows) == expected
+        assert scores == each
+
+    @pytest.mark.parametrize("kind", ["wide", "lone"])
+    def test_runs_cover_the_stream_within_the_bound(self, streams, kind, monkeypatch):
+        """Each run hashes the distinct indices of its rows, K x U within
+        the bound, or is one row and hashes that row's own indices; the
+        runs cover the stream in order.  Rows that share indices are cut
+        into runs by the bound; rows that share none run alone."""
+        k, train, _ = streams[kind]
+        runs = []
+        tables = OaaModel._tables
+
+        def recording(self, examples):
+            for rows, columns, table in tables(self, examples):
+                runs.append((rows, columns, table))
+                yield rows, columns, table
+
+        monkeypatch.setattr(OaaModel, "_tables", recording)
+        model = OaaModel(k, bits=14).train(train)
+
+        assert [x for rows, _, _ in runs for x in rows] == train
+        for rows, columns, table in runs:
+            if len(rows) > 1:
+                distinct = np.unique(np.concatenate([x.indices for x in rows]))
+                assert np.array_equal(columns, distinct)
+                assert table.size <= MAX_TABLE_ENTRIES
+            else:
+                assert np.array_equal(table, model._slots(rows[0]))
+        alone = sum(len(rows) == 1 for rows, _, _ in runs)
+        if kind == "wide":
+            assert len(runs) > 10 * (len(train) // BATCH_ROWS + 1) > alone
+        else:
+            # a row of no features joins the run before it, if any
+            assert all(sum(x.indices.size > 0 for x in rows) <= 1 for rows, _, _ in runs)
+            assert len(runs) > len(train) * 0.9
+
+    @pytest.mark.parametrize("run", ["train", "predict_batch"])
+    def test_a_blocks_transient_memory_stays_within_the_table_bound(self, run, monkeypatch):
+        """Traced peak of the blocked call above the per-example loop's: at
+        most two tables (the last run's, which a caller may still hold, and
+        the next) of ``MAX_TABLE_ENTRIES`` entries at 12 bytes each (int64
+        slot, float32 weight), plus up to 16 int64 per element of the block
+        for its index bookkeeping.  Without the bound the table of 256 wide
+        rows that share indices would take far more."""
+        k = 1024
+        rows = wide_examples(2 * BATCH_ROWS, k, seed=8, pool=600)
+        model = OaaModel(k, bits=14).train(rows[:50])
+
+        def peak(call) -> int:
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        if run == "train":
+            def blocked():
+                OaaModel(k, bits=14).train(rows)
+
+            def alone():
+                one = OaaModel(k, bits=14)
+                for x in rows:
+                    one.train_example(x)
+        else:
+            def blocked():
+                model.predict_batch(rows)
+
+            def alone():
+                [model.predict_full(x) for x in rows]
+
+        elements = sum(x.indices.size for x in rows[:BATCH_ROWS])
+        allowance = 2 * 12 * MAX_TABLE_ENTRIES + 16 * 8 * elements
+        # the store's weights are allocated alike in both, so they cancel
+        assert peak(blocked) - peak(alone) <= allowance
+        monkeypatch.setattr(oaa, "MAX_TABLE_ENTRIES", 1 << 24)
+        assert peak(blocked) - peak(alone) > 4 * allowance

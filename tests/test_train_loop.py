@@ -49,6 +49,8 @@ from recalltree.tree import (
     update_candidates,
 )
 
+from conftest import wide_examples
+
 CONFIGS = {
     "defaults": {},
     "adaptive_lr": {"adaptive_lr": True},
@@ -393,20 +395,34 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
     assert router_rows + len(examples) < routed + levels
 
 
-def test_oaa_step_hashes_once(monkeypatch):
-    spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=200,
+@pytest.mark.parametrize("run", ["train", "predict_then_train"])
+def test_oaa_hashes_each_class_and_index_once_per_block(monkeypatch, run):
+    """On a ragged stream whose blocks the table bound leaves whole, one
+    ``slot_matrix`` call per block, for all K classes and the block's
+    distinct indices, none of them twice."""
+    spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=700,
                      noise=0.05, seed=5)
+    examples = ragged(generate_examples(spec))
     model = OaaModel(K, bits=14)
     calls = []
 
-    def hashing(*args):
-        calls.append(1)
-        return slot_matrix(*args)
+    def hashing(salts, mixed, bits):
+        calls.append((salts, mixed))
+        return slot_matrix(salts, mixed, bits)
 
     monkeypatch.setattr(oaa, "slot_matrix", hashing)
-    for _ in model.predict_then_train(generate_examples(spec)):
-        assert len(calls) == 1
-        calls.clear()
+    if run == "train":
+        model.train(examples)
+    else:
+        assert len(list(model.predict_then_train(examples))) == len(examples)
+
+    blocks = [examples[i:i + BATCH_ROWS] for i in range(0, len(examples), BATCH_ROWS)]
+    assert model.examples_seen == len(examples)
+    assert len(calls) == len(blocks) == 3
+    for (salts, mixed), block in zip(calls, blocks):
+        assert np.array_equal(salts, key_salt(ROLE_CLASS, np.arange(K)))
+        distinct = np.unique(np.concatenate([x.indices for x in block]))
+        assert np.array_equal(np.sort(mixed), np.sort(mix64_array(distinct)))
 
 
 @pytest.mark.parametrize("config", ["defaults", "adaptive_lr", "no_path_features"])
@@ -549,3 +565,80 @@ def test_train_hashes_most_router_levels_ahead(monkeypatch):
     levels = counts["visit"] - spec.num_examples
     assert levels > 2 * spec.num_examples
     assert counts["hash"] < levels / 2
+
+
+# -- the flat model's blocks ---------------------------------------------------
+
+WIDE_K = 2048
+
+
+@pytest.fixture(scope="module", params=["dense", "ragged", "wide", "lone"])
+def flat_stream(request):
+    """(K, examples) for the flat model: a dense stream; the same made
+    ragged, with rows of no features and rows of duplicate indices; wide
+    rows at K=2048 that share indices from a pool of 300, whose blocks the
+    table bound cuts into runs of a few rows; or wide rows that share none,
+    each a run of its own."""
+    if request.param in ("wide", "lone"):
+        pool = 300 if request.param == "wide" else None
+        return WIDE_K, wide_examples(700, WIDE_K, seed=3, pool=pool)
+    spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=1200,
+                     noise=0.05, seed=11)
+    examples = generate_examples(spec)
+    return K, examples if request.param == "dense" else ragged(examples)
+
+
+@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+def test_oaa_blocked_training_equals_the_per_example_loop(flat_stream, adaptive_lr, tmp_path):
+    k, examples = flat_stream
+    assert len(examples) > 2 * BATCH_ROWS
+    blocked = OaaModel(k, bits=14, adaptive_lr=adaptive_lr).train(x for x in examples)
+    reference = per_example_loop(OaaModel(k, bits=14, adaptive_lr=adaptive_lr), examples)
+
+    assert blocked.examples_seen == len(examples)
+    assert_same_model(blocked, reference, tmp_path)
+
+
+@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+def test_oaa_blocked_steps_equal_predict_full_then_train_example(flat_stream, adaptive_lr,
+                                                                 tmp_path):
+    k, examples = flat_stream
+    step = OaaModel(k, bits=14, adaptive_lr=adaptive_lr)
+    recording = Recording(step)
+    report = progressive_eval(iter(examples), recording)
+    reference = OaaModel(k, bits=14, adaptive_lr=adaptive_lr)
+    expected = reference_progressive(reference, examples)
+
+    assert recording.predictions == expected
+    assert report == reference_report(examples, expected)
+    assert_same_model(step, reference, tmp_path)
+
+
+@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+def test_a_loaded_oaa_model_trains_on_as_the_per_example_loop(flat_stream, adaptive_lr,
+                                                              tmp_path):
+    k, examples = flat_stream
+    path = tmp_path / "first.bin"
+    save_model(OaaModel(k, bits=14, adaptive_lr=adaptive_lr).train(examples[:300]), str(path))
+    blocked = load_model(str(path)).train(iter(examples[300:]))
+    reference = per_example_loop(load_model(str(path)), examples[300:])
+
+    assert blocked.examples_seen == len(examples)
+    assert_same_model(blocked, reference, tmp_path)
+
+
+def test_oaa_examples_read_before_the_stream_fails_are_trained(flat_stream, tmp_path):
+    k, examples = flat_stream
+    read = BATCH_ROWS + 100
+
+    def failing():
+        yield from examples[:read]
+        raise ParseError("bad token", line=read + 1, column=3)
+
+    blocked = OaaModel(k, bits=14)
+    with pytest.raises(ParseError):
+        blocked.train(failing())
+    reference = per_example_loop(OaaModel(k, bits=14), examples[:read])
+
+    assert blocked.examples_seen == read
+    assert_same_model(blocked, reference, tmp_path)
