@@ -3,11 +3,9 @@ learner as the tree, for statistical and computational comparison.  Every
 prediction scores all K classes; every training example updates all K
 scorers (one positive, K-1 negative).
 
-``train``, ``predict_then_train`` and ``predict_batch`` read the examples
-in blocks and hash each distinct (class, index) pair of a block once, into
-a ``(K, U)`` table over the block's U distinct indices; each row takes its
-``(K, n)`` slots from the table.  A block is cut into runs where its table
-would pass ``MAX_TABLE_ENTRIES``, down to a single row.
+``train``, ``predict_then_train`` and ``predict_batch`` hash a row's
+``(K, n)`` slots only when its indices differ from the previous row's; rows
+of a dense stream, which all share one index set, are hashed once.
 """
 
 from __future__ import annotations
@@ -19,22 +17,22 @@ from .errors import UntrainedModelError
 from .linear import ROLE_CLASS, WeightStore, key_salt, mix64_array, slot_matrix
 from .tree import Prediction, check_label, check_num_classes, read_blocks
 
-# Entries of a run's (K, U) table: 512 KiB of int64 slots, and for a frozen
-# model 256 KiB of the float32 weights at them, which stay in a core's L2
-# cache.  A table of 2^18 made rows that share no index 22% slower to train
-# at K=1024 (2-vCPU Xeon); 2^16 still holds 16 indices at K=4096.
-MAX_TABLE_ENTRIES = 1 << 16
 
-
-def _columns(table: np.ndarray, columns: np.ndarray, x: SparseExample) -> np.ndarray:
-    """The columns of a run's ``(K, U)`` table at ``x``'s indices, in their
-    order, as a C-ordered ``(K, n)`` array: the table itself when ``x``'s
-    indices are its columns, as for a run of one row or the rows of a dense
-    stream.  Otherwise the columns are ascending and hold every index of
-    ``x``, so ``clip`` only skips the bounds check."""
-    if x.indices is columns or np.array_equal(x.indices, columns):
-        return table
-    return table.take(np.searchsorted(columns, x.indices), axis=1, mode="clip")
+def _reusing(examples, build):
+    """Each example with ``build(x)``, read by ``read_blocks`` as the tree
+    reads a stream.  An example whose indices equal the previous one's takes
+    the previous ``build`` again: a row's slots, and so the weights at them,
+    depend on nothing but its indices."""
+    last = built = None
+    for block in read_blocks(examples):
+        for x in block:
+            # indices are int64, so equal bytes are equal indices; comparing
+            # with np.array_equal made rows that share no index 4% slower to
+            # train at K=1024 (2-vCPU Xeon)
+            indices = x.indices.tobytes()
+            if indices != last:
+                last, built = indices, build(x)
+            yield x, built
 
 
 class OaaModel:
@@ -65,64 +63,6 @@ class OaaModel:
     def _slots(self, x: SparseExample) -> np.ndarray:
         return slot_matrix(self._class_salts, mix64_array(x.indices), self.class_store.bits)
 
-    def _tables(self, examples):
-        """The examples, read by ``read_blocks``, in runs that each yield
-        ``(rows, columns, table)``: the rows, the indices of the table's
-        columns and the ``(K, U)`` slots of those, with ``_columns(table,
-        columns, x)`` equal to ``_slots(x)``.
-
-        A run ends before the row that would take U past ``MAX_TABLE_ENTRIES
-        / K``, and before a row whose indices are mostly in no other row of
-        its block, which in a run would save little hashing and cost a
-        gather of every column.  The columns of a run of many rows are their
-        distinct indices in ascending order; those of a run of one row are
-        its own indices, so that its table is its slots."""
-        most = max(1, MAX_TABLE_ENTRIES // self.num_classes)
-        for block in read_blocks(examples):
-            indices = np.concatenate([x.indices for x in block])
-            sizes = np.array([x.indices.size for x in block])
-            ends = np.cumsum(sizes)
-            # per element, its row and the previous and next elements of its
-            # index in the block: -1 for none, an element of the last row,
-            # and 0 for none, an element of the first
-            rows = np.repeat(np.arange(len(block)), sizes)
-            order = np.argsort(indices, kind="stable")
-            repeats = np.flatnonzero(indices[order[1:]] == indices[order[:-1]])
-            previous = np.full(indices.size, -1)
-            previous[order[repeats + 1]] = order[repeats]
-            following = np.zeros(indices.size, dtype=np.int64)
-            following[order[repeats]] = order[repeats + 1]
-            elsewhere = (rows[previous] < rows) | (rows[following] > rows)
-            heads = np.flatnonzero(2 * np.bincount(rows, elsewhere, minlength=len(block)) < sizes)
-            row = 0
-            for head in [*heads.tolist(), len(block)]:
-                while row < head:
-                    start, take = int(ends[row] - sizes[row]), 1
-                    if head - row > 1:
-                        # the elements whose index is new to a run that
-                        # starts here, and their count up to each row's end
-                        new = previous[start:ends[head - 1]] < start
-                        held = np.concatenate(([0], np.cumsum(new)))[ends[row:head] - start]
-                        take = max(1, int(np.searchsorted(held, most, side="right")))
-                    if take == 1:
-                        columns = block[row].indices
-                    else:
-                        stop = int(ends[row + take - 1])
-                        columns = np.sort(indices[start:stop][new[:stop - start]])
-                    yield (block[row:row + take], columns,
-                           slot_matrix(self._class_salts, mix64_array(columns), self.bits))
-                    row += take
-
-    def _steps(self, examples, step):
-        """``step(x, slots)`` on each example in order, with its ``(K, n)``
-        slots from its run's table; yields what each step returns."""
-        for rows, columns, table in self._tables(examples):
-            for x in rows:
-                yield step(x, _columns(table, columns, x))
-            # let go of the table before the next one is hashed: holding two
-            # made rows that share no index 4% slower to train at K=1024
-            del table
-
     def train_example(self, x: SparseExample, _slots: np.ndarray | None = None) -> None:
         y = x.label
         check_label(y, self.num_classes)
@@ -135,8 +75,8 @@ class OaaModel:
 
     def train(self, examples) -> "OaaModel":
         """``train_example`` on each example in order, bit for bit."""
-        for _ in self._steps(examples, self.train_example):
-            pass
+        for x, slots in _reusing(examples, self._slots):
+            self.train_example(x, slots)
         return self
 
     def predict_then_train(self, examples):
@@ -144,12 +84,10 @@ class OaaModel:
         bit, on one set of ``(K, n)`` slots.  Yields ``(x, prediction)``: the
         prediction made before the update, or None while the model has seen
         no example."""
-        def step(x, slots):
+        for x, slots in _reusing(examples, self._slots):
             prediction = self.predict_full(x, slots) if self.examples_seen else None
             self.train_example(x, slots)
-            return x, prediction
-
-        return self._steps(examples, step)
+            yield x, prediction
 
     def predict_full(self, x: SparseExample, _slots: np.ndarray | None = None) -> Prediction:
         if self.examples_seen == 0:
@@ -165,20 +103,14 @@ class OaaModel:
         return self.predict_full(x).label
 
     def predict_batch(self, examples: list[SparseExample]) -> list[Prediction]:
-        """``[self.predict_full(x) for x in examples]``, bit for bit.  The
-        weights at each run's table are gathered once, and every row's
-        margins are the same product of the same float32 weights as in
-        ``predict_full``."""
+        """``[self.predict_full(x) for x in examples]``, bit for bit: a row
+        whose indices equal the previous row's is scored on the float64
+        weights gathered for that row, the same product as in
+        ``batch_margins``."""
         if not examples:
             return []
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        preds = []
-        for rows, columns, table in self._tables(examples):
-            weights = self.class_store.weights[table]
-            for x in rows:
-                # batch_margins' product, on the same float32 weights
-                scores = _columns(weights, columns, x).astype(np.float64) @ x.values
-                preds.append(self._prediction(scores))
-            del table, weights  # as in _steps
-        return preds
+        weights = self.class_store.weights
+        return [self._prediction(gathered @ x.values) for x, gathered in
+                _reusing(examples, lambda x: weights[self._slots(x)].astype(np.float64))]

@@ -29,23 +29,28 @@ def quadrant_examples(n: int, seed: int, margin: float = 0.1, scale: float = 1.0
     return [SparseExample(int(labels[i]), idx, pts[i] * scale) for i in range(n)]
 
 
-def wide_examples(n: int, num_classes: int, seed: int, pool: int | None = None):
-    """Rows of 12 random indices from [0, 2^40), with random labels.  With
-    ``pool``, each row draws its indices from one set of ``pool`` such
-    indices, so that rows share them; without, rows hardly share one.
-    Every 50th row has no features, and every 50th, from the 25th, holds its
-    first index three times."""
+def run_examples(n: int, num_classes: int, seed: int, longest: int = 120):
+    """Rows in runs that share one set of 12 random indices from [0, 2^40):
+    each row holds the run's array or a copy of it, with random values and
+    labels.  Runs of up to 3 rows alternate with runs of up to ``longest``;
+    every fifth run holds its first index three times, and every fifth from
+    the fifth has no features.  With ``longest=1`` rows hardly share an
+    index."""
     rng = np.random.default_rng(seed)
-    drawn = rng.integers(0, 1 << 40, size=pool) if pool else None
     rows = []
-    for i in range(n):
-        indices = rng.choice(drawn, size=12) if pool else rng.integers(0, 1 << 40, size=12)
-        if i % 50 == 0:
-            indices = indices[:0]
-        elif i % 50 == 25:
+    run = 0
+    while len(rows) < n:
+        indices = rng.integers(0, 1 << 40, size=12)
+        if run % 5 == 2:
             indices[1:3] = indices[0]
-        rows.append(SparseExample(int(rng.integers(num_classes)), indices,
-                                  rng.uniform(-1, 1, size=indices.size)))
+        elif run % 5 == 4:
+            indices = indices[:0]
+        length = int(rng.integers(1, min(3, longest) + 1 if run % 2 else longest + 1))
+        for _ in range(min(length, n - len(rows))):
+            rows.append(SparseExample(int(rng.integers(num_classes)),
+                                      indices.copy() if rng.random() < 0.5 else indices,
+                                      rng.uniform(-1, 1, size=indices.size)))
+        run += 1
     return rows
 
 

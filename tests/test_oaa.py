@@ -3,16 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from recalltree import oaa
 from recalltree.data import SparseExample
 from recalltree.errors import DomainError, UntrainedModelError
-from recalltree.linear import slot_matrix
 from recalltree.model_io import load_model, save_model
-from recalltree.oaa import MAX_TABLE_ENTRIES, OaaModel
+from recalltree.oaa import OaaModel
 from recalltree.synth import SynthSpec, generate_examples, raw_feature_width
 from recalltree.tree import BATCH_ROWS, MAX_CLASSES, Hyperparams, RecallTreeModel
 
-from conftest import accuracy, quadrant_examples, slot_of, wide_examples
+from conftest import accuracy, quadrant_examples, run_examples, slot_of
 
 
 class TestTraining:
@@ -87,11 +85,11 @@ class TestDepthZeroEquivalence:
         assert agree == len(held)
 
 
-def _blocked_streams():
-    """(K, training rows, rows to predict) per kind of stream: dense rows;
-    rows of any length with duplicate indices and rows of no features; wide
-    rows at large K that share indices, whose blocks the table bound cuts;
-    and wide rows that share none, each hashed alone."""
+def _streams():
+    """(K, training rows, rows to predict) per kind of stream: dense rows,
+    which share one index set; rows of any length with duplicate indices and
+    rows of no features; rows in runs that share 12 wide indices at large K,
+    across block ends; and wide rows that share none."""
     spec = SynthSpec("voronoi", num_classes=16, dimensions=8, num_examples=1400,
                      noise=0.05, seed=4)
     dense = generate_examples(spec)
@@ -103,24 +101,24 @@ def _blocked_streams():
         if i % 7 == 0:
             indices, values = np.tile(indices, 2), np.tile(values, 2)
         ragged.append(SparseExample(x.label, indices, values))
-    wide = wide_examples(900, 2048, seed=6, pool=300)
-    lone = wide_examples(900, 2048, seed=7)
+    runs = run_examples(900, 2048, seed=6)
+    lone = run_examples(900, 2048, seed=7, longest=1)
     return {"dense": (16, dense[:800], dense[800:]),
             "ragged": (16, ragged[:800], ragged[800:]),
-            "wide": (2048, wide[:300], wide[300:]),
+            "runs": (2048, runs[:300], runs[300:]),
             "lone": (2048, lone[:300], lone[300:])}
 
 
-class TestBlocks:
-    """``train``, ``predict_then_train`` and ``predict_batch`` read blocks
-    and hash each block's distinct (class, index) pairs once; the weights,
+class TestReuse:
+    """``train``, ``predict_then_train`` and ``predict_batch`` hash a row's
+    slots only when its indices differ from the previous row's; the weights,
     AdaGrad state and predictions stay those of one example at a time."""
 
     @pytest.fixture(scope="class")
     def streams(self):
-        return _blocked_streams()
+        return _streams()
 
-    @pytest.mark.parametrize("kind", ["dense", "ragged", "wide", "lone"])
+    @pytest.mark.parametrize("kind", ["dense", "ragged", "runs", "lone"])
     @pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
     def test_predict_batch_is_predict_full_bit_for_bit(self, streams, kind, adaptive_lr,
@@ -145,50 +143,15 @@ class TestBlocks:
         assert model.predict_batch(rows) == expected
         assert scores == each
 
-    @pytest.mark.parametrize("kind", ["wide", "lone"])
-    def test_runs_cover_the_stream_within_the_bound(self, streams, kind, monkeypatch):
-        """Each run hashes the distinct indices of its rows, K x U within
-        the bound, or is one row and hashes that row's own indices; the
-        runs cover the stream in order.  Rows that share indices are cut
-        into runs by the bound; rows that share none run alone."""
-        k, train, _ = streams[kind]
-        runs = []
-        tables = OaaModel._tables
-
-        def recording(self, examples):
-            for rows, columns, table in tables(self, examples):
-                runs.append((rows, columns, table))
-                yield rows, columns, table
-
-        monkeypatch.setattr(OaaModel, "_tables", recording)
-        model = OaaModel(k, bits=14).train(train)
-
-        assert [x for rows, _, _ in runs for x in rows] == train
-        for rows, columns, table in runs:
-            if len(rows) > 1:
-                distinct = np.unique(np.concatenate([x.indices for x in rows]))
-                assert np.array_equal(columns, distinct)
-                assert table.size <= MAX_TABLE_ENTRIES
-            else:
-                assert np.array_equal(table, model._slots(rows[0]))
-        alone = sum(len(rows) == 1 for rows, _, _ in runs)
-        if kind == "wide":
-            assert len(runs) > 10 * (len(train) // BATCH_ROWS + 1) > alone
-        else:
-            # a row of no features joins the run before it, if any
-            assert all(sum(x.indices.size > 0 for x in rows) <= 1 for rows, _, _ in runs)
-            assert len(runs) > len(train) * 0.9
-
     @pytest.mark.parametrize("run", ["train", "predict_batch"])
-    def test_a_blocks_transient_memory_stays_within_the_table_bound(self, run, monkeypatch):
-        """Traced peak of the blocked call above the per-example loop's: at
-        most two tables (the last run's, which a caller may still hold, and
-        the next) of ``MAX_TABLE_ENTRIES`` entries at 12 bytes each (int64
-        slot, float32 weight), plus up to 16 int64 per element of the block
-        for its index bookkeeping.  Without the bound the table of 256 wide
-        rows that share indices would take far more."""
+    def test_transient_memory_is_one_rows_slots_and_weights(self, run):
+        """Traced peak of the reusing call above the per-example loop's: at
+        most the previous row's slots or float64 weights, a ``(K, n)`` array
+        of 8-byte entries, plus a block's list.  No table grows with the
+        block's distinct indices: 256 rows that share none would need
+        ``K * 12 * 256`` of them."""
         k = 1024
-        rows = wide_examples(2 * BATCH_ROWS, k, seed=8, pool=600)
+        rows = run_examples(2 * BATCH_ROWS, k, seed=8, longest=1)
         model = OaaModel(k, bits=14).train(rows[:50])
 
         def peak(call) -> int:
@@ -200,7 +163,7 @@ class TestBlocks:
                 tracemalloc.stop()
 
         if run == "train":
-            def blocked():
+            def reusing():
                 OaaModel(k, bits=14).train(rows)
 
             def alone():
@@ -208,15 +171,12 @@ class TestBlocks:
                 for x in rows:
                     one.train_example(x)
         else:
-            def blocked():
+            def reusing():
                 model.predict_batch(rows)
 
             def alone():
                 [model.predict_full(x) for x in rows]
 
-        elements = sum(x.indices.size for x in rows[:BATCH_ROWS])
-        allowance = 2 * 12 * MAX_TABLE_ENTRIES + 16 * 8 * elements
+        widest = max(x.indices.size for x in rows)
         # the store's weights are allocated alike in both, so they cancel
-        assert peak(blocked) - peak(alone) <= allowance
-        monkeypatch.setattr(oaa, "MAX_TABLE_ENTRIES", 1 << 24)
-        assert peak(blocked) - peak(alone) > 4 * allowance
+        assert peak(reusing) - peak(alone) <= 8 * k * widest + 16 * 1024

@@ -49,7 +49,7 @@ from recalltree.tree import (
     update_candidates,
 )
 
-from conftest import wide_examples
+from conftest import run_examples
 
 CONFIGS = {
     "defaults": {},
@@ -59,6 +59,8 @@ CONFIGS = {
 }
 STRUCTURES = ("hierarchical-clusters", "voronoi", "zipf-tail")
 K = 64
+# classes of the flat model's streams of wide indices
+WIDE_K = 2048
 
 
 def reference_train_example(model: RecallTreeModel, x: SparseExample) -> None:
@@ -395,15 +397,21 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
     assert router_rows + len(examples) < routed + levels
 
 
-@pytest.mark.parametrize("run", ["train", "predict_then_train"])
-def test_oaa_hashes_each_class_and_index_once_per_block(monkeypatch, run):
-    """On a ragged stream whose blocks the table bound leaves whole, one
-    ``slot_matrix`` call per block, for all K classes and the block's
-    distinct indices, none of them twice."""
-    spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=700,
-                     noise=0.05, seed=5)
-    examples = ragged(generate_examples(spec))
-    model = OaaModel(K, bits=14)
+@pytest.mark.parametrize("stream", ["ragged", "runs"])
+@pytest.mark.parametrize("run", ["train", "predict_then_train", "predict_batch"])
+def test_oaa_hashes_a_row_only_when_its_indices_change(monkeypatch, run, stream):
+    """One ``slot_matrix`` call, for all K classes and the row's own
+    indices, per row whose indices differ from the previous row's, also
+    across block ends; none for a row that repeats them."""
+    if stream == "ragged":
+        spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=700,
+                         noise=0.05, seed=5)
+        k, examples = K, ragged(generate_examples(spec))
+    else:
+        k, examples = WIDE_K, run_examples(700, WIDE_K, seed=3)
+    model = OaaModel(k, bits=14)
+    if run == "predict_batch":
+        model.train(examples[:5])
     calls = []
 
     def hashing(salts, mixed, bits):
@@ -413,16 +421,19 @@ def test_oaa_hashes_each_class_and_index_once_per_block(monkeypatch, run):
     monkeypatch.setattr(oaa, "slot_matrix", hashing)
     if run == "train":
         model.train(examples)
-    else:
+    elif run == "predict_then_train":
         assert len(list(model.predict_then_train(examples))) == len(examples)
+    else:
+        assert len(model.predict_batch(examples)) == len(examples)
 
-    blocks = [examples[i:i + BATCH_ROWS] for i in range(0, len(examples), BATCH_ROWS)]
-    assert model.examples_seen == len(examples)
-    assert len(calls) == len(blocks) == 3
-    for (salts, mixed), block in zip(calls, blocks):
-        assert np.array_equal(salts, key_salt(ROLE_CLASS, np.arange(K)))
-        distinct = np.unique(np.concatenate([x.indices for x in block]))
-        assert np.array_equal(np.sort(mixed), np.sort(mix64_array(distinct)))
+    changed = [x for i, x in enumerate(examples)
+               if i == 0 or not np.array_equal(x.indices, examples[i - 1].indices)]
+    assert BATCH_ROWS < len(changed) < len(examples) if stream == "ragged" else \
+        10 < len(changed) < len(examples) / 10
+    assert len(calls) == len(changed)
+    for (salts, mixed), x in zip(calls, changed):
+        assert np.array_equal(salts, key_salt(ROLE_CLASS, np.arange(k)))
+        assert np.array_equal(mixed, mix64_array(x.indices))
 
 
 @pytest.mark.parametrize("config", ["defaults", "adaptive_lr", "no_path_features"])
@@ -567,21 +578,18 @@ def test_train_hashes_most_router_levels_ahead(monkeypatch):
     assert counts["hash"] < levels / 2
 
 
-# -- the flat model's blocks ---------------------------------------------------
-
-WIDE_K = 2048
+# -- the flat model's reused slots --------------------------------------------
 
 
-@pytest.fixture(scope="module", params=["dense", "ragged", "wide", "lone"])
+@pytest.fixture(scope="module", params=["dense", "ragged", "runs", "lone"])
 def flat_stream(request):
-    """(K, examples) for the flat model: a dense stream; the same made
-    ragged, with rows of no features and rows of duplicate indices; wide
-    rows at K=2048 that share indices from a pool of 300, whose blocks the
-    table bound cuts into runs of a few rows; or wide rows that share none,
-    each a run of its own."""
-    if request.param in ("wide", "lone"):
-        pool = 300 if request.param == "wide" else None
-        return WIDE_K, wide_examples(700, WIDE_K, seed=3, pool=pool)
+    """(K, examples) for the flat model: a dense stream, whose rows share
+    one index set; the same made ragged, with rows of no features and rows
+    of duplicate indices; rows at K=2048 in runs that share 12 wide indices,
+    some across block ends; or wide rows that share none."""
+    if request.param in ("runs", "lone"):
+        longest = 120 if request.param == "runs" else 1
+        return WIDE_K, run_examples(700, WIDE_K, seed=3, longest=longest)
     spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=1200,
                      noise=0.05, seed=11)
     examples = generate_examples(spec)
@@ -589,7 +597,7 @@ def flat_stream(request):
 
 
 @pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
-def test_oaa_blocked_training_equals_the_per_example_loop(flat_stream, adaptive_lr, tmp_path):
+def test_oaa_train_equals_the_per_example_loop(flat_stream, adaptive_lr, tmp_path):
     k, examples = flat_stream
     assert len(examples) > 2 * BATCH_ROWS
     blocked = OaaModel(k, bits=14, adaptive_lr=adaptive_lr).train(x for x in examples)
@@ -600,8 +608,7 @@ def test_oaa_blocked_training_equals_the_per_example_loop(flat_stream, adaptive_
 
 
 @pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
-def test_oaa_blocked_steps_equal_predict_full_then_train_example(flat_stream, adaptive_lr,
-                                                                 tmp_path):
+def test_oaa_steps_equal_predict_full_then_train_example(flat_stream, adaptive_lr, tmp_path):
     k, examples = flat_stream
     step = OaaModel(k, bits=14, adaptive_lr=adaptive_lr)
     recording = Recording(step)
