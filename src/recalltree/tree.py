@@ -267,11 +267,12 @@ class _ExampleKeys:
     ``mixed`` and ``values`` hold the example's mixed indices and values,
     raw ones first, with room for one path feature per level below the
     root.  ``routers`` maps a node id to the example's router slots at that
-    node.  A node's features are the raw ones plus the path features of the
-    nodes on the way to it, so the slots are a function of (example, node
-    id) alone, and a slot hashed ahead on a route training leaves goes
-    unused.  Margins are never shared: the update changes the weights the
-    prediction read.
+    node: hashed ahead by ``_prefetch``, or taken by ``_router_slots`` from
+    the model's memo or hashed there.  A node's features are the raw ones
+    plus the path features of the nodes on the way to it, so the slots are
+    a function of (example, node id) alone, and a slot hashed ahead on a
+    route training leaves goes unused.  Margins are never shared: the
+    update changes the weights the prediction read.
     """
 
     mixed: np.ndarray
@@ -298,6 +299,12 @@ class RecallTreeModel:
         self._path_mixed: list[np.uint64] = []
         self._node_keys()
         self._class_salts = key_salt(ROLE_CLASS, np.arange(num_classes))
+        # per node id, the last router row and candidate table hashed there,
+        # keyed by the mixed feature bytes (and sorted candidate ids) they
+        # were hashed from; slots depend on nothing else, so an entry never
+        # goes stale, and none is saved
+        self._router_memo: dict[int, tuple[bytes, np.ndarray]] = {}
+        self._candidate_memo: dict[int, tuple[bytes, list[int], np.ndarray, np.ndarray]] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -353,20 +360,36 @@ class RecallTreeModel:
 
     def _router_slots(self, keys: _ExampleKeys, node_id: int, n: int) -> np.ndarray:
         """The example's slots under a node's router; ``n`` is the width of
-        its features at that node."""
+        its features at that node.  A row not hashed ahead is the node's
+        memo row when the features equal those it was hashed from."""
         slots = keys.routers.get(node_id)
         if slots is None:
-            slots = keys.routers[node_id] = slot_matrix(
-                self._router_salts[node_id], keys.mixed[:n], self.params.bits)
+            features = keys.mixed[:n].tobytes()
+            last = self._router_memo.get(node_id)
+            if last is None or last[0] != features:
+                last = self._router_memo[node_id] = (features, slot_matrix(
+                    self._router_salts[node_id], keys.mixed[:n], self.params.bits))
+            slots = keys.routers[node_id] = last[1]
         return slots
 
     def _candidate_slots(self, node: TreeNode, mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The node's candidate ids in ascending order, so that the first
         maximum of their margins breaks ties to the smaller class id, and
         the ``(k, n)`` slots of one example's ``mixed`` features under their
-        scorers, or ``(rows, k, n)`` for a ``(rows, 1, n)`` stack."""
-        ids = np.array(sorted(node.candidates), dtype=np.int64)
-        return ids, slot_matrix(self._class_salts[ids], mixed, self.params.bits)
+        scorers, or ``(rows, k, n)`` for a ``(rows, 1, n)`` stack.  One
+        example's table is the node's memo table when the features and the
+        candidate set equal those it was hashed from."""
+        cands = sorted(node.candidates)
+        if mixed.ndim > 1:
+            ids = np.array(cands, dtype=np.int64)
+            return ids, slot_matrix(self._class_salts[ids], mixed, self.params.bits)
+        features = mixed.tobytes()
+        last = self._candidate_memo.get(node.id)
+        if last is None or last[0] != features or last[1] != cands:
+            ids = np.array(cands, dtype=np.int64)
+            last = self._candidate_memo[node.id] = (
+                features, cands, ids, slot_matrix(self._class_salts[ids], mixed, self.params.bits))
+        return last[2], last[3]
 
     # -- learning ------------------------------------------------------------
 

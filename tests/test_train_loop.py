@@ -15,8 +15,14 @@ same examples, and ``predict_then_train``, on both models, to
 ragged streams and on a stream that fails part way.  Over a stream, each
 example's raw indices are mixed once and each (example, router) pair is
 hashed at most once, and the hashing ahead must meet a budget.
+
+Each tree node keeps its last router row and candidate table; a step whose
+features (and candidates) repeat at a node hashes nothing there.  The memo
+tests hold the steps to ``hashing_reference``, which hashes every row and
+table afresh, on streams that turn each node's entry over.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -41,6 +47,7 @@ from recalltree.tree import (
     BATCH_ROWS,
     MIN_ROUTER_IMPORTANCE,
     Hyperparams,
+    Prediction,
     RecallTreeModel,
     TreeNode,
     label_entropies,
@@ -149,15 +156,20 @@ def test_training_matches_the_reference_loop_bit_for_bit(stream, config):
         [p.label for p in reference.predict_batch(held)]
 
 
-def test_one_hash_and_one_router_step_per_level(monkeypatch):
-    """Per example: levels = nodes visited - 1, one router ``slot_matrix``
-    and one router ``batch_learn`` or ``batch_margins`` per level, and one
-    ``recall_lower_bound`` per node visited."""
+def test_one_router_step_per_level_and_a_hash_per_memo_miss(monkeypatch):
+    """Per example: levels = nodes visited - 1, one router ``batch_learn``
+    or ``batch_margins`` per level, and one ``recall_lower_bound`` per node
+    visited.  The router ``slot_matrix`` calls are exactly those of the
+    levels whose node last hashed other features, in route order: a node
+    whose features repeat takes its memo row."""
     spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=400,
                      noise=0.05, seed=5)
-    model = RecallTreeModel(K, raw_feature_width(spec), Hyperparams.defaults(K, bits=14))
+    examples = ragged(generate_examples(spec))
+    width = raw_feature_width(spec)
+    model = RecallTreeModel(K, width, Hyperparams.defaults(K, bits=14))
     counts = Counter()
     inside = []  # the store call in progress, so nested margin reads are not counted
+    hashed, route = [], []
 
     def counting(name, fn, counted):
         def wrapper(*args, **kwargs):
@@ -173,27 +185,47 @@ def test_one_hash_and_one_router_step_per_level(monkeypatch):
     def is_router(store, *_):
         return store is model.router_store
 
-    monkeypatch.setattr(tree, "slot_matrix",
-                        counting("hash", slot_matrix, lambda salts, *_: np.ndim(salts) == 0))
+    def hashing(salts, mixed, bits):
+        if np.ndim(salts) == 0:
+            hashed.append((int(salts), mixed.tobytes()))
+        return slot_matrix(salts, mixed, bits)
+
+    def visiting(node, y, f):
+        route.append(node.id)
+        return update_candidates(node, y, f)
+
+    monkeypatch.setattr(tree, "slot_matrix", hashing)
     monkeypatch.setattr(WeightStore, "batch_learn",
                         counting("step", WeightStore.batch_learn, is_router))
     monkeypatch.setattr(WeightStore, "batch_margins",
                         counting("step", WeightStore.batch_margins, is_router))
     monkeypatch.setattr(tree, "recall_lower_bound",
                         counting("bound", recall_lower_bound, lambda *_: True))
-    monkeypatch.setattr(tree, "update_candidates",
-                        counting("visit", update_candidates, lambda *_: True))
+    monkeypatch.setattr(tree, "update_candidates", visiting)
 
-    levels = 0
-    for x in generate_examples(spec):
+    last = {}  # per node id, the features its router was last hashed on
+    levels = hashes = 0
+    for x in examples:
         counts.clear()
+        hashed.clear()
+        route.clear()
         model.train_example(x)
-        visited = counts["visit"]
-        assert counts["hash"] == visited - 1
-        assert counts["step"] == visited - 1
-        assert counts["bound"] == visited
-        levels += visited - 1
+        features = mix64_array(x.indices)
+        expected = []
+        for level, nid in enumerate(route[:-1]):
+            path = mix64_array(path_feature_index(np.array(route[1:level + 1]), width))
+            row = np.concatenate([features, path]).tobytes()
+            if last.get(nid) != row:
+                last[nid] = row
+                expected.append((int(key_salt(ROLE_ROUTER, nid)), row))
+        assert hashed == expected
+        assert counts["step"] == len(route) - 1
+        assert counts["bound"] == len(route)
+        levels += len(route) - 1
+        hashes += len(expected)
     assert levels > 2 * spec.num_examples
+    # cut rows turn nodes' memo rows over; some rows find theirs
+    assert len(last) < hashes < levels
 
 
 class Recording:
@@ -341,12 +373,14 @@ class _OnceDict(dict):
 
 
 @pytest.mark.parametrize("shape", ["dense", "ragged"])
-def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
+def test_a_stream_hashes_each_example_once_and_a_router_row_per_memo_miss(monkeypatch, shape):
     """Over a progressive pass: each raw index of each example is mixed
-    once, in its block's batched descent or alone; and one router
-    ``slot_matrix`` row per (example, router), stored in the example's one
-    set of keys and never replaced.  The mixed indices are counted as a
-    multiset of values, which must be that of every example's indices."""
+    once, in its block's batched descent or alone; and the router
+    ``slot_matrix`` rows are exactly the rows the batched descent stores in
+    the examples' keys plus one per step level that finds no row there and
+    whose node last hashed other features.  A row in an example's keys is
+    never replaced.  The mixed indices are counted as a multiset of values,
+    which must be that of every example's indices."""
     spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=700,
                      noise=0.05, seed=5)
     examples = generate_examples(spec)
@@ -354,7 +388,9 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
         examples = ragged(examples)
     model = RecallTreeModel(K, raw_feature_width(spec), Hyperparams.defaults(K, bits=14))
     mixed, keys = Counter(), []
-    router_rows = levels = 0
+    router_rows = levels = prefetched = misses = from_memo = 0
+    last = {}  # per node id, the features a step last hashed its router on
+    router_slots = RecallTreeModel._router_slots
 
     class Keys(tree._ExampleKeys):
         __slots__ = ()
@@ -362,6 +398,8 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
         def __init__(self, mixed, values, routers):
             # the rows the batched descent stored; a step may add a row
             # for a node it has not, never replace one
+            nonlocal prefetched
+            prefetched += len(routers)
             super().__init__(mixed, values, _OnceDict(routers))
             keys.append(self)
 
@@ -377,6 +415,21 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
             router_rows += 1 if np.ndim(salts) == 0 else len(salts)
         return slot_matrix(salts, rows, bits)
 
+    def stepping(self, example_keys, node_id, n):
+        nonlocal misses, from_memo
+        before = router_rows
+        row = example_keys.mixed[:n].tobytes()
+        if node_id in example_keys.routers:
+            expected = 0
+        elif last.get(node_id) == row:
+            expected, from_memo = 0, from_memo + 1
+        else:
+            expected, misses, last[node_id] = 1, misses + 1, row
+        slots = router_slots(self, example_keys, node_id, n)
+        assert router_rows - before == expected
+        assert example_keys.routers[node_id] is slots
+        return slots
+
     def visiting(node, y, f):
         nonlocal levels
         levels += node.id > 0  # train routes once per node it counts below the root
@@ -386,11 +439,14 @@ def test_a_stream_hashes_each_example_and_router_once(monkeypatch, shape):
     monkeypatch.setattr(tree, "update_candidates", visiting)
     monkeypatch.setattr(tree, "mix64_array", mixing)
     monkeypatch.setattr(tree, "slot_matrix", hashing)
+    monkeypatch.setattr(RecallTreeModel, "_router_slots", stepping)
     steps = list(model.predict_then_train(examples))
 
     assert len(steps) == len(keys) == len(examples)
     assert mixed == Counter(i for x in examples for i in x.indices.tolist())
-    assert router_rows == sum(len(k.routers) for k in keys)
+    assert router_rows == prefetched + misses
+    assert sum(len(k.routers) for k in keys) == prefetched + misses + from_memo
+    assert misses > 0 and from_memo > 0
     # the prediction and the update shared more than one router row per
     # example
     routed = sum(p.router_evals for _, p in steps if p is not None)
@@ -576,6 +632,245 @@ def test_train_hashes_most_router_levels_ahead(monkeypatch):
     levels = counts["visit"] - spec.num_examples
     assert levels > 2 * spec.num_examples
     assert counts["hash"] < levels / 2
+
+
+# -- the tree's slot memo -----------------------------------------------------
+
+
+def reference_predict(model: RecallTreeModel, x: SparseExample) -> Prediction:
+    """``model.predict_full(x)`` from public building blocks, hashing every
+    router row and the candidate table afresh, in buffers laid out as
+    ``reference_train_example`` lays them out."""
+    p = model.params
+    nnz = x.indices.size
+    mixed = np.empty(nnz + p.max_depth, dtype=np.uint64)
+    values = np.empty(nnz + p.max_depth, dtype=np.float64)
+    mixed[:nnz] = mix64_array(x.indices)
+    values[:nnz] = x.values
+    n = nnz
+    nodes = model.nodes
+    node = nodes[0]
+    router_evals = 0
+    while node.left is not None:
+        slots = slot_matrix(key_salt(ROLE_ROUTER, node.id), mixed[:n], p.bits)
+        routed = model.router_store.batch_margins(slots, values[:n])
+        router_evals += 1
+        child = nodes[node.left if routed > 0 else node.left + 1]
+        if recall_lower_bound(node, p.depth_penalty) > recall_lower_bound(child, p.depth_penalty):
+            break
+        node = child
+        if p.path_features:
+            mixed[n] = mix64_array(path_feature_index(node.id, model.num_raw_features))
+            values[n] = 1.0
+            n += 1
+    ids = np.array(sorted(node.candidates), dtype=np.int64)
+    margins = model.class_store.batch_margins(
+        slot_matrix(key_salt(ROLE_CLASS, ids), mixed[:n], p.bits), values[:n])
+    return Prediction(int(ids[np.argmax(margins)]), ids.size, router_evals, node.id, node.depth)
+
+
+def hashing_reference(model: RecallTreeModel, examples):
+    """``reference_progressive`` with every step hashed afresh:
+    ``reference_predict`` then ``reference_train_example`` per example."""
+    predictions = []
+    for x in examples:
+        predictions.append(reference_predict(model, x) if model.examples_seen else None)
+        reference_train_example(model, x)
+    model._node_keys()
+    return predictions
+
+
+def alternating(examples, width, seed=7):
+    """``examples`` in runs of one to three rows that alternate between their
+    own indices (A) and the same with the last index moved past ``width``
+    (B), so a tree of raw width ``2 * width`` sees A, B, A, ... at every
+    node, on features that differ only there."""
+    rng = np.random.default_rng(seed)
+    out, shifted = [], False
+    while len(out) < len(examples):
+        for x in examples[len(out):len(out) + int(rng.integers(1, 4))]:
+            if shifted:
+                x = SparseExample(x.label, np.append(x.indices[:-1], x.indices[-1] + width),
+                                  x.values)
+            out.append(x)
+        shifted = not shifted
+    return out
+
+
+def memo_stream(stream, shape):
+    """(raw width, examples) of a stream shape for the memo tests."""
+    width, data = stream
+    if shape == "alternating":
+        return 2 * width, alternating(data[:1200], width)
+    return width, data[:1200] if shape == "dense" else ragged(data[:1200])
+
+
+class _Logging:
+    """Logs each one-example ``_candidate_slots`` call as (node id, feature
+    bytes, sorted candidates, class ``slot_matrix`` calls it made)."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.hashes = [], 0
+        candidate_slots = RecallTreeModel._candidate_slots
+
+        def hashing(salts, mixed, bits):
+            self.hashes += np.ndim(salts) == 1
+            return slot_matrix(salts, mixed, bits)
+
+        def logging(model, node, mixed):
+            before = self.hashes
+            found = candidate_slots(model, node, mixed)
+            if mixed.ndim == 1:
+                self.calls.append((node.id, mixed.tobytes(), sorted(node.candidates),
+                                   self.hashes - before))
+            return found
+
+        monkeypatch.setattr(tree, "slot_matrix", hashing)
+        monkeypatch.setattr(RecallTreeModel, "_candidate_slots", logging)
+
+    def turned_over(self) -> bool:
+        """Whether a node's table was hashed for features it held before,
+        after others: the memo entry flipped and came back."""
+        seen, last = set(), {}
+        for nid, features, _, hashes in self.calls:
+            if hashes and last.get(nid, features) != features and (nid, features) in seen:
+                return True
+            seen.add((nid, features))
+            last[nid] = features
+        return False
+
+    def candidates_changed(self) -> bool:
+        """Whether two calls at one node on equal features met different
+        candidate sets."""
+        last = {}
+        changed = False
+        for nid, features, cands, _ in self.calls:
+            before = last.get(nid)
+            changed |= before is not None and before[0] == features and before[1] != cands
+            last[nid] = features, cands
+        return changed
+
+
+@pytest.mark.parametrize("config", ["defaults", "adaptive_lr", "no_path_features"])
+@pytest.mark.parametrize("shape", ["dense", "ragged", "alternating"])
+def test_memo_steps_equal_hashing_every_step_bit_for_bit(stream, shape, config,
+                                                         monkeypatch, tmp_path):
+    width, examples = memo_stream(stream, shape)
+    params = Hyperparams.defaults(K, bits=14, **CONFIGS[config])
+    reference = RecallTreeModel(K, width, params)
+    expected = hashing_reference(reference, examples)
+    log = _Logging(monkeypatch)
+    step = RecallTreeModel(K, width, params)
+    recording = Recording(step)
+    report = progressive_eval(iter(examples), recording)
+
+    assert expected[0] is None and recording.predictions == expected
+    assert report == reference_report(examples, expected)
+    assert len(step.nodes) > 7
+    assert_same_model(step, reference, tmp_path)
+    assert log.candidates_changed()
+    assert log.turned_over() == (shape != "dense")
+
+
+@pytest.mark.parametrize("config", ["defaults", "adaptive_lr", "no_path_features"])
+def test_memo_training_equals_hashing_every_step_bit_for_bit(stream, config, tmp_path):
+    """``train`` on a stream that turns each node's entry over, then
+    ``predict_full``; dense training is held to the same reference above."""
+    width, examples = memo_stream(stream, "alternating")
+    params = Hyperparams.defaults(K, bits=14, **CONFIGS[config])
+    blocked = RecallTreeModel(K, width, params).train(x for x in examples)
+    reference = RecallTreeModel(K, width, params)
+    for x in examples:
+        reference_train_example(reference, x)
+    reference._node_keys()
+
+    assert_same_model(blocked, reference, tmp_path)
+    assert [blocked.predict_full(x) for x in examples[:300]] == \
+        [reference_predict(reference, x) for x in examples[:300]]
+
+
+def test_equal_features_meet_a_changed_candidate_set(tmp_path):
+    """At the root of a tree that never grows, every row has the same
+    features; its candidate set {0, 1} becomes {0, 2} between two rows, and
+    its rank order changes while the set stays."""
+    params = Hyperparams.defaults(4, bits=12, max_depth=0, num_candidates=2)
+    indices = np.arange(5)
+    labels = [0, 1, 2, 2, 0, 0, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1]
+    rng = np.random.default_rng(2)
+    examples = [SparseExample(y, indices, rng.uniform(-1, 1, size=5)) for y in labels * 3]
+    step, reference = RecallTreeModel(4, 5, params), RecallTreeModel(4, 5, params)
+    sets = []
+    predictions = []
+    for x, p in step.predict_then_train(examples):
+        predictions.append(p)
+        sets.append(list(step.root.candidates))
+    expected = hashing_reference(reference, examples)
+
+    assert predictions == expected
+    assert_same_model(step, reference, tmp_path)
+    assert sets[2] == [0, 1] and sets[3] == [2, 0]
+    assert sets[5] == [0, 2] and sorted(sets[5]) == sorted(sets[3])
+
+
+@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+@pytest.mark.parametrize("shape", ["dense", "alternating"])
+def test_a_loaded_model_steps_on_as_hashing_every_step(stream, shape, adaptive_lr, tmp_path):
+    """A loaded model starts with an empty memo and steps on bit for bit."""
+    width, examples = memo_stream(stream, shape)
+    params = Hyperparams.defaults(K, bits=14, adaptive_lr=adaptive_lr)
+    path = tmp_path / "first.bin"
+    first = RecallTreeModel(K, width, params)
+    list(first.predict_then_train(examples[:700]))
+    save_model(first, str(path))
+    step = load_model(str(path))
+    predictions = [p for _, p in step.predict_then_train(iter(examples[700:]))]
+    reference = load_model(str(path))
+    expected = hashing_reference(reference, examples[700:])
+
+    assert predictions == expected
+    assert_same_model(step, reference, tmp_path)
+
+
+def test_a_repeated_table_is_not_hashed_again(stream, monkeypatch):
+    """On a dense stream, a one-example candidate table is hashed exactly
+    when its node last saw other features or another candidate set; a
+    repeat makes no ``slot_matrix`` call, and repeats are most calls."""
+    width, data = stream
+    log = _Logging(monkeypatch)
+    model = RecallTreeModel(K, width, Hyperparams.defaults(K, bits=14))
+    list(model.predict_then_train(data[:1200]))
+
+    last = {}
+    for nid, features, cands, hashes in log.calls:
+        assert hashes == (last.get(nid) != (features, cands))
+        last[nid] = features, cands
+    assert log.hashes == sum(hashes for *_, hashes in log.calls)
+    assert log.hashes < len(log.calls) / 4
+
+
+def test_the_memo_holds_one_table_and_one_router_row_per_node(stream):
+    """Dropping the memo frees at most one ``(F, nnz + max_depth)`` int64
+    table, one router row and their keys per node, plus 1 KiB."""
+    width, data = stream
+    examples = data[:600]
+    params = Hyperparams.defaults(K, bits=14)
+    tracemalloc.start()
+    try:
+        model = RecallTreeModel(K, width, params)
+        for x in examples:  # one step at a time, so the memo holds every router row
+            if model.examples_seen:
+                model.predict_full(x)
+            model.train_example(x)
+        held = tracemalloc.get_traced_memory()[0]
+        model._router_memo.clear()
+        model._candidate_memo.clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    cap = max(x.indices.size for x in examples) + params.max_depth
+    # a table and a router row, and the feature bytes of each
+    per_node = 8 * cap * (params.num_candidates + 1) + 2 * 8 * cap + 1024
+    assert 0 < freed <= len(model.nodes) * per_node
 
 
 # -- the flat model's reused slots --------------------------------------------
