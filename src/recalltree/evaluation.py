@@ -39,9 +39,9 @@ def progressive_eval(stream, learner) -> EvalReport:
 
     The steps are ``learner.predict_then_train(stream)``, which hashes each
     example once for its prediction and its update, except in a tree's block
-    that holds an index outside its raw space.  Either model reads the
-    stream in blocks (``read_blocks``), up to 256 examples ahead of the one
-    it predicts; if the stream raises, the examples read before it are still
+    that holds an index outside its raw space.  The tree reads the stream in
+    blocks (``read_blocks``), up to 256 examples ahead, the flat model one
+    at a time; if the stream raises, the examples read before it are still
     predicted and trained, then the error is raised.  A cold learner cannot
     predict yet, so the first prediction falls back to class 0 and is scored
     like any other.

@@ -36,10 +36,10 @@ _NEG_INF = float("-inf")
 # Entropy differences below this are treated as zero: no router update.
 MIN_ROUTER_IMPORTANCE = 1e-12
 
-# Rows per block of ``predict_batch`` and ``train``, of any lengths, for
-# both models.  The block bounds the transient (rows, k, n) candidate stacks;
-# on a K=4096 tree (2-vCPU Xeon) the time per example hardly changed from 64
-# to 1,000 rows.
+# Rows per block, of any lengths, of the tree's ``predict_batch`` and
+# ``train`` and of ``ledger_snapshot``.  The block bounds the transient
+# (rows, k, n) candidate stacks; on a K=4096 tree (2-vCPU Xeon) the time per
+# example hardly changed from 64 to 1,000 rows.
 BATCH_ROWS = 256
 
 # The model file stores the depth cap in 16 bits and F in 32.  A model
@@ -67,9 +67,9 @@ def check_raw_features(num_raw_features: int) -> None:
 
 
 def read_blocks(examples):
-    """The examples in lists of ``BATCH_ROWS``, the last one shorter.  Examples
-    read before the iterable raises are yielded all the same, as a last
-    block, then the error is raised."""
+    """The tree's or the ledger's stream in lists of ``BATCH_ROWS``, the last
+    one shorter.  Examples read before the iterable raises are yielded all
+    the same, as a last block, then the error is raised."""
     examples = iter(examples)
     while True:
         block = []

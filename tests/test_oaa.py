@@ -110,9 +110,10 @@ def _streams():
 
 
 class TestReuse:
-    """``train``, ``predict_then_train`` and ``predict_batch`` hash a row's
-    slots only when its indices differ from the previous row's; the weights,
-    AdaGrad state and predictions stay those of one example at a time."""
+    """The model hashes a row's slots only when its indices differ from
+    those of the last row it hashed, and ``predict_batch`` gathers weights
+    only for a row it hashed; the weights, AdaGrad state and predictions
+    stay those of one example at a time."""
 
     @pytest.fixture(scope="class")
     def streams(self):
@@ -145,11 +146,11 @@ class TestReuse:
 
     @pytest.mark.parametrize("run", ["train", "predict_batch"])
     def test_transient_memory_is_one_rows_slots_and_weights(self, run):
-        """Traced peak of the reusing call above the per-example loop's: at
-        most the previous row's slots or float64 weights, a ``(K, n)`` array
-        of 8-byte entries, plus a block's list.  No table grows with the
-        block's distinct indices: 256 rows that share none would need
-        ``K * 12 * 256`` of them."""
+        """Traced peak of the call above the per-example loop's: at most
+        one row's float64 weights, a ``(K, n)`` array of 8-byte entries,
+        which ``predict_batch`` keeps beside the last row's slots, plus its
+        list of predictions.  No table grows with the distinct indices seen:
+        512 rows that share none would need ``K * 12 * 512`` entries."""
         k = 1024
         rows = run_examples(2 * BATCH_ROWS, k, seed=8, longest=1)
         model = OaaModel(k, bits=14).train(rows[:50])

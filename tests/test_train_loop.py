@@ -19,7 +19,9 @@ hashed at most once, and the hashing ahead must meet a budget.
 Each tree node keeps its last router row and candidate table; a step whose
 features (and candidates) repeat at a node hashes nothing there.  The memo
 tests hold the steps to ``hashing_reference``, which hashes every row and
-table afresh, on streams that turn each node's entry over.
+table afresh, on streams that turn each node's entry over.  The flat model
+keeps the last row it hashed, and ``flat_hashing_reference`` is its
+reference.
 """
 
 import tracemalloc
@@ -454,20 +456,28 @@ def test_a_stream_hashes_each_example_once_and_a_router_row_per_memo_miss(monkey
 
 
 @pytest.mark.parametrize("stream", ["ragged", "runs"])
-@pytest.mark.parametrize("run", ["train", "predict_then_train", "predict_batch"])
-def test_oaa_hashes_a_row_only_when_its_indices_change(monkeypatch, run, stream):
+@pytest.mark.parametrize("run", ["train", "predict_then_train", "predict_batch",
+                                 "predict_full", "train_example", "loaded"])
+def test_oaa_hashes_a_row_only_when_its_indices_change(monkeypatch, run, stream, tmp_path):
     """One ``slot_matrix`` call, for all K classes and the row's own
-    indices, per row whose indices differ from the previous row's, also
-    across block ends; none for a row that repeats them."""
+    indices, per row whose indices differ from those of the last row the
+    model hashed, across calls; none for a row that repeats them.  The
+    model has hashed the first five rows in training; a loaded model has
+    hashed none, so its first row hashes."""
     if stream == "ragged":
         spec = SynthSpec("voronoi", num_classes=K, dimensions=8, num_examples=700,
                          noise=0.05, seed=5)
         k, examples = K, ragged(generate_examples(spec))
     else:
         k, examples = WIDE_K, run_examples(700, WIDE_K, seed=3)
-    model = OaaModel(k, bits=14)
-    if run == "predict_batch":
-        model.train(examples[:5])
+        # the first row repeats the last trained one, so only a loaded
+        # model hashes it
+        assert np.array_equal(examples[0].indices, examples[4].indices)
+    model = OaaModel(k, bits=14).train(examples[:5])
+    last = examples[4].indices
+    if run == "loaded":
+        save_model(model, str(tmp_path / "oaa.bin"))
+        model, last = load_model(str(tmp_path / "oaa.bin")), None
     calls = []
 
     def hashing(salts, mixed, bits):
@@ -479,11 +489,20 @@ def test_oaa_hashes_a_row_only_when_its_indices_change(monkeypatch, run, stream)
         model.train(examples)
     elif run == "predict_then_train":
         assert len(list(model.predict_then_train(examples))) == len(examples)
-    else:
+    elif run in ("predict_batch", "loaded"):
         assert len(model.predict_batch(examples)) == len(examples)
+    elif run == "predict_full":
+        for x in examples:
+            model.predict_full(x)
+    else:
+        for x in examples:
+            model.train_example(x)
 
-    changed = [x for i, x in enumerate(examples)
-               if i == 0 or not np.array_equal(x.indices, examples[i - 1].indices)]
+    changed = []
+    for x in examples:
+        if last is None or not np.array_equal(x.indices, last):
+            changed.append(x)
+        last = x.indices
     assert BATCH_ROWS < len(changed) < len(examples) if stream == "ragged" else \
         10 < len(changed) < len(examples) / 10
     assert len(calls) == len(changed)
@@ -927,6 +946,37 @@ def test_a_loaded_oaa_model_trains_on_as_the_per_example_loop(flat_stream, adapt
 
     assert blocked.examples_seen == len(examples)
     assert_same_model(blocked, reference, tmp_path)
+
+
+def flat_hashing_reference(model: OaaModel, examples):
+    """``reference_progressive`` on the flat model with every row hashed
+    afresh: its margins and its step on its own ``(K, n)`` slots."""
+    salts = key_salt(ROLE_CLASS, np.arange(model.num_classes))
+    predictions = []
+    for x in examples:
+        slots = slot_matrix(salts, mix64_array(x.indices), model.bits)
+        if model.examples_seen:
+            margins = model.class_store.batch_margins(slots, x.values)
+            predictions.append(Prediction(int(np.argmax(margins)), model.num_classes, 0, 0, 0))
+        else:
+            predictions.append(None)
+        labels = np.full(model.num_classes, -1.0)
+        labels[x.label] = 1.0
+        model.class_store.batch_learn(slots, x.values, labels)
+        model.examples_seen += 1
+    return predictions
+
+
+@pytest.mark.parametrize("adaptive_lr", [False, True], ids=["sgd", "adagrad"])
+def test_oaa_memo_steps_equal_hashing_every_row_bit_for_bit(flat_stream, adaptive_lr,
+                                                            tmp_path):
+    k, examples = flat_stream
+    step = OaaModel(k, bits=14, adaptive_lr=adaptive_lr)
+    predictions = [p for _, p in step.predict_then_train(iter(examples))]
+    reference = OaaModel(k, bits=14, adaptive_lr=adaptive_lr)
+
+    assert predictions == flat_hashing_reference(reference, examples)
+    assert_same_model(step, reference, tmp_path)
 
 
 def test_oaa_examples_read_before_the_stream_fails_are_trained(flat_stream, tmp_path):
