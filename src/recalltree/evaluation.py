@@ -37,14 +37,16 @@ def progressive_eval(stream, learner) -> EvalReport:
     """Predict-then-train over a stream; accuracy counts the prediction
     made strictly before each example's update.
 
-    The steps are ``learner.predict_then_train(stream)``, which hashes each
-    example once for its prediction and its update, except in a tree's block
-    that holds an index outside its raw space.  The tree reads the stream in
-    blocks (``read_blocks``), up to 256 examples ahead, the flat model one
-    at a time; if the stream raises, the examples read before it are still
-    predicted and trained, then the error is raised.  A cold learner cannot
-    predict yet, so the first prediction falls back to class 0 and is scored
-    like any other.
+    The steps are ``learner.predict_then_train(stream)``, which mixes each
+    example's features once for its prediction and its update, except in a
+    tree's block that holds an index outside its raw space.  The tree reads
+    the stream in blocks (``read_blocks``), up to 256 examples ahead, and
+    lays out each block's features at once; its update takes the router rows
+    its prediction hashed from each node's memo.  The flat model reads one
+    example at a time.  If the stream raises, the examples read before it
+    are still predicted and trained, then the error is raised.  A cold
+    learner cannot predict yet, so the first prediction falls back to class
+    0 and is scored like any other.
     """
     seen = 0
     correct = 0

@@ -258,28 +258,6 @@ class Prediction:
     depth: int
 
 
-@dataclass(slots=True, eq=False)
-class _ExampleKeys:
-    """One example's hashed keys, built whole by ``_keys`` or ``_prefetch``
-    and shared by the prediction and the update of a step, so that each is
-    hashed once.
-
-    ``mixed`` and ``values`` hold the example's mixed indices and values,
-    raw ones first, with room for one path feature per level below the
-    root.  ``routers`` maps a node id to the example's router slots at that
-    node: hashed ahead by ``_prefetch``, or taken by ``_router_slots`` from
-    the model's memo or hashed there.  A node's features are the raw ones
-    plus the path features of the nodes on the way to it, so the slots are
-    a function of (example, node id) alone, and a slot hashed ahead on a
-    route training leaves goes unused.  Margins are never shared: the
-    update changes the weights the prediction read.
-    """
-
-    mixed: np.ndarray
-    values: np.ndarray
-    routers: dict[int, np.ndarray]
-
-
 class RecallTreeModel:
     """Online multiclass learner with polylogarithmic work per example."""
 
@@ -345,10 +323,13 @@ class RecallTreeModel:
                 f"raw feature space of width {self.num_raw_features}"
             )
 
-    def _keys(self, x: SparseExample) -> _ExampleKeys:
-        """Keys for a one-shot call: the checked example's mixed indices and
-        values, laid out as ``_descend`` lays out a row, and no router slots
-        yet."""
+    def _keys(self, x: SparseExample) -> tuple[np.ndarray, np.ndarray]:
+        """One example's keys: the checked example's mixed indices and
+        values, raw ones first, with room for one path feature per level
+        below the root, laid out as ``_layout`` lays out a row.  A step's
+        prediction and update share them, so each example is mixed once;
+        margins are never shared, since the update changes the weights the
+        prediction read."""
         self._check_indices(x.indices)
         nnz = x.indices.size
         cap = nnz + self.params.max_depth
@@ -356,21 +337,18 @@ class RecallTreeModel:
         values = np.empty(cap, dtype=np.float64)
         mixed[:nnz] = mix64_array(x.indices)
         values[:nnz] = x.values
-        return _ExampleKeys(mixed, values, {})
+        return mixed, values
 
-    def _router_slots(self, keys: _ExampleKeys, node_id: int, n: int) -> np.ndarray:
-        """The example's slots under a node's router; ``n`` is the width of
-        its features at that node.  A row not hashed ahead is the node's
-        memo row when the features equal those it was hashed from."""
-        slots = keys.routers.get(node_id)
-        if slots is None:
-            features = keys.mixed[:n].tobytes()
-            last = self._router_memo.get(node_id)
-            if last is None or last[0] != features:
-                last = self._router_memo[node_id] = (features, slot_matrix(
-                    self._router_salts[node_id], keys.mixed[:n], self.params.bits))
-            slots = keys.routers[node_id] = last[1]
-        return slots
+    def _router_slots(self, mixed: np.ndarray, node_id: int) -> np.ndarray:
+        """The slots of one example's ``mixed`` features under a node's
+        router: the node's memo row when the features equal those it was
+        hashed from."""
+        features = mixed.tobytes()
+        last = self._router_memo.get(node_id)
+        if last is None or last[0] != features:
+            last = self._router_memo[node_id] = (
+                features, slot_matrix(self._router_salts[node_id], mixed, self.params.bits))
+        return last[1]
 
     def _candidate_slots(self, node: TreeNode, mixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The node's candidate ids in ascending order, so that the first
@@ -415,20 +393,22 @@ class RecallTreeModel:
         label = -1 if delta > 0 else 1
         return self.router_store.batch_learn(slots, values, label, importance)
 
-    def _update_predictors(self, node: TreeNode, keys: _ExampleKeys, n: int, y: int) -> None:
+    def _update_predictors(self, node: TreeNode, mixed: np.ndarray, values: np.ndarray,
+                           y: int) -> None:
         """One-against-all step restricted to the node's candidates; no
         update at all when the true label is not among them."""
         if y not in node.candidates:
             return
-        ids, slots = self._candidate_slots(node, keys.mixed[:n])
+        ids, slots = self._candidate_slots(node, mixed)
         labels = np.where(ids == y, 1.0, -1.0)
-        self.class_store.batch_learn(slots, keys.values[:n], labels)
+        self.class_store.batch_learn(slots, values, labels)
 
-    def train_example(self, x: SparseExample, _keys: _ExampleKeys | None = None) -> None:
+    def train_example(self, x: SparseExample,
+                      _keys: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         y = x.label
         check_label(y, self.num_classes)
-        keys = self._keys(x) if _keys is None else _keys
-        mixed, values, n = keys.mixed, keys.values, x.indices.size
+        mixed, values = self._keys(x) if _keys is None else _keys
+        n = x.indices.size
         params = self.params
 
         node = self.root
@@ -439,7 +419,7 @@ class RecallTreeModel:
         while node.depth < params.max_depth:
             if node.left is None:
                 self._materialize(node)
-            routed = self._update_router(node, self._router_slots(keys, node.id, n),
+            routed = self._update_router(node, self._router_slots(mixed[:n], node.id),
                                          values[:n], y)
             child = self.nodes[node.left if routed > 0 else node.left + 1]
             update_candidates(child, y, params.num_candidates)
@@ -450,7 +430,7 @@ class RecallTreeModel:
             if params.path_features:
                 mixed[n], values[n] = self._path_mixed[node.id], 1.0
                 n += 1
-        self._update_predictors(node, keys, n, y)
+        self._update_predictors(node, mixed[:n], values[:n], y)
 
     def train(self, examples) -> "RecallTreeModel":
         """``train_example`` on each example in order, bit for bit."""
@@ -468,41 +448,38 @@ class RecallTreeModel:
             yield x, prediction
 
     def _keyed(self, examples):
-        """Each example with its keys, read by ``read_blocks``: one batched
-        descent per block, on the weights at its start, hashes ahead most
-        router slots its steps use."""
+        """Each example with its keys, read by ``read_blocks`` and laid out a
+        block at a time by ``_layout``: its ``(mixed, values)`` row.  Every
+        example of a block that holds an index outside the raw space gets
+        None, so that each step builds its own keys and checks the example
+        as it does alone."""
         for block in read_blocks(examples):
-            yield from zip(block, self._prefetch(block))
-
-    def _prefetch(self, block: list[SparseExample]) -> list[_ExampleKeys | None]:
-        """Per example of a block, keys holding its mixed features and its
-        router slots along its predicted route, from one batched descent; or
-        None for each if one lies outside the raw space, so that every step
-        builds its own keys and checks the example as it does alone."""
-        routers = [{} for _ in block]
-        try:
-            mixed, values, *_ = self._descend(block, self._node_table(), routers)
-        except DomainError:
-            return [None] * len(block)
-        return [_ExampleKeys(*row) for row in zip(mixed, values, routers)]
+            try:
+                mixed, values, _ = self._layout(block)
+            except DomainError:
+                rows = [None] * len(block)
+            else:
+                rows = zip(mixed, values)
+            yield from zip(block, rows)
 
     # -- inference -----------------------------------------------------------
 
-    def predict_full(self, x: SparseExample, _keys: _ExampleKeys | None = None) -> Prediction:
+    def predict_full(self, x: SparseExample,
+                     _keys: tuple[np.ndarray, np.ndarray] | None = None) -> Prediction:
         """Route one example to its halting node without learning, then
         score the node's candidates.  The root has counted an example, and
         descent never enters a child that has not (its bound is -inf), so
         the halting node has at least one candidate."""
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        keys = self._keys(x) if _keys is None else _keys
-        mixed, values, n = keys.mixed, keys.values, x.indices.size
+        mixed, values = self._keys(x) if _keys is None else _keys
+        n = x.indices.size
         params = self.params
         node = self.root
         node_bound = self.bound(node)
         router_evals = 0
         while node.left is not None:
-            slots = self._router_slots(keys, node.id, n)
+            slots = self._router_slots(mixed[:n], node.id)
             routed = self.router_store.batch_margins(slots, values[:n])
             router_evals += 1
             child = self.nodes[node.left if routed > 0 else node.left + 1]
@@ -527,13 +504,12 @@ class RecallTreeModel:
         descent and the candidate scoring done for many examples at once.
 
         The examples, sorted by raw length, descend in blocks of
-        ``BATCH_ROWS`` through ``_descend``, the batched descent that also
-        hashes ahead each ``train`` block; the rows of a block that halt at
-        one node with one width are then scored as one ``(rows, k, n)``
-        stack.  Every row's margins come from the same BLAS product, over
-        the same features in the same order, as in ``predict_full``.  Rows
-        of any length may share a block; the sort only keeps the blocks
-        mostly of one width, which is faster.
+        ``BATCH_ROWS`` through ``_descend``, the batched descent; the rows
+        of a block that halt at one node with one width are then scored as
+        one ``(rows, k, n)`` stack.  Every row's margins come from the same
+        BLAS product, over the same features in the same order, as in
+        ``predict_full``.  Rows of any length may share a block; the sort
+        only keeps the blocks mostly of one width, which is faster.
         """
         if not examples:
             return []
@@ -562,21 +538,13 @@ class RecallTreeModel:
             np.array([self.bound(n) for n in nodes]),
         )
 
-    def _descend(self, block: list[SparseExample], table,
-                 routers: list[dict[int, np.ndarray]] | None = None):
-        """Route examples of any raw lengths from the root to where
-        ``predict_full`` would halt them, with one ``slot_matrix`` and one
-        ``batch_margins`` call per level for the routing rows of each width.
-        Returns their mixed features and values, one row each, laid out as
-        in ``_keys`` (past a row's width the buffer is padding), and each
-        row's width, halting node and router evaluations.  With
-        ``routers``, one dict per row, each row's router slots at every node
-        it routes at go into its dict, keyed by node id."""
-        router_salts, path_mixed, left, bounds = table
-        params = self.params
+    def _layout(self, block: list[SparseExample]):
+        """The checked mixed features and values of examples of any raw
+        lengths, one row each, laid out as in ``_keys`` (past a row's width
+        the buffer is padding), and each row's width."""
         width = np.array([x.indices.size for x in block], dtype=np.int64)
         nnz = int(width.max(initial=0))
-        cap = nnz + params.max_depth  # one path feature per level below the root
+        cap = nnz + self.params.max_depth  # one path feature per level below the root
         mixed = np.empty((len(block), cap), dtype=np.uint64)
         values = np.empty((len(block), cap), dtype=np.float64)
         if nnz:
@@ -585,6 +553,18 @@ class RecallTreeModel:
             filled = np.arange(nnz) < width[:, None]
             mixed[:, :nnz][filled] = mix64_array(indices)
             values[:, :nnz][filled] = np.concatenate([x.values for x in block])
+        return mixed, values, width
+
+    def _descend(self, block: list[SparseExample], table):
+        """Route examples of any raw lengths from the root to where
+        ``predict_full`` would halt them, with one ``slot_matrix`` and one
+        ``batch_margins`` call per level for the routing rows of each width.
+        Returns their rows as ``_layout`` returns them, with the path
+        features of their routes appended, and each row's halting node and
+        router evaluations."""
+        router_salts, path_mixed, left, bounds = table
+        params = self.params
+        mixed, values, width = self._layout(block)
 
         # ``live`` holds the rows still routing, all at one depth
         node = np.zeros(len(block), dtype=np.int64)
@@ -598,9 +578,6 @@ class RecallTreeModel:
                 n = int(width[rows[0]])
                 slots = slot_matrix(router_salts[at[same], None], mixed[rows, None, :n],
                                     params.bits)
-                if routers is not None:
-                    for i, nid, row in zip(rows.tolist(), at[same].tolist(), slots[:, 0]):
-                        routers[i][nid] = row
                 routed[same] = self.router_store.batch_margins(
                     slots, values[rows, :n, None])[:, 0, 0]
             router_evals[live] += 1

@@ -8,13 +8,12 @@ leave the same weights, AdaGrad state, node table and predictions, bit for
 bit.
 
 ``train`` and ``predict_then_train`` share one step loop: it reads the
-examples in blocks and hashes each block's router slots ahead in one
-batched descent.  ``train`` is held to a ``train_example`` loop over the
-same examples, and ``predict_then_train``, on both models, to
-``predict_full(x)`` then ``train_example(x)`` per example, on dense and
-ragged streams and on a stream that fails part way.  Over a stream, each
-example's raw indices are mixed once and each (example, router) pair is
-hashed at most once, and the hashing ahead must meet a budget.
+examples in blocks and lays out each block's mixed features at once.
+``train`` is held to a ``train_example`` loop over the same examples, and
+``predict_then_train``, on both models, to ``predict_full(x)`` then
+``train_example(x)`` per example, on dense and ragged streams and on a
+stream that fails part way.  Over a stream, each example's raw indices are
+mixed once and a router row is hashed only on a node memo miss.
 
 Each tree node keeps its last router row and candidate table; a step whose
 features (and candidates) repeat at a node hashes nothing there.  The memo
@@ -366,44 +365,25 @@ def test_examples_read_before_the_stream_fails_are_predicted_and_trained(stream,
     assert_same_model(step, reference, tmp_path)
 
 
-class _OnceDict(dict):
-    """A router-slot memo that refuses a second entry for a node."""
-
-    def __setitem__(self, node_id, slots):
-        assert node_id not in self, f"router {node_id} hashed twice for one example"
-        super().__setitem__(node_id, slots)
-
-
 @pytest.mark.parametrize("shape", ["dense", "ragged"])
 def test_a_stream_hashes_each_example_once_and_a_router_row_per_memo_miss(monkeypatch, shape):
     """Over a progressive pass: each raw index of each example is mixed
-    once, in its block's batched descent or alone; and the router
-    ``slot_matrix`` rows are exactly the rows the batched descent stores in
-    the examples' keys plus one per step level that finds no row there and
-    whose node last hashed other features.  A row in an example's keys is
-    never replaced.  The mixed indices are counted as a multiset of values,
-    which must be that of every example's indices."""
+    once, in its block's layout or alone; and the router ``slot_matrix``
+    rows are exactly the memo misses: one per ``_router_slots`` call whose
+    node last hashed other features, none otherwise.  Every router level of
+    a prediction or an update makes one such call.  The mixed indices are
+    counted as a multiset of values, which must be that of every example's
+    indices."""
     spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=700,
                      noise=0.05, seed=5)
     examples = generate_examples(spec)
     if shape == "ragged":
         examples = ragged(examples)
     model = RecallTreeModel(K, raw_feature_width(spec), Hyperparams.defaults(K, bits=14))
-    mixed, keys = Counter(), []
-    router_rows = levels = prefetched = misses = from_memo = 0
+    mixed = Counter()
+    router_rows = levels = misses = from_memo = 0
     last = {}  # per node id, the features a step last hashed its router on
     router_slots = RecallTreeModel._router_slots
-
-    class Keys(tree._ExampleKeys):
-        __slots__ = ()
-
-        def __init__(self, mixed, values, routers):
-            # the rows the batched descent stored; a step may add a row
-            # for a node it has not, never replace one
-            nonlocal prefetched
-            prefetched += len(routers)
-            super().__init__(mixed, values, _OnceDict(routers))
-            keys.append(self)
 
     def mixing(a):
         a = np.asarray(a)
@@ -417,19 +397,16 @@ def test_a_stream_hashes_each_example_once_and_a_router_row_per_memo_miss(monkey
             router_rows += 1 if np.ndim(salts) == 0 else len(salts)
         return slot_matrix(salts, rows, bits)
 
-    def stepping(self, example_keys, node_id, n):
+    def stepping(self, features, node_id):
         nonlocal misses, from_memo
         before = router_rows
-        row = example_keys.mixed[:n].tobytes()
-        if node_id in example_keys.routers:
-            expected = 0
-        elif last.get(node_id) == row:
+        row = features.tobytes()
+        if last.get(node_id) == row:
             expected, from_memo = 0, from_memo + 1
         else:
             expected, misses, last[node_id] = 1, misses + 1, row
-        slots = router_slots(self, example_keys, node_id, n)
+        slots = router_slots(self, features, node_id)
         assert router_rows - before == expected
-        assert example_keys.routers[node_id] is slots
         return slots
 
     def visiting(node, y, f):
@@ -437,21 +414,20 @@ def test_a_stream_hashes_each_example_once_and_a_router_row_per_memo_miss(monkey
         levels += node.id > 0  # train routes once per node it counts below the root
         return update_candidates(node, y, f)
 
-    monkeypatch.setattr(tree, "_ExampleKeys", Keys)
     monkeypatch.setattr(tree, "update_candidates", visiting)
     monkeypatch.setattr(tree, "mix64_array", mixing)
     monkeypatch.setattr(tree, "slot_matrix", hashing)
     monkeypatch.setattr(RecallTreeModel, "_router_slots", stepping)
     steps = list(model.predict_then_train(examples))
 
-    assert len(steps) == len(keys) == len(examples)
+    assert len(steps) == len(examples)
     assert mixed == Counter(i for x in examples for i in x.indices.tolist())
-    assert router_rows == prefetched + misses
-    assert sum(len(k.routers) for k in keys) == prefetched + misses + from_memo
+    assert router_rows == misses
+    routed = sum(p.router_evals for _, p in steps if p is not None)
+    assert misses + from_memo == routed + levels
     assert misses > 0 and from_memo > 0
     # the prediction and the update shared more than one router row per
     # example
-    routed = sum(p.router_evals for _, p in steps if p is not None)
     assert router_rows + len(examples) < routed + levels
 
 
@@ -530,9 +506,11 @@ def test_blocked_training_equals_the_per_example_loop(stream, shape, config, tmp
     assert_same_model(blocked, reference, tmp_path)
 
 
-def test_every_step_of_a_ragged_stream_is_hashed_ahead(stream, monkeypatch):
-    """Rows of lengths that only one to three rows hold descend in their
-    block with the rest, so every step finds its keys filled."""
+def test_every_step_of_a_ragged_stream_gets_its_blocks_laid_out_keys(stream, monkeypatch):
+    """Rows of lengths that only one to three rows hold are laid out in
+    their block with the rest, so every step of ``train`` gets its row of
+    the block's layout: its mixed features and values, with room for its
+    path features."""
     width, data = stream
     examples = ragged(data[:1200])
     for copies in (2, 3):
@@ -545,7 +523,12 @@ def test_every_step_of_a_ragged_stream_is_hashed_ahead(stream, monkeypatch):
     step = model.train_example
 
     def checked(x, keys=None):
-        assert keys is not None and keys.mixed is not None
+        assert keys is not None
+        mixed, values = keys
+        n = x.indices.size
+        assert mixed.size == values.size >= n + model.params.max_depth
+        assert np.array_equal(mixed[:n], mix64_array(x.indices))
+        assert np.array_equal(values[:n], x.values)
         step(x, keys)
 
     monkeypatch.setattr(model, "train_example", checked)
@@ -557,8 +540,8 @@ def test_every_step_of_a_ragged_stream_is_hashed_ahead(stream, monkeypatch):
 def test_an_index_outside_the_raw_space_stops_training_at_its_row(stream, run, tmp_path):
     """The bad row sits mid-block and has its block's common length, so the
     rows before it are trained (under ``progressive_eval``, each predicted
-    first), then its ``DomainError`` is raised.  Its block's batched
-    descent fails, so every step in that block hashes its own keys."""
+    first), then its ``DomainError`` is raised.  Its block's layout fails
+    the index check, so every step in that block lays out its own keys."""
     width, data = stream
     examples = list(data[:3 * BATCH_ROWS])
     bad = BATCH_ROWS + 100
