@@ -354,13 +354,9 @@ class RecallTreeModel:
         """The node's candidate ids in ascending order, so that the first
         maximum of their margins breaks ties to the smaller class id, and
         the ``(k, n)`` slots of one example's ``mixed`` features under their
-        scorers, or ``(rows, k, n)`` for a ``(rows, 1, n)`` stack.  One
-        example's table is the node's memo table when the features and the
-        candidate set equal those it was hashed from."""
+        scorers: the node's memo table when the features and the candidate
+        set equal those it was hashed from."""
         cands = sorted(node.candidates)
-        if mixed.ndim > 1:
-            ids = np.array(cands, dtype=np.int64)
-            return ids, slot_matrix(self._class_salts[ids], mixed, self.params.bits)
         features = mixed.tobytes()
         last = self._candidate_memo.get(node.id)
         if last is None or last[0] != features or last[1] != cands:
@@ -503,40 +499,70 @@ class RecallTreeModel:
         """``[self.predict_full(x) for x in examples]``, bit for bit, with the
         descent and the candidate scoring done for many examples at once.
 
-        The examples, sorted by raw length, descend in blocks of
-        ``BATCH_ROWS`` through ``_descend``, the batched descent; the rows
-        of a block that halt at one node with one width are then scored as
-        one ``(rows, k, n)`` stack.  Every row's margins come from the same
-        BLAS product, over the same features in the same order, as in
-        ``predict_full``.  Rows of any length may share a block; the sort
-        only keeps the blocks mostly of one width, which is faster.
+        The examples, sorted by raw length, are laid out by ``_layout`` in
+        blocks of ``BATCH_ROWS``.  A block descends a level at a time, with
+        one ``slot_matrix`` and one ``batch_margins`` call per level for the
+        routing rows of each width; the rows that halt at one node with one
+        width are then scored as one ``(rows, k, n)`` stack.  Every row's
+        margins come from the same BLAS product, over the same features in
+        the same order, as in ``predict_full``.  Rows of any length may
+        share a block; the sort only keeps the blocks mostly of one width,
+        which is faster.  The node arrays are read per call, so training
+        between calls needs no invalidation.
         """
         if not examples:
             return []
         if self.examples_seen == 0:
             raise UntrainedModelError("model has seen no training examples")
-        table = self._node_table()
+        params = self.params
+        nodes = self.nodes
+        router_salts = np.array(self._router_salts, dtype=np.uint64)
+        path_mixed = np.array(self._path_mixed, dtype=np.uint64)
+        # -1 for no children; a right child is always its left child + 1
+        left = np.array([-1 if n.left is None else n.left for n in nodes])
+        bounds = np.array([self.bound(n) for n in nodes])
         order = np.argsort([x.indices.size for x in examples], kind="stable")
         preds: list[Prediction] = [None] * len(examples)
         for start in range(0, order.size, BATCH_ROWS):
             block = order[start:start + BATCH_ROWS].tolist()
-            found = self._predict_block([examples[i] for i in block], table)
-            for i, p in zip(block, found):
-                preds[i] = p
-        return preds
+            mixed, values, width = self._layout([examples[i] for i in block])
 
-    def _node_table(self):
-        """The live node table as arrays, rebuilt per batch so that training
-        between batches needs no invalidation: router salts, mixed path
-        features, left children (-1 for none; a right child is always its
-        left child + 1) and bounds."""
-        nodes = self.nodes
-        return (
-            np.array(self._router_salts, dtype=np.uint64),
-            np.array(self._path_mixed, dtype=np.uint64),
-            np.array([-1 if n.left is None else n.left for n in nodes]),
-            np.array([self.bound(n) for n in nodes]),
-        )
+            # ``live`` holds the rows still routing, all at one depth
+            node = np.zeros(len(block), dtype=np.int64)
+            router_evals = np.zeros(len(block), dtype=np.int64)
+            live = np.flatnonzero(left[node] >= 0)
+            while live.size:
+                at = node[live]
+                routed = np.empty(live.size)
+                for same in _runs(width[live]):
+                    rows = live[same]
+                    n = int(width[rows[0]])
+                    slots = slot_matrix(router_salts[at[same], None], mixed[rows, None, :n],
+                                        params.bits)
+                    routed[same] = self.router_store.batch_margins(
+                        slots, values[rows, :n, None])[:, 0, 0]
+                router_evals[live] += 1
+                child = np.where(routed > 0, left[at], left[at] + 1)
+                moves = ~(bounds[at] > bounds[child])
+                live = live[moves]
+                node[live] = child[moves]
+                if params.path_features:
+                    mixed[live, width[live]] = path_mixed[node[live]]
+                    values[live, width[live]] = 1.0
+                    width[live] += 1
+                live = live[left[node[live]] >= 0]
+
+            # score the rows that halt at one node with one width together
+            for halted in _runs(node * (int(width.max()) + 1) + width):
+                nid, n = int(node[halted[0]]), int(width[halted[0]])
+                halt = nodes[nid]
+                ids = np.array(sorted(halt.candidates), dtype=np.int64)
+                slots = slot_matrix(self._class_salts[ids], mixed[halted, None, :n], params.bits)
+                margins = self.class_store.batch_margins(slots, values[halted, :n, None])[..., 0]
+                labels = ids[np.argmax(margins, axis=1)].tolist()
+                for i, label, evals in zip(halted.tolist(), labels, router_evals[halted].tolist()):
+                    preds[block[i]] = Prediction(label, ids.size, evals, nid, halt.depth)
+        return preds
 
     def _layout(self, block: list[SparseExample]):
         """The checked mixed features and values of examples of any raw
@@ -554,56 +580,3 @@ class RecallTreeModel:
             mixed[:, :nnz][filled] = mix64_array(indices)
             values[:, :nnz][filled] = np.concatenate([x.values for x in block])
         return mixed, values, width
-
-    def _descend(self, block: list[SparseExample], table):
-        """Route examples of any raw lengths from the root to where
-        ``predict_full`` would halt them, with one ``slot_matrix`` and one
-        ``batch_margins`` call per level for the routing rows of each width.
-        Returns their rows as ``_layout`` returns them, with the path
-        features of their routes appended, and each row's halting node and
-        router evaluations."""
-        router_salts, path_mixed, left, bounds = table
-        params = self.params
-        mixed, values, width = self._layout(block)
-
-        # ``live`` holds the rows still routing, all at one depth
-        node = np.zeros(len(block), dtype=np.int64)
-        router_evals = np.zeros(len(block), dtype=np.int64)
-        live = np.flatnonzero(left[node] >= 0)
-        while live.size:
-            at = node[live]
-            routed = np.empty(live.size)
-            for same in _runs(width[live]):
-                rows = live[same]
-                n = int(width[rows[0]])
-                slots = slot_matrix(router_salts[at[same], None], mixed[rows, None, :n],
-                                    params.bits)
-                routed[same] = self.router_store.batch_margins(
-                    slots, values[rows, :n, None])[:, 0, 0]
-            router_evals[live] += 1
-            child = np.where(routed > 0, left[at], left[at] + 1)
-            moves = ~(bounds[at] > bounds[child])
-            live = live[moves]
-            node[live] = child[moves]
-            if params.path_features:
-                mixed[live, width[live]] = path_mixed[node[live]]
-                values[live, width[live]] = 1.0
-                width[live] += 1
-            live = live[left[node[live]] >= 0]
-        return mixed, values, width, node, router_evals
-
-    def _predict_block(self, block: list[SparseExample], table) -> list[Prediction]:
-        """Predictions for examples of any raw lengths."""
-        mixed, values, width, node, router_evals = self._descend(block, table)
-
-        preds: list[Prediction] = [None] * len(block)
-        # score the rows that halt at one node with one width together
-        for halted in _runs(node * (int(width.max()) + 1) + width):
-            nid, n = int(node[halted[0]]), int(width[halted[0]])
-            halt = self.nodes[nid]
-            ids, slots = self._candidate_slots(halt, mixed[halted, None, :n])
-            margins = self.class_store.batch_margins(slots, values[halted, :n, None])[..., 0]
-            labels = ids[np.argmax(margins, axis=1)].tolist()
-            for i, label, evals in zip(halted.tolist(), labels, router_evals[halted].tolist()):
-                preds[i] = Prediction(label, ids.size, evals, nid, halt.depth)
-        return preds

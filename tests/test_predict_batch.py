@@ -1,6 +1,8 @@
 """``predict_batch`` must equal ``predict_full`` example by example, on every
 kind of tree and every kind of input row."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,34 @@ def test_rows_of_rare_lengths_descend_in_the_batch(models, monkeypatch):
 
     monkeypatch.setattr(model, "predict_full", refused)
     assert model.predict_batch(examples) == expected
+
+
+def test_batches_between_training_chunks_equal_per_example(models):
+    """One model trained in chunks, predicted in between: each batch reads
+    the node arrays as the tree stands, and leaves the one-example memo
+    exactly as it found it.  Half the rows are cut short, so that their
+    features differ from the memo's."""
+    rng = np.random.default_rng(6)
+    held = [SparseExample(x.label, x.indices[:k], x.values[:k])
+            for x, k in zip(models[1][:500], rng.integers(1, 2 * WIDTH, size=500))]
+    data = generate_examples(SPEC)
+    model = RecallTreeModel(32, WIDTH, Hyperparams.defaults(32, bits=14))
+    grown = []
+    for chunk in (data[:150], data[150:2200]):
+        model.train(chunk)
+        grown.append(len(model.nodes))
+        memos = model._router_memo, model._candidate_memo
+        entries = [dict(memo) for memo in memos]
+        contents = pickle.dumps(memos)
+        assert all(entries)
+
+        batch = model.predict_batch(held)
+        for memo, found in zip(memos, entries):
+            assert memo.keys() == found.keys()
+            assert all(memo[nid] is entry for nid, entry in found.items())
+        assert pickle.dumps(memos) == contents
+        assert batch == per_example(model, held)
+    assert grown[0] < grown[1]
 
 
 def test_empty_batch_on_untrained_model():

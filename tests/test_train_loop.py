@@ -599,10 +599,10 @@ def test_a_loaded_model_trains_on_as_the_per_example_loop(stream, adaptive_lr, t
     assert_same_model(blocked, reference, tmp_path)
 
 
-def test_train_hashes_most_router_levels_ahead(monkeypatch):
+def test_train_misses_the_router_memo_at_fewer_than_half_the_levels(monkeypatch):
     """On a dense stream, the one-router ``slot_matrix`` calls (a 0-d salt)
-    made inside ``train_example``, which are the levels the batched descent
-    did not hash ahead, number fewer than half the router levels stepped."""
+    made inside ``train_example``, which are the node memo's router misses,
+    number fewer than half the router levels stepped."""
     spec = SynthSpec("hierarchical-clusters", num_classes=K, dimensions=8, num_examples=2000,
                      noise=0.05, seed=5)
     model = RecallTreeModel(K, raw_feature_width(spec), Hyperparams.defaults(K, bits=14))
@@ -708,8 +708,8 @@ def memo_stream(stream, shape):
 
 
 class _Logging:
-    """Logs each one-example ``_candidate_slots`` call as (node id, feature
-    bytes, sorted candidates, class ``slot_matrix`` calls it made)."""
+    """Logs each ``_candidate_slots`` call, one example's, as (node id,
+    feature bytes, sorted candidates, class ``slot_matrix`` calls it made)."""
 
     def __init__(self, monkeypatch):
         self.calls, self.hashes = [], 0
@@ -722,9 +722,8 @@ class _Logging:
         def logging(model, node, mixed):
             before = self.hashes
             found = candidate_slots(model, node, mixed)
-            if mixed.ndim == 1:
-                self.calls.append((node.id, mixed.tobytes(), sorted(node.candidates),
-                                   self.hashes - before))
+            self.calls.append((node.id, mixed.tobytes(), sorted(node.candidates),
+                               self.hashes - before))
             return found
 
         monkeypatch.setattr(tree, "slot_matrix", hashing)
